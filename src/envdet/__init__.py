@@ -18,7 +18,6 @@ from .specfun import (
 )
 from .barnes import (
     BarnesEval,
-    RegularizedIntegrand,
     d2_zeta_b_prime0,
     d_zeta_b_prime0,
     dedekind_sum,

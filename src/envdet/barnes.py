@@ -7,8 +7,10 @@ evaluated by three mutually validating routes:
 * ``zeta_b_prime0_rational`` exact closed form for rational a, built from
                              Dedekind sums and log-gamma values.
 
-First and second a-derivatives come from differentiating the integral
-representation under the integral sign.
+The integral route and its first and second a-derivatives (the integral
+representation differentiated under the integral sign) share one vectorised
+double-exponential quadrature per derivative order, evaluated on an array of
+a values at once; scalar a is a one-element array.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .specfun import (
 
 __all__ = [
     "BarnesEval",
-    "RegularizedIntegrand",
     "sawtooth",
     "dedekind_sum",
     "f_kernel",
@@ -72,30 +73,28 @@ def _horner(coeffs, s):
     return acc
 
 
-def _f_kernel_scalar(r: float, derivative: int, crossover: float) -> float:
-    if r == 0.0:
-        return 0.0
-    if r < crossover:
-        return _horner(_COEFFS[derivative], r * r) * r ** _POWER[derivative]
+def f_kernel(r: ArrayLike, derivative: int = 0, crossover: float = 0.5) -> ArrayLike:
+    """Regularized Bose kernel F(r) = 1/(e^r - 1) - 1/r + 1/2 - r/12.
+
+    ``derivative`` selects F, F' or F''.  Below ``crossover`` the value comes
+    from the Bernoulli series (the closed form cancels catastrophically as
+    r -> 0), above it from the closed form; the two branches agree to ~1e-15
+    near the default crossover 0.5.  A scalar r gives a float.
+    """
+    if derivative not in (0, 1, 2):
+        raise DomainError("derivative must be 0, 1 or 2")
+    arr = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(arr < 0.0):
+        raise DomainError("f_kernel needs r >= 0")
+    out = np.empty_like(arr)
+    small = arr < crossover
+    rs = arr[small]
+    out[small] = _horner(_COEFFS[derivative], rs * rs) * rs ** _POWER[derivative]
     # Closed forms written in exp(-r) to stay finite and cancellation-free
     # for arbitrarily large r.
-    den = -math.expm1(-r)          # 1 - e^{-r}
+    rb = arr[~small]
+    den = -np.expm1(-rb)           # 1 - e^{-r}
     er = 1.0 - den                 # e^{-r}
-    if derivative == 0:
-        return er / den - 1.0 / r + 0.5 - r / 12.0
-    if derivative == 1:
-        return -er / den**2 + 1.0 / r**2 - 1.0 / 12.0
-    return er * (1.0 + er) / den**3 - 2.0 / r**3
-
-
-def _f_kernel_array(r: np.ndarray, derivative: int, crossover: float) -> np.ndarray:
-    out = np.empty_like(r)
-    small = r < crossover
-    rs = r[small]
-    out[small] = _horner(_COEFFS[derivative], rs * rs) * rs ** _POWER[derivative]
-    rb = r[~small]
-    den = -np.expm1(-rb)
-    er = 1.0 - den
     if derivative == 0:
         big = er / den - 1.0 / rb + 0.5 - rb / 12.0
     elif derivative == 1:
@@ -103,28 +102,7 @@ def _f_kernel_array(r: np.ndarray, derivative: int, crossover: float) -> np.ndar
     else:
         big = er * (1.0 + er) / den**3 - 2.0 / rb**3
     out[~small] = big
-    return out
-
-
-def f_kernel(r: ArrayLike, derivative: int = 0, crossover: float = 0.5) -> ArrayLike:
-    """Regularized Bose kernel F(r) = 1/(e^r - 1) - 1/r + 1/2 - r/12.
-
-    ``derivative`` selects F, F' or F''.  Below ``crossover`` the value comes
-    from the Bernoulli series (the closed form cancels catastrophically as
-    r -> 0), above it from the closed form; the two branches agree to ~1e-15
-    near the default crossover 0.5.
-    """
-    if derivative not in (0, 1, 2):
-        raise DomainError("derivative must be 0, 1 or 2")
-    if np.ndim(r) == 0:
-        rr = float(r)
-        if rr < 0.0:
-            raise DomainError("f_kernel needs r >= 0")
-        return _f_kernel_scalar(rr, derivative, crossover)
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError("f_kernel needs r >= 0")
-    return _f_kernel_array(arr, derivative, crossover)
+    return out if np.ndim(r) else float(out[0])
 
 
 def sawtooth(x: float) -> float:
@@ -173,45 +151,37 @@ class BarnesEval:
             raise DomainError(f"unknown route {self.route!r}")
 
 
-@dataclass(frozen=True)
-class RegularizedIntegrand:
-    """One of the three t-integrands behind the integral route.
+def _integral(a: ArrayLike, order: int, quad: QuadratureSpec):
+    """d^order/da^order of zeta_B'(0; a, 1, 1) for a > 0, from one quadrature
+    over all of ``a``; returns (values shaped like ``a``, error estimate).
 
-    ``kind`` selects F(at)/(t(e^t-1)), F'(at)/(e^t-1) or t F''(at)/(e^t-1);
-    all three are smooth at t = 0 and decay like e^{-t}.  ``a`` may be an
-    ndarray, in which case calls return one value per grid point.
+    The integrands F(at)/(t(e^t-1)), F'(at)/(e^t-1) and t F''(at)/(e^t-1) are
+    smooth at t = 0 and decay like e^{-t}.
     """
-
-    a: ArrayLike
-    kind: str
-    crossover: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("F_over_t", "F_prime", "t_F_double_prime"):
-            raise DomainError(f"unknown integrand kind {self.kind!r}")
-        if not np.all(np.asarray(self.a) > 0.0):
-            raise DomainError("integrand scale a must be positive")
-
-    def __call__(self, t: float) -> ArrayLike:
-        r = self.a * t
-        em = math.expm1(t)
-        if self.kind == "F_over_t":
-            return f_kernel(r, 0, self.crossover) / (t * em)
-        if self.kind == "F_prime":
-            return f_kernel(r, 1, self.crossover) / em
-        return t * f_kernel(r, 2, self.crossover) / em
-
-
-def _as_positive(a: ArrayLike, what: str) -> ArrayLike:
-    if np.ndim(a) == 0:
-        av = float(a)
-        if not av > 0.0:
-            raise DomainError(f"{what} needs a > 0, got {a!r}")
-        return av
-    arr = np.asarray(a, dtype=float)
+    arr = np.atleast_1d(np.asarray(a, dtype=float))
     if not np.all(arr > 0.0):
-        raise DomainError(f"{what} needs a > 0")
-    return arr
+        raise DomainError(f"the integral route needs a > 0, got {a!r}")
+    cross = quad.small_t_crossover
+
+    # The kernel values stay an unnamed temporary, so numpy divides them in
+    # place instead of allocating a second array per node.
+    def integrand(t: float) -> np.ndarray:
+        em = math.expm1(t)
+        if order == 0:
+            return f_kernel(arr * t, 0, cross) / (t * em)
+        if order == 1:
+            return f_kernel(arr * t, 1, cross) / em
+        return t * f_kernel(arr * t, 2, cross) / em
+
+    integral, err = integrate_semi_infinite(integrand, quad)
+    if order == 0:
+        head = _LOG_A / arr - 0.25 * _LOG_2PI + _GAMMA * arr / 12.0
+    elif order == 1:
+        head = -_LOG_A / arr**2 + _GAMMA / 12.0
+    else:
+        head = 2.0 * _LOG_A / arr**3
+    out = head + integral
+    return (out if np.ndim(a) else float(out[0])), err
 
 
 def zeta_b_prime0(a: float, quad: QuadratureSpec = DEFAULT_QUAD) -> BarnesEval:
@@ -219,13 +189,9 @@ def zeta_b_prime0(a: float, quad: QuadratureSpec = DEFAULT_QUAD) -> BarnesEval:
 
         log A / a - log(2 pi)/4 + gamma a / 12 + int_0^inf F(at)/(t(e^t-1)) dt.
     """
-    av = _as_positive(a, "zeta_b_prime0")
-    if np.ndim(av) != 0:
+    if np.ndim(a) != 0:
         raise DomainError("zeta_b_prime0 is scalar; use zeta_b_prime0_values for grids")
-    integral, err = integrate_semi_infinite(
-        RegularizedIntegrand(av, "F_over_t", quad.small_t_crossover), quad
-    )
-    value = _LOG_A / av - 0.25 * _LOG_2PI + _GAMMA * av / 12.0 + integral
+    value, err = _integral(a, 0, quad)
     return BarnesEval(value=value, error_bound=err, route="integral")
 
 
@@ -233,11 +199,7 @@ def zeta_b_prime0_values(
     a: np.ndarray, quad: QuadratureSpec = DEFAULT_QUAD
 ) -> tuple[np.ndarray, float]:
     """Integral-route values on a grid of a > 0, via one vectorized quadrature."""
-    arr = np.atleast_1d(np.asarray(_as_positive(a, "zeta_b_prime0_values"), dtype=float))
-    integral, err = integrate_semi_infinite(
-        RegularizedIntegrand(arr, "F_over_t", quad.small_t_crossover), quad
-    )
-    return _LOG_A / arr - 0.25 * _LOG_2PI + _GAMMA * arr / 12.0 + integral, err
+    return _integral(np.atleast_1d(a), 0, quad)
 
 
 def series_error_bound(a: ArrayLike, n: int) -> ArrayLike:
@@ -256,7 +218,9 @@ def zeta_b_prime0_series(a: float, n: int = 4) -> BarnesEval:
     """
     if int(n) != n or not 2 <= n <= 16:
         raise DomainError(f"series order n must be an integer in [2, 16], got {n!r}")
-    av = float(_as_positive(a, "zeta_b_prime0_series"))
+    if np.ndim(a) != 0 or not a > 0.0:
+        raise DomainError(f"zeta_b_prime0_series needs a scalar a > 0, got {a!r}")
+    av = float(a)
     value = _LOG_A / av - 0.25 * _LOG_2PI + _GAMMA * av / 12.0
     for k in range(2, n):
         coeff = float(bernoulli(2 * k) / (2 * k * (2 * k - 1))) * zeta_int(2 * k - 1)
@@ -289,7 +253,9 @@ def zeta_b_prime0_alt(a: float, quad: QuadratureSpec = DEFAULT_QUAD) -> BarnesEv
     """Cross-check evaluator through an independent splitting of the same
     function: different elementary terms and the integrand
     [F(t/a)/t + a F'(t)] / (e^t - 1)."""
-    av = float(_as_positive(a, "zeta_b_prime0_alt"))
+    if not a > 0.0:
+        raise DomainError(f"zeta_b_prime0_alt needs a > 0, got {a!r}")
+    av = float(a)
     cross = quad.small_t_crossover
 
     def integrand(t: float) -> float:
@@ -310,19 +276,9 @@ def zeta_b_prime0_alt(a: float, quad: QuadratureSpec = DEFAULT_QUAD) -> BarnesEv
 
 def d_zeta_b_prime0(a: ArrayLike, quad: QuadratureSpec = DEFAULT_QUAD) -> ArrayLike:
     """d/da of zeta_B'(0; a, 1, 1):  -log A / a^2 + gamma/12 + int F'(at)/(e^t-1) dt."""
-    av = _as_positive(a, "d_zeta_b_prime0")
-    integral, _ = integrate_semi_infinite(
-        RegularizedIntegrand(av, "F_prime", quad.small_t_crossover), quad
-    )
-    out = -_LOG_A / np.asarray(av, dtype=float) ** 2 + _GAMMA / 12.0 + integral
-    return float(out) if np.ndim(a) == 0 else np.asarray(out)
+    return _integral(a, 1, quad)[0]
 
 
 def d2_zeta_b_prime0(a: ArrayLike, quad: QuadratureSpec = DEFAULT_QUAD) -> ArrayLike:
     """d^2/da^2 of zeta_B'(0; a, 1, 1):  2 log A / a^3 + int t F''(at)/(e^t-1) dt."""
-    av = _as_positive(a, "d2_zeta_b_prime0")
-    integral, _ = integrate_semi_infinite(
-        RegularizedIntegrand(av, "t_F_double_prime", quad.small_t_crossover), quad
-    )
-    out = 2.0 * _LOG_A / np.asarray(av, dtype=float) ** 3 + integral
-    return float(out) if np.ndim(a) == 0 else np.asarray(out)
+    return _integral(a, 2, quad)[0]

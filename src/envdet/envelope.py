@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy import special as _sp
@@ -61,15 +61,32 @@ _EDGE = 1e-6
 BETA_CRITICAL = -2.0 / 3.0
 
 
-def _validate_beta_array(b: np.ndarray) -> None:
+def _check_beta(b: np.ndarray) -> None:
     if not (np.all(b > -1.0) and np.all(b < -0.5)):
         raise DomainError("beta must lie in the open interval (-1, -1/2)")
     # Every term of the determinant formula is singular at the endpoints;
     # the asymptotic expansions cover the excluded slivers.
-    if np.any(b + 1.0 < _EDGE) or np.any(np.abs(2.0 * b + 1.0) < _EDGE):
+    if np.any(b + 1.0 < _EDGE) or np.any(-0.5 - b < _EDGE):
         raise DomainError(
             f"beta within {_EDGE:g} of an endpoint; use the asymptotic expansions there"
         )
+
+
+def _check_area(area: float) -> None:
+    if not (math.isfinite(area) and area > 0.0):
+        raise DomainError(f"area must be finite and positive, got {area!r}")
+
+
+def _out(x):
+    """A float for a scalar beta, the array itself for an array beta."""
+    return x if np.ndim(x) else float(x)
+
+
+def _log(x):
+    # Floats take math.log and arrays numpy's log.  The two can differ in the
+    # last bit, and both the scalar expansions and the scan files are pinned
+    # bit for bit.
+    return np.log(x) if np.ndim(x) else math.log(x)
 
 
 @dataclass(frozen=True)
@@ -79,15 +96,21 @@ class AngleParam:
     a1 = beta + 1 (base-angle fraction) and a2 = -2*beta - 1 (apex fraction).
     ``exact`` optionally carries beta as an exact rational, which unlocks the
     closed-form Barnes route.
+
+    ``beta`` is a float or a 1-D ndarray of grid points.  The determinant,
+    its derivatives, zeta0 and its derivatives, the endpoint expansions and
+    the convexity bound map a float beta to a float and an array beta to an
+    array, element by element; the series and rational routes, the scaling
+    factor and the geometry take a float beta only.
     """
 
-    beta: float
+    beta: Union[float, np.ndarray]
     exact: Optional[Fraction] = None
-    a1: float = field(init=False)
-    a2: float = field(init=False)
+    a1: Union[float, np.ndarray] = field(init=False)
+    a2: Union[float, np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
-        _validate_beta_array(np.asarray(self.beta, dtype=float))
+        _check_beta(np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "a1", self.beta + 1.0)
         object.__setattr__(self, "a2", -2.0 * self.beta - 1.0)
         if self.exact is not None:
@@ -104,12 +127,15 @@ class AngleParam:
 
 @dataclass(frozen=True)
 class DetResult:
-    """log det at a given area with its additive breakdown."""
+    """log det at a given area with its additive breakdown.
 
-    log_det: float
-    elementary_part: float
-    barnes_part: float
-    area_term: float
+    The parts are floats for a float beta and arrays for an array beta.
+    """
+
+    log_det: Union[float, np.ndarray]
+    elementary_part: Union[float, np.ndarray]
+    barnes_part: Union[float, np.ndarray]
+    area_term: Union[float, np.ndarray]
     area: float
 
 
@@ -221,12 +247,28 @@ def _d2_elementary(b):
     )
 
 
-def _barnes_pair(a1, a2, quad: QuadratureSpec):
-    """Integral-route zeta_B'(0; ., 1, 1) at a1 and a2 in one quadrature."""
-    a1 = np.atleast_1d(np.asarray(a1, dtype=float))
-    a2 = np.atleast_1d(np.asarray(a2, dtype=float))
-    vals, _ = barnes.zeta_b_prime0_values(np.concatenate([a1, a2]), quad)
-    return vals[: a1.size], vals[a1.size :]
+def _integral_pair(p: AngleParam, k: int, quad: QuadratureSpec):
+    """Integral-route k-th a-derivative of zeta_B'(0; ., 1, 1) at a1 and at
+    a2, from one quadrature over both."""
+    a = np.concatenate([np.atleast_1d(p.a1), np.atleast_1d(p.a2)])
+    if k == 0:
+        z, _ = barnes.zeta_b_prime0_values(a, quad)
+    elif k == 1:
+        z = barnes.d_zeta_b_prime0(a, quad)
+    else:
+        z = barnes.d2_zeta_b_prime0(a, quad)
+    return np.reshape(z, (2,) + np.shape(p.beta))
+
+
+def _chain(k: int, elementary, z1, z2):
+    """k-th beta-derivative of the unit-area log det from the k-th derivative
+    of the elementary terms and the k-th a-derivatives z1, z2 of
+    zeta_B'(0; ., 1, 1) at a1 and a2 (da1/dbeta = 1, da2/dbeta = -2).
+
+    Every route and scan column sums in this one order.
+    """
+    out = elementary - 4.0 * z1 - 2.0 * (-2.0) ** k * z2
+    return out + 2.0 * _ZP1 if k == 0 else out
 
 
 # --------------------------------------------------------------------------
@@ -250,17 +292,17 @@ def scaling_factor(p: AngleParam) -> float:
 
 def zeta0(p: AngleParam) -> float:
     """Spectral zeta value at 0: -13/12 + 1/(6(beta+1)) - 1/(12(2 beta+1))."""
-    return -13.0 / 12.0 + 1.0 / (6.0 * p.a1) - 1.0 / (12.0 * (2.0 * p.beta + 1.0))
+    return _out(-13.0 / 12.0 + 1.0 / (6.0 * p.a1) - 1.0 / (12.0 * (2.0 * p.beta + 1.0)))
 
 
 def d_zeta0(p: AngleParam) -> float:
     x2 = 2.0 * p.beta + 1.0
-    return -1.0 / (6.0 * p.a1**2) + 1.0 / (6.0 * x2**2)
+    return _out(-1.0 / (6.0 * p.a1**2) + 1.0 / (6.0 * x2**2))
 
 
 def d2_zeta0(p: AngleParam) -> float:
     x2 = 2.0 * p.beta + 1.0
-    return 1.0 / (3.0 * p.a1**3) - 2.0 / (3.0 * x2**3)
+    return _out(1.0 / (3.0 * p.a1**3) - 2.0 / (3.0 * x2**3))
 
 
 def log_det_unit(
@@ -275,10 +317,8 @@ def log_det_unit(
     and gives the exact closed-form evaluation; ``'series'`` uses the
     certified truncation of order ``series_terms``.
     """
-    elementary = float(_elementary(p.beta))
     if route == "integral":
-        z1, z2 = _barnes_pair(p.a1, p.a2, quad)
-        zb1, zb2 = float(z1[0]), float(z2[0])
+        zb1, zb2 = _integral_pair(p, 0, quad)
     elif route == "series":
         zb1 = barnes.zeta_b_prime0_series(p.a1, series_terms).value
         zb2 = barnes.zeta_b_prime0_series(p.a2, series_terms).value
@@ -289,11 +329,12 @@ def log_det_unit(
         zb2 = barnes.zeta_b_prime0_rational(-2 * p.exact - 1).value
     else:
         raise DomainError(f"unknown route {route!r}")
-    barnes_part = -4.0 * zb1 - 2.0 * zb2 + 2.0 * _ZP1
+    elementary = _elementary(p.beta)
+    log_det = _chain(0, elementary, zb1, zb2)
     return DetResult(
-        log_det=elementary + barnes_part,
-        elementary_part=elementary,
-        barnes_part=barnes_part,
+        log_det=_out(log_det),
+        elementary_part=_out(elementary),
+        barnes_part=_out(log_det - elementary),
         area_term=0.0,
         area=1.0,
     )
@@ -307,8 +348,7 @@ def log_det_area(
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> DetResult:
     """log det at the given area: the unit-area value minus zeta0 * log(area)."""
-    if not area > 0.0:
-        raise DomainError(f"area must be positive, got {area!r}")
+    _check_area(area)
     base = log_det_unit(p, route=route, series_terms=series_terms, quad=quad)
     area_term = -zeta0(p) * math.log(area)
     return DetResult(
@@ -323,10 +363,10 @@ def log_det_area(
 def asymptotic_neg1(p: AngleParam) -> float:
     """Truncated expansion of the unit-area log det near beta = -1."""
     a1 = p.a1
-    return (
-        -math.log(a1) / (6.0 * a1)
+    return _out(
+        -_log(a1) / (6.0 * a1)
         + (math.log(8.0 * math.pi) / 6.0 - 4.0 * _LOG_A) / a1
-        - math.log(a1)
+        - _log(a1)
         - _LOG2
     )
 
@@ -335,10 +375,10 @@ def asymptotic_neghalf(p: AngleParam) -> float:
     """Truncated expansion of the unit-area log det near beta = -1/2."""
     x2 = 2.0 * p.beta + 1.0
     a2 = p.a2
-    return (
-        math.log(a2) / (12.0 * x2)
+    return _out(
+        _log(a2) / (12.0 * x2)
         - (_LOG2 / 6.0 + _LOG_PI / 12.0 - 2.0 * _LOG_A) / x2
-        - 0.75 * math.log(a2)
+        - 0.75 * _log(a2)
         - 0.5 * _LOG2
         - 0.25 * _LOG_PI
     )
@@ -346,19 +386,22 @@ def asymptotic_neghalf(p: AngleParam) -> float:
 
 def d_log_det(p: AngleParam, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Analytic d/dbeta of the unit-area log det."""
-    a = np.concatenate([np.atleast_1d(p.a1), np.atleast_1d(p.a2)])
-    dz = barnes.d_zeta_b_prime0(a, quad)
-    return float(_d_elementary(p.beta) - 4.0 * dz[0] + 4.0 * dz[1])
+    return _out(_chain(1, _d_elementary(p.beta), *_integral_pair(p, 1, quad)))
 
 
 def d2_log_det(p: AngleParam, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Analytic d^2/dbeta^2 of the unit-area log det."""
-    a = np.concatenate([np.atleast_1d(p.a1), np.atleast_1d(p.a2)])
-    d2z = barnes.d2_zeta_b_prime0(a, quad)
-    return float(_d2_elementary(p.beta) - 4.0 * d2z[0] - 8.0 * d2z[1])
+    return _out(_chain(2, _d2_elementary(p.beta), *_integral_pair(p, 2, quad)))
 
 
-def _convexity_lower_bound(b):
+def convexity_lower_bound(p: AngleParam) -> float:
+    """Elementary strictly positive lower bound for d2_log_det.
+
+    Second derivative of the explicit scaling-factor/log bracket (with its
+    zeta-series truncated at the cubic term) minus 1/5 minus the singular
+    Barnes leading terms; everything is in closed form.
+    """
+    b = p.beta
     a1 = b + 1.0
     a2 = -2.0 * b - 1.0
     x2 = 2.0 * b + 1.0
@@ -395,17 +438,7 @@ def _convexity_lower_bound(b):
     )
     Rpp = (8.0 / a1**3 - 8.0 / x2**3) * _LOG2 / 6.0 + 1.0 / a1**2 + 2.0 / x2**2
     Gpp = Ppp * Q + 2.0 * Pp * Qp + P * Qpp + Rpp
-    return Gpp - 0.2 - _LOG_A * (8.0 / a1**3 - 2.0 / half**3)
-
-
-def convexity_lower_bound(p: AngleParam) -> float:
-    """Elementary strictly positive lower bound for d2_log_det.
-
-    Second derivative of the explicit scaling-factor/log bracket (with its
-    zeta-series truncated at the cubic term) minus 1/5 minus the singular
-    Barnes leading terms; everything is in closed form.
-    """
-    return float(_convexity_lower_bound(p.beta))
+    return _out(Gpp - 0.2 - _LOG_A * (8.0 / a1**3 - 2.0 / half**3))
 
 
 def critical_area(quad: QuadratureSpec = DEFAULT_QUAD) -> float:
@@ -416,8 +449,7 @@ def critical_area(quad: QuadratureSpec = DEFAULT_QUAD) -> float:
 
 def geometry(p: AngleParam, area: float = 1.0) -> EnvelopeGeometry:
     """Side length |AB| = |BC| and the three angles at the given area."""
-    if not area > 0.0:
-        raise DomainError(f"area must be positive, got {area!r}")
+    _check_area(area)
     side = math.sqrt(area / math.sin(math.pi * p.a2))
     return EnvelopeGeometry(
         side_ab=side,
@@ -434,40 +466,16 @@ def geometry(p: AngleParam, area: float = 1.0) -> EnvelopeGeometry:
 
 
 def _columns(b: np.ndarray, area: float, quad: QuadratureSpec):
-    a1 = b + 1.0
-    a2 = -2.0 * b - 1.0
-    x2 = 2.0 * b + 1.0
+    p = AngleParam(b)
     log_area = math.log(area)
-    z0 = -13.0 / 12.0 + 1.0 / (6.0 * a1) - 1.0 / (12.0 * x2)
-    dz0 = -1.0 / (6.0 * a1**2) + 1.0 / (6.0 * x2**2)
-    d2z0 = 1.0 / (3.0 * a1**3) - 2.0 / (3.0 * x2**3)
-    area_term = -z0 * log_area
-
-    cat = np.concatenate([a1, a2])
-    zb, _ = barnes.zeta_b_prime0_values(cat, quad)
-    dzb = barnes.d_zeta_b_prime0(cat, quad)
-    d2zb = barnes.d2_zeta_b_prime0(cat, quad)
-    n = b.size
-    log_det = _elementary(b) - 4.0 * zb[:n] - 2.0 * zb[n:] + 2.0 * _ZP1 + area_term
-    d1 = _d_elementary(b) - 4.0 * dzb[:n] + 4.0 * dzb[n:] - dz0 * log_area
-    d2 = _d2_elementary(b) - 4.0 * d2zb[:n] - 8.0 * d2zb[n:] - d2z0 * log_area
-
-    as1 = (
-        -np.log(a1) / (6.0 * a1)
-        + (math.log(8.0 * math.pi) / 6.0 - 4.0 * _LOG_A) / a1
-        - np.log(a1)
-        - _LOG2
-        + area_term
+    det = log_det_area(p, area, quad=quad)
+    return (
+        det.log_det,
+        d_log_det(p, quad) - d_zeta0(p) * log_area,
+        d2_log_det(p, quad) - d2_zeta0(p) * log_area,
+        asymptotic_neg1(p) + det.area_term,
+        asymptotic_neghalf(p) + det.area_term,
     )
-    as2 = (
-        np.log(a2) / (12.0 * x2)
-        - (_LOG2 / 6.0 + _LOG_PI / 12.0 - 2.0 * _LOG_A) / x2
-        - 0.75 * np.log(a2)
-        - 0.5 * _LOG2
-        - 0.25 * _LOG_PI
-        + area_term
-    )
-    return log_det, d1, d2, as1, as2
 
 
 def _exact_betas(beta_min: float, beta_max: float, max_denominator: int):
@@ -501,9 +509,8 @@ def scan(
         raise DomainError(f"count must be an integer >= 2, got {count!r}")
     if not (beta_min < beta_max):
         raise DomainError("need beta_min < beta_max")
-    if not area > 0.0:
-        raise DomainError(f"area must be positive, got {area!r}")
-    _validate_beta_array(np.asarray([beta_min, beta_max]))
+    _check_area(area)
+    _check_beta(np.asarray([beta_min, beta_max]))
 
     b = np.linspace(beta_min, beta_max, int(count))
     cols = _columns(b, area, quad)
@@ -547,7 +554,7 @@ def refine_minimum(
     count = 65
     while hi - lo > tol:
         b = np.linspace(lo, hi, count)
-        log_det = _columns(b, area, quad)[0]
+        log_det = log_det_area(AngleParam(b), area, quad=quad).log_det
         i = int(np.argmin(log_det))
         lo = b[max(i - 1, 0)]
         hi = b[min(i + 1, count - 1)]

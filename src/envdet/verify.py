@@ -82,9 +82,8 @@ def _criterion_3(quad: QuadratureSpec) -> List[CheckResult]:
     p = envelope.AngleParam(envelope.BETA_CRITICAL)
     d1 = abs(envelope.d_log_det(p, quad))
     a = 1.0 / 3.0
-    combo = abs(
-        2.0 * barnes.d_zeta_b_prime0(a, quad) - 2.0 * barnes.d_zeta_b_prime0(1.0 - 2.0 * a, quad)
-    )
+    dz = barnes.d_zeta_b_prime0(np.array([a, 1.0 - 2.0 * a]), quad)
+    combo = float(abs(2.0 * dz[0] - 2.0 * dz[1]))
     return [
         CheckResult("criticality_d1", d1 <= 1e-9, d1, 1e-9),
         CheckResult("lemma_a1_3", combo <= 1e-9, combo, 1e-9),
@@ -103,12 +102,9 @@ def _criterion_4(quad: QuadratureSpec) -> List[CheckResult]:
 
 
 def _criterion_5(quad: QuadratureSpec) -> List[CheckResult]:
-    b = np.linspace(-0.999, -0.501, 10_000)
-    bound = envelope._convexity_lower_bound(b)
-    cat = np.concatenate([b + 1.0, -2.0 * b - 1.0])
-    d2zb = barnes.d2_zeta_b_prime0(cat, quad)
-    n = b.size
-    d2 = envelope._d2_elementary(b) - 4.0 * d2zb[:n] - 8.0 * d2zb[n:]
+    p = envelope.AngleParam(np.linspace(-0.999, -0.501, 10_000))
+    bound = envelope.convexity_lower_bound(p)
+    d2 = envelope.d2_log_det(p, quad)
     min_bound = float(np.min(bound))
     min_gap = float(np.min(d2 - bound))
     return [
@@ -121,15 +117,16 @@ def _reduced_fractions(max_q: int):
     for q in range(2, max_q + 1):
         for p in range(1, q):
             if math.gcd(p, q) == 1:
-                yield p, q
+                yield Fraction(p, q)
 
 
 def _criterion_6(quad: QuadratureSpec) -> List[CheckResult]:
-    worst = 0.0
-    for p, q in _reduced_fractions(12):
-        integral = barnes.zeta_b_prime0(p / q, quad).value
-        rational = barnes.zeta_b_prime0_rational(Fraction(p, q)).value
-        worst = max(worst, abs(integral - rational))
+    fractions = list(_reduced_fractions(12))
+    integral, _ = barnes.zeta_b_prime0_values(np.array([float(f) for f in fractions]), quad)
+    worst = max(
+        abs(float(value) - barnes.zeta_b_prime0_rational(frac).value)
+        for value, frac in zip(integral, fractions)
+    )
 
     grid = np.linspace(0.005, 1.0, 200)
     integral_vals, _ = barnes.zeta_b_prime0_values(grid, quad)
@@ -199,7 +196,7 @@ def _criterion_9(quad: QuadratureSpec) -> List[CheckResult]:
     local_max_margin = float(
         min(ld3[i_star] - ld3[i_star - 1], ld3[i_star] - ld3[i_star + 1])
     )
-    z0 = np.asarray([envelope.zeta0(envelope.AngleParam(float(x))) for x in b])
+    z0 = envelope.zeta0(envelope.AngleParam(b))
     rescale_err = float(np.max(np.abs((ld3 - ld1) + z0 * math.log(3.0))))
     return [
         CheckResult("scan_minimum_unit_area", min_offset == 0.0, min_offset, 0.0),

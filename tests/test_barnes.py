@@ -6,7 +6,6 @@ import pytest
 
 from envdet.barnes import (
     BarnesEval,
-    RegularizedIntegrand,
     d2_zeta_b_prime0,
     d_zeta_b_prime0,
     dedekind_sum,
@@ -130,13 +129,6 @@ def test_f_kernel_domain():
         f_kernel(-0.1)
     with pytest.raises(DomainError):
         f_kernel(1.0, derivative=3)
-
-
-def test_regularized_integrand_validation():
-    with pytest.raises(DomainError):
-        RegularizedIntegrand(a=0.0, kind="F_over_t")
-    with pytest.raises(DomainError):
-        RegularizedIntegrand(a=1.0, kind="bogus")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from envdet import envelope
-from envdet.cli import OutputRecord, main
+from envdet.cli import main
+from envdet.specfun import DomainError
 
 CLOSED_M34 = 0.0829015200310546721
 
@@ -45,6 +48,33 @@ def test_eval_domain_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(["eval", "--beta", "-1.2", "--area", "1"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("area", ["inf", "-inf", "nan", "0", "-1"])
+def test_non_finite_or_non_positive_area_exits_two(area, tmp_path, capsys):
+    out_path = tmp_path / "scan.csv"
+    for argv in (
+        ["eval", "--beta", "-0.7", f"--area={area}", "--format", "json"],
+        ["critical", f"--area={area}", "--format", "json"],
+        ["scan", "--from", "-0.9", "--to", "-0.6", "--count", "5", f"--area={area}",
+         "--out", str(out_path)],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert out == "" and "error" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "beta,code", [(-1.0 + 7e-7, 2), (-0.5 - 7e-7, 2), (-1.0 + 2e-6, 0), (-0.5 - 2e-6, 0)]
+)
+def test_endpoint_rule_matches_library(beta, code, capsys):
+    assert run_cli(["eval", f"--beta={beta!r}"], capsys)[0] == code
+    if code == 2:
+        with pytest.raises(DomainError):
+            envelope.AngleParam(beta)
+    else:
+        envelope.AngleParam(beta)
 
 
 def test_scan_csv_contract(tmp_path, capsys):
@@ -237,13 +267,3 @@ def test_quad_tolerance_env_loose_still_works(capsys, monkeypatch):
     assert code == 0
     assert "log_det: 0.02169" in out
 
-
-def test_output_record_round_trip():
-    record = OutputRecord(
-        command="eval",
-        inputs={"beta": -0.75, "area": 1.0},
-        results={"log_det": CLOSED_M34, "classification": "minimum"},
-        diagnostics=[("check", True, 1.25, 2.0), ("other", False, -0.5, 0.0)],
-    )
-    again = OutputRecord.from_dict(json.loads(json.dumps(record.to_dict())))
-    assert again == record

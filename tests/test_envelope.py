@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from envdet import envelope
 from envdet.envelope import (
     AngleParam,
     BETA_CRITICAL,
@@ -205,6 +206,16 @@ def test_rescaling_identity():
         assert abs(lhs + zeta0(p) * math.log(3.0)) <= 1e-13
 
 
+@pytest.mark.parametrize("area", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_area_must_be_finite_and_positive(area):
+    with pytest.raises(DomainError):
+        log_det_area(AngleParam(-0.6), area)
+    with pytest.raises(DomainError):
+        geometry(AngleParam(-0.6), area)
+    with pytest.raises(DomainError):
+        scan(-0.9, -0.6, 11, area=area)
+
+
 def test_log_det_area_domain():
     with pytest.raises(DomainError):
         log_det_area(AngleParam(-0.6), 0.0)
@@ -282,6 +293,56 @@ def test_scaling_factor_expansions():
 
 
 # ---------------------------------------------------------------------------
+# array beta
+# ---------------------------------------------------------------------------
+
+ARRAY_AWARE = {
+    "log_det_unit": lambda p: log_det_unit(p).log_det,
+    "d_log_det": d_log_det,
+    "d2_log_det": d2_log_det,
+    "zeta0": zeta0,
+    "d_zeta0": d_zeta0,
+    "d2_zeta0": d2_zeta0,
+    "asymptotic_neg1": asymptotic_neg1,
+    "asymptotic_neghalf": asymptotic_neghalf,
+    "convexity_lower_bound": convexity_lower_bound,
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-1.0 + 1e-5, -0.5 - 1e-5), min_size=1, max_size=6))
+def test_array_beta_matches_scalar_calls(betas):
+    b = np.asarray(betas)
+    for name, fn in ARRAY_AWARE.items():
+        vec = fn(AngleParam(b))
+        assert isinstance(vec, np.ndarray) and vec.shape == b.shape, name
+        for x, v in zip(betas, vec):
+            one = fn(AngleParam(x))
+            assert isinstance(one, float), name
+            # the quadrature over a wider array may stop one refinement
+            # later; the absolute floor covers d_log_det's zero at -2/3
+            assert v == pytest.approx(one, rel=1e-12, abs=1e-12), (name, x)
+
+
+def test_scan_columns_are_the_public_functions():
+    area = 2.0
+    table = scan(-0.95, -0.55, 41, area)
+    beta, *columns = np.array(table.rows).T
+    p = AngleParam(beta)
+    det = log_det_area(p, area)
+    log_area = math.log(area)
+    expected = [
+        det.log_det,
+        d_log_det(p) - d_zeta0(p) * log_area,
+        d2_log_det(p) - d2_zeta0(p) * log_area,
+        asymptotic_neg1(p) + det.area_term,
+        asymptotic_neghalf(p) + det.area_term,
+    ]
+    for got, want in zip(columns, expected):
+        assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
 # derivatives in beta
 # ---------------------------------------------------------------------------
 
@@ -324,11 +385,7 @@ def test_d2_log_det_matches_finite_difference(beta):
 
 def test_d2_log_det_positive_on_grid():
     b = np.linspace(-0.995, -0.505, 2000)
-    from envdet import barnes
-
-    cat = np.concatenate([b + 1.0, -2.0 * b - 1.0])
-    d2zb = barnes.d2_zeta_b_prime0(cat)
-    d2 = envelope._d2_elementary(b) - 4.0 * d2zb[: b.size] - 8.0 * d2zb[b.size :]
+    d2 = d2_log_det(AngleParam(b))
     assert float(np.min(d2)) > 0.0
 
 
@@ -342,14 +399,10 @@ def test_convexity_bound_positive_at_critical():
 
 
 def test_convexity_chain_on_grid():
-    b = np.linspace(-0.999, -0.501, 2000)
-    bound = envelope._convexity_lower_bound(b)
+    p = AngleParam(np.linspace(-0.999, -0.501, 2000))
+    bound = convexity_lower_bound(p)
     assert float(np.min(bound)) > 0.0
-    from envdet import barnes
-
-    cat = np.concatenate([b + 1.0, -2.0 * b - 1.0])
-    d2zb = barnes.d2_zeta_b_prime0(cat)
-    d2 = envelope._d2_elementary(b) - 4.0 * d2zb[: b.size] - 8.0 * d2zb[b.size :]
+    d2 = d2_log_det(p)
     assert float(np.min(d2 - bound)) > 0.0
 
 
