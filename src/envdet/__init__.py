@@ -24,7 +24,6 @@ from .barnes import (
     f_kernel,
     sawtooth,
     zeta_b_prime0,
-    zeta_b_prime0_alt,
     zeta_b_prime0_rational,
     zeta_b_prime0_series,
 )

@@ -10,7 +10,10 @@ evaluated by three mutually validating routes:
 The integral route and its first and second a-derivatives (the integral
 representation differentiated under the integral sign) share one vectorised
 double-exponential quadrature per derivative order, evaluated on an array of
-a values at once; scalar a is a one-element array.
+a values at once; scalar a is a one-element array.  Each integrand call
+evaluates the kernel once, on the outer product of a block of quadrature
+nodes with the a values.  The Dedekind sum behind the rational route is a
+sum of integers.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = [
     "zeta_b_prime0",
     "zeta_b_prime0_series",
     "zeta_b_prime0_rational",
-    "zeta_b_prime0_alt",
     "d_zeta_b_prime0",
     "d2_zeta_b_prime0",
     "series_error_bound",
@@ -113,22 +115,19 @@ def sawtooth(x: float) -> float:
     return x - fx - 0.5
 
 
-def _sawtooth_exact(x: Fraction) -> Fraction:
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - (x.numerator // x.denominator) - Fraction(1, 2)
-
-
 def dedekind_sum(q: int, p: int) -> Fraction:
-    """Dedekind sum S(q, p) = sum_{j=1}^{p} ((j/p)) ((jq/p)), exact."""
+    """Dedekind sum S(q, p) = sum_{j=1}^{p} ((j/p)) ((jq/p)), exact.
+
+    For 1 <= j < p, ((j/p)) = (2j - p) / 2p and ((jq/p)) = (2 (jq mod p) - p) / 2p
+    (jq is no multiple of p as gcd(p, q) = 1), and the j = p term is 0, so
+    4 p^2 S(q, p) is the integer sum below.
+    """
     if p < 1 or q < 1:
         raise DomainError("dedekind_sum needs positive integers")
     if math.gcd(p, q) != 1:
         raise DomainError(f"dedekind_sum needs gcd(p, q) = 1, got ({q}, {p})")
-    total = Fraction(0)
-    for j in range(1, p + 1):
-        total += _sawtooth_exact(Fraction(j, p)) * _sawtooth_exact(Fraction(j * q, p))
-    return total
+    total = sum((2 * j - p) * (2 * (j * q % p) - p) for j in range(1, p))
+    return Fraction(total, 4 * p * p)
 
 
 @dataclass(frozen=True)
@@ -158,20 +157,23 @@ def _integral(a: ArrayLike, order: int, quad: QuadratureSpec):
     The integrands F(at)/(t(e^t-1)), F'(at)/(e^t-1) and t F''(at)/(e^t-1) are
     smooth at t = 0 and decay like e^{-t}.
     """
-    arr = np.atleast_1d(np.asarray(a, dtype=float))
-    if not np.all(arr > 0.0):
+    arr = np.asarray(a, dtype=float).ravel()
+    if arr.size == 0 or not np.all(arr > 0.0):
         raise DomainError(f"the integral route needs a > 0, got {a!r}")
     cross = quad.small_t_crossover
 
-    # The kernel values stay an unnamed temporary, so numpy divides them in
-    # place instead of allocating a second array per node.
-    def integrand(t: float) -> np.ndarray:
-        em = math.expm1(t)
+    # One kernel call per block of nodes t, on the outer product t a.  The
+    # kernel values stay an unnamed temporary, so numpy divides them in place
+    # instead of allocating a second array.  e^t - 1 comes from math.expm1
+    # node by node: np.expm1 differs from it in the last bit at some nodes.
+    def integrand(t: np.ndarray) -> np.ndarray:
+        em = np.array([[math.expm1(x)] for x in t.tolist()])
+        t = t[:, None]
         if order == 0:
-            return f_kernel(arr * t, 0, cross) / (t * em)
+            return f_kernel(t * arr, 0, cross) / (t * em)
         if order == 1:
-            return f_kernel(arr * t, 1, cross) / em
-        return t * f_kernel(arr * t, 2, cross) / em
+            return f_kernel(t * arr, 1, cross) / em
+        return t * f_kernel(t * arr, 2, cross) / em
 
     integral, err = integrate_semi_infinite(integrand, quad)
     if order == 0:
@@ -180,8 +182,8 @@ def _integral(a: ArrayLike, order: int, quad: QuadratureSpec):
         head = -_LOG_A / arr**2 + _GAMMA / 12.0
     else:
         head = 2.0 * _LOG_A / arr**3
-    out = head + integral
-    return (out if np.ndim(a) else float(out[0])), err
+    out = (head + integral).reshape(np.shape(a))
+    return (out if np.ndim(a) else float(out)), err
 
 
 def zeta_b_prime0(a: float, quad: QuadratureSpec = DEFAULT_QUAD) -> BarnesEval:
@@ -240,38 +242,13 @@ def zeta_b_prime0_rational(r: Fraction) -> BarnesEval:
     p, q = r.numerator, r.denominator
     value = (CONSTANTS.zeta_prime_neg1 - math.log(q) / 12.0) / (p * q)
     value += (float(dedekind_sum(q, p)) + 0.25) * math.log(q / p)
+    # ((kq/p)) + 1/2 = (kq mod p) / p, never 0 as gcd(p, q) = 1; int / int
+    # division is correctly rounded.
     for k in range(1, p):
-        arg = _sawtooth_exact(Fraction(k * q, p)) + Fraction(1, 2)
-        value += (0.5 - k / p) * log_gamma(arg.numerator / arg.denominator)
+        value += (0.5 - k / p) * log_gamma(k * q % p / p)
     for j in range(1, q):
-        arg = _sawtooth_exact(Fraction(j * p, q)) + Fraction(1, 2)
-        value += (0.5 - j / q) * log_gamma(arg.numerator / arg.denominator)
+        value += (0.5 - j / q) * log_gamma(j * p % q / q)
     return BarnesEval(value=value, error_bound=1e-14 * (p + q), route="rational")
-
-
-def zeta_b_prime0_alt(a: float, quad: QuadratureSpec = DEFAULT_QUAD) -> BarnesEval:
-    """Cross-check evaluator through an independent splitting of the same
-    function: different elementary terms and the integrand
-    [F(t/a)/t + a F'(t)] / (e^t - 1)."""
-    if not a > 0.0:
-        raise DomainError(f"zeta_b_prime0_alt needs a > 0, got {a!r}")
-    av = float(a)
-    cross = quad.small_t_crossover
-
-    def integrand(t: float) -> float:
-        return (
-            f_kernel(t / av, 0, cross) / t + av * f_kernel(t, 1, cross)
-        ) / math.expm1(t)
-
-    integral, err = integrate_semi_infinite(integrand, quad)
-    value = (
-        (av + 1.0 / av) * (_GAMMA - math.log(av)) / 12.0
-        - 0.25 * math.log(av)
-        + 5.0 * av / 24.0
-        - 0.25 * _LOG_2PI
-        + integral
-    )
-    return BarnesEval(value=value, error_bound=err, route="integral")
 
 
 def d_zeta_b_prime0(a: ArrayLike, quad: QuadratureSpec = DEFAULT_QUAD) -> ArrayLike:

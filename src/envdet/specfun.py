@@ -2,12 +2,13 @@
 exact Bernoulli numbers, and a double-exponential quadrature rule for
 exponentially decaying integrands on (0, inf).
 
-Everything here is pure and stateless; the constant tables are built once at
-import time.
+Everything here is pure; the constant tables are built once at import time
+and the quadrature's node tables once per refinement level, on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,8 +152,35 @@ class QuadratureSpec:
 DEFAULT_QUAD = QuadratureSpec()
 
 
+# Nodes per integrand call are capped so that no (nodes x width) temporary
+# holds more than 2**14 doubles (128 KiB).
+_BLOCK_POINTS = 2**14
+
+
+@functools.lru_cache(maxsize=64)
+def _level_nodes(
+    u_lo: float, u_hi: float, h: float, odd_only: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes t = exp(u - exp(-u)) and weights t (1 + exp(-u)) at u = k h for
+    every (odd, with ``odd_only``) k with u_lo <= k h <= u_hi, in increasing
+    order; both arrays are read-only because the cache shares them."""
+    nodes, weights = [], []
+    for k in range(math.ceil(u_lo / h), math.floor(u_hi / h) + 1):
+        if odd_only and k % 2 == 0:
+            continue
+        u = k * h
+        emu = math.exp(-u)
+        t = math.exp(u - emu)
+        nodes.append(t)
+        weights.append(t * (1.0 + emu))
+    tables = np.array(nodes), np.array(weights)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def integrate_semi_infinite(
-    f: Callable[[float], ArrayLike],
+    f: Callable[[np.ndarray], np.ndarray],
     spec: QuadratureSpec = DEFAULT_QUAD,
 ) -> Tuple[ArrayLike, float]:
     """Integrate ``f`` over (0, inf) with a double-exponential trapezoid rule.
@@ -160,8 +188,16 @@ def integrate_semi_infinite(
     The substitution t = exp(u - exp(-u)) maps the integral to the real line
     where the trapezoid rule converges geometrically for integrands that are
     analytic on (0, inf), bounded as t -> 0+ and decay at least like exp(-t).
-    ``f`` may return a scalar or an ndarray (the rule is applied component
-    wise, with the max norm driving convergence).
+
+    ``f`` takes a read-only 1-D array of n nodes and returns the integrand
+    there with the node axis first: shape ``(n,)`` for a scalar integrand,
+    ``(n, width)`` for a vector of ``width`` integrands (the rule is applied
+    component wise, with the max norm driving convergence).  The first call
+    gets one node and reveals ``width``; later calls get at most
+    ``max(1, 2**14 // width)`` nodes, so a level of a narrow integrand is one
+    call and a wide one gets one node per call.  The weighted values are
+    summed one node at a time in node order, so the result does not depend
+    on how the nodes were split into calls.
 
     Returns ``(value, err_est)`` where ``err_est`` is the last refinement
     difference, an upper estimate of the remaining error.
@@ -172,16 +208,20 @@ def integrate_semi_infinite(
     decades = -math.log(min(spec.abs_tol, 1e-6))
     u_hi = math.log(decades + 45.0)
     u_lo = -math.log(decades + 40.0)
+    block = 1  # nodes per call, until the first call reveals the width
 
     def weighted_sum(h: float, odd_only: bool):
+        nonlocal block
+        nodes, weights = _level_nodes(u_lo, u_hi, h, odd_only)
         total = 0.0
-        for k in range(math.ceil(u_lo / h), math.floor(u_hi / h) + 1):
-            if odd_only and k % 2 == 0:
-                continue
-            u = k * h
-            emu = math.exp(-u)
-            t = math.exp(u - emu)
-            total = total + f(t) * (t * (1.0 + emu))
+        start = 0
+        while start < nodes.size:
+            stop = start + block
+            values = f(nodes[start:stop])
+            block = max(1, _BLOCK_POINTS // np.size(values[0]))
+            for value, weight in zip(values, weights[start:stop].tolist()):
+                total = total + value * weight
+            start = stop
         return total
 
     h = 0.5

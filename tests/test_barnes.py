@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from envdet import barnes
 from envdet.barnes import (
     BarnesEval,
     d2_zeta_b_prime0,
@@ -13,12 +14,11 @@ from envdet.barnes import (
     sawtooth,
     series_error_bound,
     zeta_b_prime0,
-    zeta_b_prime0_alt,
     zeta_b_prime0_rational,
     zeta_b_prime0_series,
     zeta_b_prime0_values,
 )
-from envdet.specfun import CONSTANTS, DomainError
+from envdet.specfun import CONSTANTS, DEFAULT_QUAD, DomainError, integrate_semi_infinite
 
 ZP1 = CONSTANTS.zeta_prime_neg1
 LOG_A = CONSTANTS.log_glaisher  # equals 1/12 - zeta'(-1)
@@ -77,6 +77,24 @@ def test_dedekind_reciprocity_exhaustive_small():
             lhs = dedekind_sum(q, p) + dedekind_sum(p, q)
             rhs = Fraction(-1, 4) + (Fraction(p, q) + Fraction(q, p) + Fraction(1, p * q)) / 12
             assert lhs == rhs
+
+
+def _dedekind_reference(q, p):
+    """The definition sum_{j=1}^{p} ((j/p)) ((jq/p)) in exact rationals."""
+
+    def saw(x):
+        if x.denominator == 1:
+            return Fraction(0)
+        return x - math.floor(x) - Fraction(1, 2)
+
+    return sum((saw(Fraction(j, p)) * saw(Fraction(j * q, p)) for j in range(1, p + 1)), Fraction(0))
+
+
+def test_dedekind_matches_definition():
+    for p in range(1, 61):
+        for q in range(1, 61):
+            if math.gcd(p, q) == 1:
+                assert dedekind_sum(q, p) == _dedekind_reference(q, p)
 
 
 def test_dedekind_requires_coprime():
@@ -168,6 +186,8 @@ def test_zeta_b_prime0_domain():
         zeta_b_prime0(0.0)
     with pytest.raises(DomainError):
         zeta_b_prime0(-0.3)
+    with pytest.raises(DomainError):
+        zeta_b_prime0_values(np.array([]))
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +285,134 @@ def test_series_domain():
 
 
 # ---------------------------------------------------------------------------
+# reference quadrature: one node per integrand call
+# ---------------------------------------------------------------------------
+
+
+def _loop_quadrature(f, spec=DEFAULT_QUAD):
+    """The double-exponential rule with a scalar node per call of ``f``,
+    summed node by node: the reference for the blocked engine."""
+    decades = -math.log(min(spec.abs_tol, 1e-6))
+    u_hi = math.log(decades + 45.0)
+    u_lo = -math.log(decades + 40.0)
+
+    def weighted_sum(h, odd_only):
+        total = 0.0
+        for k in range(math.ceil(u_lo / h), math.floor(u_hi / h) + 1):
+            if odd_only and k % 2 == 0:
+                continue
+            u = k * h
+            emu = math.exp(-u)
+            t = math.exp(u - emu)
+            total = total + f(t) * (t * (1.0 + emu))
+        return total
+
+    h = 0.5
+    estimate = weighted_sum(h, odd_only=False) * h
+    eps = np.finfo(float).eps
+    for level in range(spec.max_refinement_levels):
+        h /= 2.0
+        refined = estimate / 2.0 + weighted_sum(h, odd_only=True) * h
+        err = float(np.max(np.abs(refined - estimate)))
+        scale = float(np.max(np.abs(refined)))
+        estimate = refined
+        tol = max(spec.abs_tol, spec.rel_tol * scale)
+        if level >= 1 and err <= tol and tol >= 4.0 * eps * scale:
+            return estimate, err
+    raise AssertionError("reference quadrature did not converge")
+
+
+def _integral_reference(a, order, quad=DEFAULT_QUAD):
+    """barnes._integral with the kernel called on a at one node at a time."""
+    arr = np.atleast_1d(np.asarray(a, dtype=float))
+    cross = quad.small_t_crossover
+
+    def integrand(t):
+        em = math.expm1(t)
+        if order == 0:
+            return f_kernel(arr * t, 0, cross) / (t * em)
+        if order == 1:
+            return f_kernel(arr * t, 1, cross) / em
+        return t * f_kernel(arr * t, 2, cross) / em
+
+    integral, err = _loop_quadrature(integrand, quad)
+    if order == 0:
+        head = barnes._LOG_A / arr - 0.25 * barnes._LOG_2PI + barnes._GAMMA * arr / 12.0
+    elif order == 1:
+        head = -barnes._LOG_A / arr**2 + barnes._GAMMA / 12.0
+    else:
+        head = 2.0 * barnes._LOG_A / arr**3
+    return head + integral, err
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+# width 1000 splits a level into blocks of 16 nodes
+@pytest.mark.parametrize("width", [1, 2, 45, 1000, 2**14 - 1, 2**14 + 1, 40000])
+def test_blocked_quadrature_matches_node_loop(width, order):
+    rng = np.random.default_rng(width)
+    a = 10.0 ** rng.uniform(-6.0, 0.5, width)
+    value, err = barnes._integral(a, order, DEFAULT_QUAD)
+    expected, expected_err = _integral_reference(a, order)
+    assert np.array_equal(value, expected)
+    assert err == expected_err
+
+
+def _record_integrand_calls(monkeypatch):
+    """Route barnes' quadratures through a wrapper that records, per
+    integrand call, the nodes and the number of values returned."""
+    calls = []
+
+    def quadrature(f, spec=DEFAULT_QUAD):
+        def recorded(t):
+            values = f(t)
+            calls.append((t.copy(), np.size(values)))
+            return values
+
+        return integrate_semi_infinite(recorded, spec)
+
+    monkeypatch.setattr(barnes, "integrate_semi_infinite", quadrature)
+    return calls
+
+
+def test_wide_integrand_gets_one_node_per_call(monkeypatch):
+    calls = _record_integrand_calls(monkeypatch)
+    barnes._integral(np.linspace(1e-3, 1.0, 40000), 2, DEFAULT_QUAD)
+    assert len(calls) == 68
+    assert max(size for _, size in calls) <= 40000
+
+
+def test_narrow_integrand_gets_whole_levels(monkeypatch):
+    calls = _record_integrand_calls(monkeypatch)
+    barnes._integral(np.array([0.3, 0.7]), 0, DEFAULT_QUAD)
+    # each level's nodes increase, so a new level starts below the last node
+    levels = 1 + sum(t[0] < prev[-1] for (prev, _), (t, _) in zip(calls, calls[1:]))
+    assert len(calls) <= 2 * levels
+    assert sum(t.size for t, _ in calls) == 68
+
+
+# ---------------------------------------------------------------------------
 # alternative integral splitting
 # ---------------------------------------------------------------------------
 
 
+def _zeta_b_prime0_alt(a):
+    """Cross-check through an independent splitting of the same function:
+    different elementary terms and the integrand [F(t/a)/t + a F'(t)] / (e^t - 1)."""
+    integral, _ = _loop_quadrature(
+        lambda t: (f_kernel(t / a, 0) / t + a * f_kernel(t, 1)) / math.expm1(t)
+    )
+    return (
+        (a + 1.0 / a) * (CONSTANTS.euler_gamma - math.log(a)) / 12.0
+        - 0.25 * math.log(a)
+        + 5.0 * a / 24.0
+        - 0.25 * CONSTANTS.log_2pi
+        + integral
+    )
+
+
 @pytest.mark.parametrize("a", [0.3, 1 / 3, 0.7, 1.0, 1.7])
 def test_alt_route_matches_primary(a):
-    assert abs(zeta_b_prime0_alt(a).value - zeta_b_prime0(a).value) <= 1e-12
+    assert abs(_zeta_b_prime0_alt(a) - zeta_b_prime0(a).value) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +498,9 @@ def test_derivative_array_support():
     for i, a in enumerate(grid):
         assert abs(d1[i] - d_zeta_b_prime0(float(a))) <= 1e-13
         assert abs(d2[i] - d2_zeta_b_prime0(float(a))) <= 1e-12
+    # any array shape comes back in that shape
+    square = np.array([[0.25, 0.5], [1.1, 2.0]])
+    assert np.array_equal(d_zeta_b_prime0(square).ravel(), d_zeta_b_prime0(square.ravel()))
 
 
 def test_barnes_eval_invariants():

@@ -192,6 +192,18 @@ def test_scan_domain_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_scan_count_above_cap_exits_two(tmp_path, capsys):
+    out_path = tmp_path / "scan.csv"
+    code, _, err = run_cli(
+        ["scan", "--from", "-0.9", "--to", "-0.6", "--count", str(10**6 + 1),
+         "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 2
+    assert "count" in err
+    assert not out_path.exists()
+
+
 def test_verify_fast_passes(capsys):
     code, out, _ = run_cli(["verify", "--suite", "fast"], capsys)
     assert code == 0

@@ -472,6 +472,12 @@ def test_scan_validation():
         scan(-0.9, -0.6, 11, area=0.0)
 
 
+def test_scan_count_is_capped():
+    # rejected before the grid is allocated, so this costs nothing
+    with pytest.raises(DomainError, match="count"):
+        scan(-0.9, -0.6, 10**6 + 1)
+
+
 def test_scan_rows_strictly_increasing():
     table = scan(-0.95, -0.55, 101, include_exact_points=True)
     betas = [r.beta for r in table.rows]

@@ -169,33 +169,33 @@ def test_bernoulli_domain():
 
 
 def test_quadrature_bose_moments():
-    value, err = integrate_semi_infinite(lambda t: t / math.expm1(t))
+    value, err = integrate_semi_infinite(lambda t: t / np.expm1(t))
     assert abs(value - math.pi**2 / 6.0) <= 1e-12
     assert err >= 0.0
-    value, _ = integrate_semi_infinite(lambda t: t * t / math.expm1(t))
+    value, _ = integrate_semi_infinite(lambda t: t * t / np.expm1(t))
     assert abs(value - 2.0 * ZETA3) <= 1e-12
 
 
 def test_quadrature_pure_exponential():
-    value, _ = integrate_semi_infinite(lambda t: math.exp(-t))
+    value, _ = integrate_semi_infinite(lambda t: np.exp(-t))
     assert abs(value - 1.0) <= 1e-12
 
 
 def test_quadrature_zeta_gamma_family():
     for n in range(2, 7):
-        value, _ = integrate_semi_infinite(lambda t, n=n: t ** (n - 1) / math.expm1(t))
+        value, _ = integrate_semi_infinite(lambda t, n=n: t ** (n - 1) / np.expm1(t))
         target = zeta_int(n) * math.factorial(n - 1)
         assert abs(value - target) <= max(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * target)
 
 
 def test_quadrature_error_estimate_is_conservative():
-    value, err = integrate_semi_infinite(lambda t: t / math.expm1(t))
+    value, err = integrate_semi_infinite(lambda t: t / np.expm1(t))
     assert abs(value - math.pi**2 / 6.0) <= max(err, 1e-14)
 
 
 def test_quadrature_vector_valued():
     value, _ = integrate_semi_infinite(
-        lambda t: np.array([math.exp(-t), t / math.expm1(t)])
+        lambda t: np.stack([np.exp(-t), t / np.expm1(t)], axis=-1)
     )
     assert isinstance(value, np.ndarray)
     assert abs(value[0] - 1.0) <= 1e-12
@@ -205,7 +205,25 @@ def test_quadrature_vector_valued():
 def test_quadrature_nonconvergence():
     spec = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30, max_refinement_levels=6)
     with pytest.raises(QuadratureError):
-        integrate_semi_infinite(lambda t: t / math.expm1(t), spec)
+        integrate_semi_infinite(lambda t: t / np.expm1(t), spec)
+
+
+def test_quadrature_nodes_are_read_only_and_increasing():
+    seen = []
+
+    def f(t):
+        with pytest.raises(ValueError):
+            t[0] = 1.0
+        seen.append(t.copy())
+        return np.exp(-t)
+
+    integrate_semi_infinite(f)
+    # the first call has one node; narrow integrands get a whole level per
+    # later call, each in increasing order
+    assert seen[0].size == 1
+    assert len(seen) == 4
+    assert all(np.all(np.diff(t) > 0.0) for t in seen)
+    assert sum(t.size for t in seen) == 68
 
 
 def test_quadrature_spec_validation():
