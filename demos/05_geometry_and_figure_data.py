@@ -1,15 +1,22 @@
 """Envelope geometry and figure-data export.
 
 Shows the triangle geometry carried by each angle parameter and writes the
-determinant curve (with exact rational anchor points) to a CSV, the same
-table the ``envdet scan`` command produces.  If matplotlib is importable a
-quick plot is saved next to the CSV.
+determinant curve (with exact rational anchor points) to a CSV through the
+``envdet scan`` command.  If matplotlib is importable a quick plot is saved
+next to the CSV.
+
+Usage: python demos/05_geometry_and_figure_data.py [output directory]
+(by default the files go next to this script).
 """
 
 import math
 import os
+import sys
 
-from envdet import AngleParam, geometry, scan
+import numpy as np
+
+from envdet import AngleParam, geometry
+from envdet.cli import main
 
 print("geometry at unit area:")
 print(f"{'beta':>9}  {'base angle':>11}  {'apex angle':>11}  {'side |AB|':>10}")
@@ -20,13 +27,13 @@ for beta in (-0.9, -0.75, -2.0 / 3.0, -0.55):
         f"  {geo.side_ab:>10.6f}"
     )
 
-out_csv = os.path.join(os.path.dirname(__file__), "determinant_curve.csv")
-table = scan(-0.95, -0.55, 161, area=1.0, include_exact_points=True)
-with open(out_csv, "w", encoding="ascii", newline="") as handle:
-    handle.write("beta,log_det,d1,d2,asym_neg1,asym_neghalf\n")
-    for row in table.rows:
-        handle.write(",".join(f"{v:.17g}" for v in row) + "\n")
-print(f"\nwrote {len(table.rows)} rows to {out_csv}")
+out_dir = sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(__file__)
+out_csv = os.path.join(out_dir, "determinant_curve.csv")
+print()
+code = main(["scan", "--from", "-0.95", "--to", "-0.55", "--count", "161", "--area", "1",
+             "--exact-points", "--out", out_csv])
+if code:
+    raise SystemExit(code)
 
 try:
     import matplotlib
@@ -36,8 +43,7 @@ try:
 except ImportError:
     print("matplotlib not available; skipping the plot")
 else:
-    betas = [row.beta for row in table.rows]
-    values = [row.log_det for row in table.rows]
+    betas, values = np.loadtxt(out_csv, delimiter=",", skiprows=1, usecols=(0, 1), unpack=True)
     fig, ax = plt.subplots(figsize=(6, 4))
     ax.plot(betas, values, lw=1.2)
     ax.axvline(-2.0 / 3.0, ls="--", lw=0.8, color="gray")

@@ -10,10 +10,8 @@ from .specfun import (
     QuadratureError,
     QuadratureSpec,
     bernoulli,
-    digamma,
     integrate_semi_infinite,
     log_gamma,
-    trigamma,
     zeta_int,
 )
 from .barnes import (
@@ -22,7 +20,6 @@ from .barnes import (
     d_zeta_b_prime0,
     dedekind_sum,
     f_kernel,
-    sawtooth,
     zeta_b_prime0,
     zeta_b_prime0_rational,
     zeta_b_prime0_series,

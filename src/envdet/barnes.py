@@ -38,7 +38,6 @@ from .specfun import (
 
 __all__ = [
     "BarnesEval",
-    "sawtooth",
     "dedekind_sum",
     "f_kernel",
     "zeta_b_prime0",
@@ -68,51 +67,60 @@ _POWER = {0: 3, 1: 2, 2: 1}
 _COEFFS = {0: _F0, 1: _F1, 2: _F2}
 
 
-def _horner(coeffs, s):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * s + c
+def _series(r: np.ndarray, derivative: int) -> np.ndarray:
+    # Horner in place from the last coefficient: the same roundings as
+    # acc * s + c started from 0.0, without a temporary per step.
+    coeffs = _COEFFS[derivative]
+    s = r * r
+    acc = np.full_like(s, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= s
+        acc += c
+    acc *= r ** _POWER[derivative]
     return acc
+
+
+def _closed(r: np.ndarray, derivative: int) -> np.ndarray:
+    # Closed forms written in exp(-r) to stay finite and cancellation-free
+    # for arbitrarily large r.
+    den = -np.expm1(-r)            # 1 - e^{-r}
+    er = 1.0 - den                 # e^{-r}
+    if derivative == 0:
+        return er / den - 1.0 / r + 0.5 - r / 12.0
+    if derivative == 1:
+        return -er / den**2 + 1.0 / r**2 - 1.0 / 12.0
+    return er * (1.0 + er) / den**3 - 2.0 / r**3
 
 
 def f_kernel(r: ArrayLike, derivative: int = 0, crossover: float = 0.5) -> ArrayLike:
     """Regularized Bose kernel F(r) = 1/(e^r - 1) - 1/r + 1/2 - r/12.
 
     ``derivative`` selects F, F' or F''.  Below ``crossover`` the value comes
-    from the Bernoulli series (the closed form cancels catastrophically as
-    r -> 0), above it from the closed form; the two branches agree to ~1e-15
-    near the default crossover 0.5.  A scalar r gives a float.
+    from the Bernoulli series by Horner's rule, one accumulator updated in
+    place (the closed form cancels catastrophically as r -> 0); above it from
+    the closed form.  The branches agree to ~1e-15 near the default crossover
+    0.5.  An array wholly on one side of the crossover (at small quadrature
+    nodes all of t a is below it) runs that branch on the whole; only a mixed
+    one is split by a mask.  NaN raises ``DomainError``; +inf gives the
+    closed form's limit.  A scalar r gives a float.
     """
     if derivative not in (0, 1, 2):
         raise DomainError("derivative must be 0, 1 or 2")
     arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise DomainError("f_kernel needs r >= 0")
-    out = np.empty_like(arr)
     small = arr < crossover
-    rs = arr[small]
-    out[small] = _horner(_COEFFS[derivative], rs * rs) * rs ** _POWER[derivative]
-    # Closed forms written in exp(-r) to stay finite and cancellation-free
-    # for arbitrarily large r.
-    rb = arr[~small]
-    den = -np.expm1(-rb)           # 1 - e^{-r}
-    er = 1.0 - den                 # e^{-r}
-    if derivative == 0:
-        big = er / den - 1.0 / rb + 0.5 - rb / 12.0
-    elif derivative == 1:
-        big = -er / den**2 + 1.0 / rb**2 - 1.0 / 12.0
+    n_small = np.count_nonzero(small)
+    if n_small == arr.size:
+        out = _series(arr, derivative)
+    elif n_small == 0:
+        out = _closed(arr, derivative)
     else:
-        big = er * (1.0 + er) / den**3 - 2.0 / rb**3
-    out[~small] = big
+        out = np.empty_like(arr)
+        out[small] = _series(arr[small], derivative)
+        big = ~small
+        out[big] = _closed(arr[big], derivative)
     return out if np.ndim(r) else float(out[0])
-
-
-def sawtooth(x: float) -> float:
-    """((x)): x - floor(x) - 1/2 for non-integer x, exactly 0 at integers."""
-    fx = math.floor(x)
-    if x == fx:
-        return 0.0
-    return x - fx - 0.5
 
 
 def dedekind_sum(q: int, p: int) -> Fraction:

@@ -1,4 +1,4 @@
-"""Foundation layer: mathematical constants, gamma-family special functions,
+"""Foundation layer: mathematical constants, the log-gamma function,
 exact Bernoulli numbers, and a double-exponential quadrature rule for
 exponentially decaying integrands on (0, inf).
 
@@ -25,8 +25,6 @@ __all__ = [
     "QuadratureSpec",
     "DEFAULT_QUAD",
     "log_gamma",
-    "digamma",
-    "trigamma",
     "zeta_int",
     "bernoulli",
     "integrate_semi_infinite",
@@ -78,20 +76,6 @@ def log_gamma(x: ArrayLike) -> ArrayLike:
     """Natural log of Gamma(x) for x > 0 (scalar or array)."""
     arr = _require_positive(x, "log_gamma argument")
     out = _sp.gammaln(arr)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def digamma(x: ArrayLike) -> ArrayLike:
-    """Psi(x) = Gamma'(x)/Gamma(x) for x > 0 (scalar or array)."""
-    arr = _require_positive(x, "digamma argument")
-    out = _sp.psi(arr)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def trigamma(x: ArrayLike) -> ArrayLike:
-    """Psi'(x), the derivative of the digamma function, for x > 0."""
-    arr = _require_positive(x, "trigamma argument")
-    out = _sp.polygamma(1, arr)
     return float(out) if np.ndim(x) == 0 else out
 
 

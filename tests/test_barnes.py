@@ -4,14 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from envdet import barnes
+from envdet import barnes, specfun
 from envdet.barnes import (
     BarnesEval,
     d2_zeta_b_prime0,
     d_zeta_b_prime0,
     dedekind_sum,
     f_kernel,
-    sawtooth,
     series_error_bound,
     zeta_b_prime0,
     zeta_b_prime0_rational,
@@ -42,16 +41,8 @@ FROZEN_D2_HALF = 3.97159490505974867114277
 
 
 # ---------------------------------------------------------------------------
-# sawtooth and Dedekind sums
+# Dedekind sums
 # ---------------------------------------------------------------------------
-
-
-def test_sawtooth_values():
-    assert sawtooth(3.0) == 0.0
-    assert sawtooth(-7.0) == 0.0
-    assert sawtooth(0.25) == -0.25
-    assert sawtooth(0.5) == 0.0
-    assert sawtooth(1.75) == 0.25
 
 
 def test_dedekind_trivial_modulus():
@@ -147,6 +138,85 @@ def test_f_kernel_domain():
         f_kernel(-0.1)
     with pytest.raises(DomainError):
         f_kernel(1.0, derivative=3)
+
+
+@pytest.mark.parametrize(
+    "r", [math.nan, np.array([0.1, math.nan, 2.0]), np.full((2, 3), math.nan)],
+    ids=["scalar", "array", "2-d"],
+)
+def test_f_kernel_rejects_nan(r):
+    with pytest.raises(DomainError):
+        f_kernel(r)
+
+
+def test_f_kernel_at_infinity_is_the_limit():
+    assert f_kernel(math.inf, 0) == -math.inf
+    assert f_kernel(math.inf, 1) == -1.0 / 12.0
+    assert f_kernel(math.inf, 2) == 0.0
+
+
+def _masked_kernel(r, derivative, crossover=0.5):
+    """f_kernel with a Horner loop started from 0.0 and both branches always
+    gathered and scattered through a mask: the reference for the in-place,
+    single-branch kernel."""
+    arr = np.atleast_1d(np.asarray(r, dtype=float))
+    out = np.empty_like(arr)
+    small = arr < crossover
+    rs = arr[small]
+    s = rs * rs
+    acc = 0.0
+    for c in reversed(barnes._COEFFS[derivative]):
+        acc = acc * s + c
+    out[small] = acc * rs ** barnes._POWER[derivative]
+    rb = arr[~small]
+    den = -np.expm1(-rb)
+    er = 1.0 - den
+    if derivative == 0:
+        big = er / den - 1.0 / rb + 0.5 - rb / 12.0
+    elif derivative == 1:
+        big = -er / den**2 + 1.0 / rb**2 - 1.0 / 12.0
+    else:
+        big = er * (1.0 + er) / den**3 - 2.0 / rb**3
+    out[~small] = big
+    return out if np.ndim(r) else float(out[0])
+
+
+def _grid_level_products(level):
+    """t[:, None] * a for each one-node block of quadrature level ``level``
+    (0 is the h = 1/2 base level) and the 40000 values of a that a
+    20000-point scan passes to the integral route."""
+    decades = -math.log(min(DEFAULT_QUAD.abs_tol, 1e-6))
+    u_lo, u_hi = -math.log(decades + 40.0), math.log(decades + 45.0)
+    nodes, _ = specfun._level_nodes(u_lo, u_hi, 0.5 / 2**level, level > 0)
+    b = np.linspace(-0.9999, -0.5001, 20000)
+    a = np.concatenate([b + 1.0, -2.0 * b - 1.0])
+    return [(block * a, 0.5) for block in nodes[:, None, None]]
+
+
+_rng = np.random.default_rng(4)
+_MIXED = 10.0 ** _rng.uniform(-8.0, 3.0, 1001)
+# case -> (r, crossover) inputs
+KERNEL_CASES = {
+    "all-series": lambda: [(np.linspace(0.0, np.nextafter(0.5, 0.0), 1001), 0.5)],
+    "all-closed": lambda: [(np.geomspace(0.5, 1e10, 1001), 0.5)],
+    "mixed": lambda: [(_MIXED, 0.5), (_MIXED.reshape(7, 143), 0.5)],
+    "edges": lambda: [(np.array([0.0, 1e-300, 0.5, 700.0, 1e10]), 0.5)],
+    "scalar": lambda: [(r, 0.5) for r in (0.0, 1e-300, 0.3, 0.5, 700.0, 1e10)],
+    "crossover": lambda: [(_MIXED, c) for c in (0.05, 1.0, 2.0)],
+    "grid-level-0": lambda: _grid_level_products(0),
+    "grid-level-1": lambda: _grid_level_products(1),
+    "grid-level-2": lambda: _grid_level_products(2),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+@pytest.mark.parametrize("derivative", [0, 1, 2])
+def test_kernel_matches_masked_reference(derivative, case):
+    for r, crossover in KERNEL_CASES[case]():
+        got = f_kernel(r, derivative, crossover)
+        expected = _masked_kernel(r, derivative, crossover)
+        assert type(got) is type(expected)
+        assert np.array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 
 import pytest
 
@@ -166,6 +168,85 @@ def test_scan_json_schema(tmp_path, capsys):
     # round-trips losslessly
     again = json.loads(json.dumps(doc))
     assert again == doc
+
+
+COLUMNS = ("beta", "log_det", "d1", "d2", "asym_neg1", "asym_neghalf")
+
+
+def _reference_scan_text(table, inputs, fmt):
+    """The scan file as written before the row templates: an f-string per
+    value joined per row, or json.dumps of the whole document."""
+    if fmt == "csv":
+        lines = [",".join(COLUMNS)]
+        for row in table.rows:
+            lines.append(",".join(f"{value:.17g}" for value in row))
+        return "\n".join(lines) + "\n"
+    doc = {
+        "schema_version": "1",
+        "command": "scan",
+        "inputs": inputs,
+        "rows": [dict(zip(COLUMNS, row)) for row in table.rows],
+    }
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_writer_matches_reference(fmt, exact, tmp_path, capsys):
+    out_path = tmp_path / f"scan.{fmt}"
+    argv = ["scan", "--from", "-0.99", "--to", "-0.51", "--count", "301", "--area", "1.1",
+            "--out", str(out_path), "--format", fmt] + (["--exact-points"] if exact else [])
+    assert run_cli(argv, capsys)[0] == 0
+    table = envelope.scan(-0.99, -0.51, 301, 1.1, include_exact_points=exact)
+    # "%r" of an np.float64 is not its json text: every value is a float
+    assert all(type(value) is float for row in table.rows for value in row)
+    inputs = {"beta_from": -0.99, "beta_to": -0.51, "count": 301, "area": 1.1,
+              "exact_points": exact}
+    expected = _reference_scan_text(table, inputs, fmt).encode("ascii")
+    assert out_path.read_bytes() == expected
+
+
+# sha256 of scan files written by the per-value writers, before the templates
+@pytest.mark.parametrize(
+    "args,sha256",
+    [
+        (["--from", "-0.9999", "--to", "-0.5001", "--count", "20000", "--area", "3.7"],
+         "2b8da2f35e15b797b266d4c3e555538de0a2969799a83dcb621e71ffdb9a9ca7"),
+        (["--from", "-0.8", "--to", "-0.52", "--count", "5000", "--area", "0.13",
+          "--format", "json"],
+         "9eab8d62fb6d4c0594b01ef458fe30ca976e3bd0d1feefea10dc9edd500380f0"),
+        (["--from", "-0.99", "--to", "-0.51", "--count", "2000", "--area", "1.1",
+          "--exact-points"],
+         "049fd0f87fc427b2760ac3090c15bbc45607b72e4a901801629dc1af1537bd21"),
+        (["--from", "-0.99", "--to", "-0.51", "--count", "2000", "--area", "1.1",
+          "--exact-points", "--format", "json"],
+         "379bda65ff48d9e371c3d4ba22d640bdabb8073d2d035cd1e4e52379171f4600"),
+    ],
+    ids=["csv-20000", "json-5000", "csv-exact", "json-exact"],
+)
+def test_scan_file_sha256_is_pinned(args, sha256, tmp_path, capsys):
+    out_path = tmp_path / "scan.out"
+    assert run_cli(["scan", *args, "--out", str(out_path)], capsys)[0] == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scan_json_refuses_non_finite_rows(bad, tmp_path, capsys, monkeypatch):
+    def fake_scan(*args, **kwargs):
+        rows = (envelope.ScanRow(-0.8, 0.1, 0.2, 0.3, 0.4, 0.5),
+                envelope.ScanRow(-0.7, 0.1, 0.2, bad, 0.4, 0.5))
+        return envelope.ScanTable(rows=rows, area=1.0, grid_spec=(-0.8, -0.7, 2))
+
+    monkeypatch.setattr(envelope, "scan", fake_scan)
+    out_path = tmp_path / "scan.json"
+    with pytest.raises(ValueError) as raised:
+        main(["scan", "--from", "-0.8", "--to", "-0.7", "--count", "2",
+              "--out", str(out_path), "--format", "json"])
+    # the error the indenting json encoder raises, as for the whole document
+    with pytest.raises(ValueError) as expected:
+        json.dumps([bad], indent=2, allow_nan=False)
+    assert str(raised.value) == str(expected.value)
+    assert not out_path.exists()
 
 
 def test_scan_io_error(tmp_path, capsys):

@@ -12,10 +12,8 @@ from envdet.specfun import (
     QuadratureError,
     QuadratureSpec,
     bernoulli,
-    digamma,
     integrate_semi_infinite,
     log_gamma,
-    trigamma,
     zeta_int,
 )
 
@@ -74,45 +72,6 @@ def test_log_gamma_recurrence_on_grid():
     x = np.linspace(0.05, 10.0, 1000)
     gap = log_gamma(x + 1.0) - log_gamma(x) - np.log(x)
     assert float(np.max(np.abs(gap))) <= 1e-12
-
-
-def test_digamma_special_points():
-    assert abs(digamma(1.0) + CONSTANTS.euler_gamma) <= 1e-13
-    assert abs(digamma(0.5) - (-CONSTANTS.euler_gamma - 2.0 * math.log(2.0))) <= 1e-13
-
-
-def test_digamma_gauss_combination():
-    combo = -digamma(1.0 / 3.0) + digamma(1.0 / 6.0) + math.pi / math.tan(math.pi / 3.0)
-    assert abs(combo + 2.0 * math.log(2.0)) <= 1e-12
-
-
-def test_digamma_is_derivative_of_log_gamma():
-    x = np.linspace(0.05, 10.0, 1000)
-    h = 1e-5
-    fd = (log_gamma(x + h) - log_gamma(x - h)) / (2.0 * h)
-    assert float(np.max(np.abs(fd - digamma(x)))) <= 1e-6
-
-
-def test_digamma_domain():
-    with pytest.raises(DomainError):
-        digamma(0.0)
-
-
-def test_trigamma_special_points():
-    assert abs(trigamma(1.0) - math.pi**2 / 6.0) <= 1e-12 * (math.pi**2 / 6.0)
-    assert abs(trigamma(0.5) - math.pi**2 / 2.0) <= 1e-12 * (math.pi**2 / 2.0)
-
-
-def test_trigamma_is_derivative_of_digamma():
-    x = np.linspace(0.1, 5.0, 500)
-    h = 1e-5
-    fd = (digamma(x + h) - digamma(x - h)) / (2.0 * h)
-    assert float(np.max(np.abs(fd - trigamma(x)))) <= 1e-6
-
-
-def test_trigamma_domain():
-    with pytest.raises(DomainError):
-        trigamma(-2.0)
 
 
 def test_zeta_int_even_values():
