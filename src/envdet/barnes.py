@@ -99,10 +99,8 @@ def f_kernel(r: ArrayLike, derivative: int = 0, crossover: float = 0.5) -> Array
     from the Bernoulli series by Horner's rule, one accumulator updated in
     place (the closed form cancels catastrophically as r -> 0); above it from
     the closed form.  The branches agree to ~1e-15 near the default crossover
-    0.5.  An array wholly on one side of the crossover (at small quadrature
-    nodes all of t a is below it) runs that branch on the whole; only a mixed
-    one is split by a mask.  NaN raises ``DomainError``; +inf gives the
-    closed form's limit.  A scalar r gives a float.
+    0.5.  NaN raises ``DomainError``; +inf gives the closed form's limit.
+    A scalar r gives a float.
     """
     if derivative not in (0, 1, 2):
         raise DomainError("derivative must be 0, 1 or 2")
@@ -110,16 +108,10 @@ def f_kernel(r: ArrayLike, derivative: int = 0, crossover: float = 0.5) -> Array
     if not np.all(arr >= 0.0):
         raise DomainError("f_kernel needs r >= 0")
     small = arr < crossover
-    n_small = np.count_nonzero(small)
-    if n_small == arr.size:
-        out = _series(arr, derivative)
-    elif n_small == 0:
-        out = _closed(arr, derivative)
-    else:
-        out = np.empty_like(arr)
-        out[small] = _series(arr[small], derivative)
-        big = ~small
-        out[big] = _closed(arr[big], derivative)
+    out = np.empty_like(arr)
+    out[small] = _series(arr[small], derivative)
+    big = ~small
+    out[big] = _closed(arr[big], derivative)
     return out if np.ndim(r) else float(out[0])
 
 

@@ -156,9 +156,8 @@ def test_f_kernel_at_infinity_is_the_limit():
 
 
 def _masked_kernel(r, derivative, crossover=0.5):
-    """f_kernel with a Horner loop started from 0.0 and both branches always
-    gathered and scattered through a mask: the reference for the in-place,
-    single-branch kernel."""
+    """f_kernel with a Horner loop started from 0.0: the reference for the
+    in-place Horner loop."""
     arr = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty_like(arr)
     small = arr < crossover
