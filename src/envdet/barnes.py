@@ -65,6 +65,7 @@ _F1 = [c * (2 * k - 1) for k, c in zip(range(2, _KMAX + 1), _F0)]
 _F2 = [c * (2 * k - 1) * (2 * k - 2) for k, c in zip(range(2, _KMAX + 1), _F0)]
 _POWER = {0: 3, 1: 2, 2: 1}
 _COEFFS = {0: _F0, 1: _F1, 2: _F2}
+_CROSSOVER = 0.5
 
 
 def _series(r: np.ndarray, derivative: int) -> np.ndarray:
@@ -92,22 +93,22 @@ def _closed(r: np.ndarray, derivative: int) -> np.ndarray:
     return er * (1.0 + er) / den**3 - 2.0 / r**3
 
 
-def f_kernel(r: ArrayLike, derivative: int = 0, crossover: float = 0.5) -> ArrayLike:
+def f_kernel(r: ArrayLike, derivative: int = 0) -> ArrayLike:
     """Regularized Bose kernel F(r) = 1/(e^r - 1) - 1/r + 1/2 - r/12.
 
-    ``derivative`` selects F, F' or F''.  Below ``crossover`` the value comes
-    from the Bernoulli series by Horner's rule, one accumulator updated in
-    place (the closed form cancels catastrophically as r -> 0); above it from
-    the closed form.  The branches agree to ~1e-15 near the default crossover
-    0.5.  NaN raises ``DomainError``; +inf gives the closed form's limit.
-    A scalar r gives a float.
+    ``derivative`` selects F, F' or F''.  Below the fixed crossover r = 0.5
+    the value comes from the Bernoulli series by Horner's rule, one
+    accumulator updated in place (the closed form cancels catastrophically as
+    r -> 0); from 0.5 on from the closed form.  The branches agree to ~1e-15
+    near the crossover.  NaN raises ``DomainError``; +inf gives the closed
+    form's limit.  A scalar r gives a float.
     """
     if derivative not in (0, 1, 2):
         raise DomainError("derivative must be 0, 1 or 2")
     arr = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all(arr >= 0.0):
         raise DomainError("f_kernel needs r >= 0")
-    small = arr < crossover
+    small = arr < _CROSSOVER
     out = np.empty_like(arr)
     out[small] = _series(arr[small], derivative)
     big = ~small
@@ -160,7 +161,6 @@ def _integral(a: ArrayLike, order: int, quad: QuadratureSpec):
     arr = np.asarray(a, dtype=float).ravel()
     if arr.size == 0 or not np.all(arr > 0.0):
         raise DomainError(f"the integral route needs a > 0, got {a!r}")
-    cross = quad.small_t_crossover
 
     # One kernel call per block of nodes t, on the outer product t a.  The
     # kernel values stay an unnamed temporary, so numpy divides them in place
@@ -170,10 +170,10 @@ def _integral(a: ArrayLike, order: int, quad: QuadratureSpec):
         em = np.array([[math.expm1(x)] for x in t.tolist()])
         t = t[:, None]
         if order == 0:
-            return f_kernel(t * arr, 0, cross) / (t * em)
+            return f_kernel(t * arr, 0) / (t * em)
         if order == 1:
-            return f_kernel(t * arr, 1, cross) / em
-        return t * f_kernel(t * arr, 2, cross) / em
+            return f_kernel(t * arr, 1) / em
+        return t * f_kernel(t * arr, 2) / em
 
     integral, err = integrate_semi_infinite(integrand, quad)
     if order == 0:

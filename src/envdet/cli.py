@@ -39,11 +39,10 @@ class OutputRecord:
     inputs: Dict[str, Any]
     results: Dict[str, Any]
     diagnostics: List[Diagnostic] = field(default_factory=list)
-    schema_version: str = SCHEMA_VERSION
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "inputs": self.inputs,
             "results": self.results,
@@ -84,10 +83,9 @@ def _quad_from_env() -> QuadratureSpec:
     if raw is None:
         return QuadratureSpec()
     try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise DomainError(f"ENVDET_QUAD_TOL is not a number: {raw!r}") from exc
-    return QuadratureSpec(abs_tol=tol, rel_tol=tol)
+        return QuadratureSpec(float(raw))
+    except ValueError as exc:  # not a number, or not finite and positive
+        raise DomainError(f"ENVDET_QUAD_TOL={raw!r}: {exc}") from exc
 
 
 def _cmd_eval(args: argparse.Namespace, quad: QuadratureSpec) -> int:

@@ -45,6 +45,7 @@ __all__ = [
     "critical_area",
     "geometry",
     "scan",
+    "reduced_fractions",
     "refine_minimum",
     "BETA_CRITICAL",
 ]
@@ -57,6 +58,9 @@ _LOG2 = math.log(2.0)
 _ZETA2 = math.pi**2 / 6.0
 _ZETA3 = 1.2020569031595942854
 _EDGE = 1e-6
+# Exact scan points and the route-agreement check take every reduced
+# fraction with a denominator up to this bound.
+_MAX_DENOMINATOR = 12
 # Largest scan grid, ten times the 1e5-point scans the performance targets
 # are set for; every row is held in memory, so a far larger count would
 # allocate until the host runs out.
@@ -482,16 +486,22 @@ def _columns(b: np.ndarray, area: float, quad: QuadratureSpec):
     )
 
 
-def _exact_betas(beta_min: float, beta_max: float, max_denominator: int):
-    found = []
-    for den in range(2, max_denominator + 1):
-        for num in range(den // 2 + 1, den):
-            frac = Fraction(-num, den)
-            if frac.denominator != den:
-                continue  # not in lowest terms with this denominator
-            if Fraction(-1) < frac < Fraction(-1, 2) and beta_min <= float(frac) <= beta_max:
-                found.append(frac)
-    return sorted(set(found))
+def reduced_fractions():
+    """Every reduced fraction p/q in (0, 1) with q <= 12, by q and then p."""
+    for q in range(2, _MAX_DENOMINATOR + 1):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                yield Fraction(p, q)
+
+
+def _exact_betas(beta_min: float, beta_max: float):
+    # f - 1 is reduced with f's denominator; a range inside (-1, -1/2)
+    # admits only f < 1/2
+    return sorted(f - 1 for f in reduced_fractions() if beta_min <= float(f - 1) <= beta_max)
+
+
+def _rows(b: np.ndarray, cols):
+    return [ScanRow(*vals) for vals in zip(b.tolist(), *(c.tolist() for c in cols))]
 
 
 def scan(
@@ -501,13 +511,12 @@ def scan(
     area: float = 1.0,
     quad: QuadratureSpec = DEFAULT_QUAD,
     include_exact_points: bool = False,
-    max_denominator: int = 12,
 ) -> ScanTable:
     """Uniform beta grid with per-point log det, derivatives and asymptotics.
 
     With ``include_exact_points`` the grid is augmented by every reduced
-    rational beta with denominator <= ``max_denominator`` inside the range,
-    whose log det is computed through the exact closed-form Barnes route.
+    rational beta with denominator <= 12 inside the range, whose log det is
+    computed through the exact closed-form Barnes route.
     """
     if int(count) != count or not 2 <= count <= _MAX_SCAN_COUNT:
         raise DomainError(
@@ -519,29 +528,19 @@ def scan(
     _check_beta(np.asarray([beta_min, beta_max]))
 
     b = np.linspace(beta_min, beta_max, int(count))
-    cols = _columns(b, area, quad)
-    rows = [ScanRow(*vals) for vals in zip(b.tolist(), *(c.tolist() for c in cols))]
+    rows = _rows(b, _columns(b, area, quad))
 
     if include_exact_points:
-        extra_fracs = _exact_betas(beta_min, beta_max, max_denominator)
-        if extra_fracs:
-            eb = np.asarray([float(f) for f in extra_fracs])
-            ecols = _columns(eb, area, quad)
-            extra = []
-            for i, frac in enumerate(extra_fracs):
-                det = log_det_area(AngleParam.from_fraction(frac), area, route="rational")
-                extra.append(
-                    ScanRow(
-                        beta=float(frac),
-                        log_det=det.log_det,
-                        d1=float(ecols[1][i]),
-                        d2=float(ecols[2][i]),
-                        asymptotic_neg1=float(ecols[3][i]),
-                        asymptotic_neghalf=float(ecols[4][i]),
-                    )
-                )
+        fracs = _exact_betas(beta_min, beta_max)
+        if fracs:
+            eb = np.asarray([float(f) for f in fracs])
+            cols = list(_columns(eb, area, quad))
+            cols[0] = np.asarray([
+                log_det_area(AngleParam.from_fraction(f), area, route="rational").log_det
+                for f in fracs
+            ])
             merged = {row.beta: row for row in rows}
-            merged.update({row.beta: row for row in extra})  # exact wins ties
+            merged.update({row.beta: row for row in _rows(eb, cols)})  # exact wins ties
             rows = [merged[k] for k in sorted(merged)]
 
     return ScanTable(rows=tuple(rows), area=area, grid_spec=(beta_min, beta_max, int(count)))

@@ -111,26 +111,15 @@ def bernoulli(n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for the semi-infinite quadrature rule.
+    """Tolerance of the semi-infinite quadrature rule, absolute and relative:
+    a refinement is accepted when it moves the estimate by at most
+    ``max(tol, tol * |estimate|)``.  Must be finite and positive."""
 
-    ``small_t_crossover`` is the kernel radius below which downstream
-    integrands switch from closed forms to series evaluation.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_refinement_levels: int = 10
-    small_t_crossover: float = 0.5
+    tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise DomainError("abs_tol must be positive")
-        if not self.rel_tol > 0.0:
-            raise DomainError("rel_tol must be positive")
-        if self.max_refinement_levels < 1:
-            raise DomainError("max_refinement_levels must be >= 1")
-        if not 0.0 < self.small_t_crossover <= 1.0:
-            raise DomainError("small_t_crossover must lie in (0, 1]")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise DomainError(f"quadrature tol must be finite and positive, got {self.tol!r}")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -139,6 +128,8 @@ DEFAULT_QUAD = QuadratureSpec()
 # Nodes per integrand call are capped so that no (nodes x width) temporary
 # holds more than 2**14 doubles (128 KiB).
 _BLOCK_POINTS = 2**14
+# Refinements (halvings of the step) before the rule gives up.
+_MAX_LEVELS = 10
 
 
 @functools.lru_cache(maxsize=64)
@@ -186,10 +177,10 @@ def integrate_semi_infinite(
     Returns ``(value, err_est)`` where ``err_est`` is the last refinement
     difference, an upper estimate of the remaining error.
     """
-    # Hard cutoffs chosen so the neglected tails are far below abs_tol:
-    # t_hi has exp(-t) * poly(t) < abs_tol / 10, the t -> 0 end is damped
+    # Hard cutoffs chosen so the neglected tails are far below tol:
+    # t_hi has exp(-t) * poly(t) < tol / 10, the t -> 0 end is damped
     # double-exponentially by the map itself.
-    decades = -math.log(min(spec.abs_tol, 1e-6))
+    decades = -math.log(min(spec.tol, 1e-6))
     u_hi = math.log(decades + 45.0)
     u_lo = -math.log(decades + 40.0)
     block = 1  # nodes per call, until the first call reveals the width
@@ -212,13 +203,13 @@ def integrate_semi_infinite(
     estimate = weighted_sum(h, odd_only=False) * h
     err = math.inf
     eps = np.finfo(float).eps
-    for level in range(spec.max_refinement_levels):
+    for level in range(_MAX_LEVELS):
         h /= 2.0
         refined = estimate / 2.0 + weighted_sum(h, odd_only=True) * h
         err = float(np.max(np.abs(refined - estimate)))
         scale = float(np.max(np.abs(refined)))
         estimate = refined
-        tol = max(spec.abs_tol, spec.rel_tol * scale)
+        tol = max(spec.tol, spec.tol * scale)
         # refuse to certify accuracy below what doubles can represent, even
         # if two refinements happen to agree bitwise
         if level >= 1 and err <= tol and tol >= 4.0 * eps * scale:
@@ -226,6 +217,6 @@ def integrate_semi_infinite(
                 return estimate, err
             return float(estimate), err
     raise QuadratureError(
-        f"quadrature did not reach tolerance {spec.abs_tol:g} within "
-        f"{spec.max_refinement_levels} refinements (last diff {err:g})"
+        f"quadrature did not reach tolerance {spec.tol:g} within "
+        f"{_MAX_LEVELS} refinements (last diff {err:g})"
     )

@@ -113,15 +113,8 @@ def _criterion_5(quad: QuadratureSpec) -> List[CheckResult]:
     ]
 
 
-def _reduced_fractions(max_q: int):
-    for q in range(2, max_q + 1):
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:
-                yield Fraction(p, q)
-
-
 def _criterion_6(quad: QuadratureSpec) -> List[CheckResult]:
-    fractions = list(_reduced_fractions(12))
+    fractions = list(envelope.reduced_fractions())
     integral, _ = barnes.zeta_b_prime0_values(np.array([float(f) for f in fractions]), quad)
     worst = max(
         abs(float(value) - barnes.zeta_b_prime0_rational(frac).value)

@@ -1,11 +1,13 @@
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 
 import pytest
 
-from envdet import envelope
-from envdet.cli import main
+from envdet import barnes, envelope
+from envdet.cli import SCHEMA_VERSION, OutputRecord, main
 from envdet.specfun import DomainError
 
 CLOSED_M34 = 0.0829015200310546721
@@ -348,10 +350,13 @@ def test_quad_tolerance_env_nonconvergence(capsys, monkeypatch):
     assert "error" in err
 
 
-def test_quad_tolerance_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("ENVDET_QUAD_TOL", "not-a-number")
-    code, _, _ = run_cli(["eval", "--beta", "-0.7", "--area", "1"], capsys)
+@pytest.mark.parametrize("raw", ["not-a-number", "inf", "1e999", "nan", "0", "-1e-9"])
+def test_quad_tolerance_env_invalid(raw, capsys, monkeypatch):
+    monkeypatch.setenv("ENVDET_QUAD_TOL", raw)
+    code, out, err = run_cli(["eval", "--beta", "-0.7", "--area", "1"], capsys)
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_quad_tolerance_env_loose_still_works(capsys, monkeypatch):
@@ -360,3 +365,15 @@ def test_quad_tolerance_env_loose_still_works(capsys, monkeypatch):
     assert code == 0
     assert "log_det: 0.02169" in out
 
+
+
+def test_settings_are_constants():
+    # the quadrature tolerance is the one setting; the crossover, the
+    # refinement budget, the exact-point denominator and the schema version
+    # are fixed where they are used
+    assert list(inspect.signature(barnes.f_kernel).parameters) == ["r", "derivative"]
+    assert "max_denominator" not in inspect.signature(envelope.scan).parameters
+    assert [f.name for f in dataclasses.fields(OutputRecord)] == [
+        "command", "inputs", "results", "diagnostics"
+    ]
+    assert OutputRecord("eval", {}, {}).to_dict()["schema_version"] == SCHEMA_VERSION

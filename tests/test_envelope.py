@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from envdet import envelope
 from envdet.envelope import (
     AngleParam,
     BETA_CRITICAL,
@@ -526,6 +527,48 @@ def test_scan_exact_points_inserted():
     assert abs(row.log_det - CLOSED_M34) <= 1e-12
     row23 = table.rows[betas.index(float(Fraction(-2, 3)))]
     assert abs(row23.log_det - CLOSED_M23) <= 1e-12
+
+
+def _exact_betas_by_denominator(beta_min, beta_max, max_denominator=12):
+    """The exact scan points as first defined: every -num/den in lowest terms
+    with den <= 12 inside (-1, -1/2) and [beta_min, beta_max]."""
+    found = []
+    for den in range(2, max_denominator + 1):
+        for num in range(den // 2 + 1, den):
+            frac = Fraction(-num, den)
+            if frac.denominator != den:
+                continue
+            if Fraction(-1) < frac < Fraction(-1, 2) and beta_min <= float(frac) <= beta_max:
+                found.append(frac)
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize(
+    "beta_min, beta_max",
+    [
+        (-0.9999, -0.5001),
+        (-0.95, -0.55),
+        (-0.99, -0.51),
+        (-0.8, -0.52),
+        (-0.7, -0.6),
+        (-0.67, -0.66),  # holds -2/3 alone
+        (-0.751, -0.749),  # holds -3/4 alone
+        (-0.53, -0.52),  # holds none
+        (-0.75, -2.0 / 3.0),  # both ends on a fraction
+    ],
+)
+def test_exact_betas_match_by_denominator_definition(beta_min, beta_max):
+    got = envelope._exact_betas(beta_min, beta_max)
+    assert got == _exact_betas_by_denominator(beta_min, beta_max)
+    assert all(type(x) is Fraction for x in got)
+
+
+def test_reduced_fractions_are_reduced_and_complete():
+    fracs = list(envelope.reduced_fractions())
+    # one fraction for each p < q coprime to q: phi(2) + ... + phi(12) = 45
+    assert len(fracs) == len(set(fracs)) == 45
+    assert all(0 < f < 1 and f.denominator <= 12 for f in fracs)
+    assert fracs[:3] == [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]
 
 
 def test_scan_columns_match_operations():
