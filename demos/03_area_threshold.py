@@ -34,6 +34,6 @@ for area in (0.5, 1.0, 1.5, s_star, 2.5, 3.0):
 print()
 print("grid view at area 3: the equilateral row dominates its neighbours")
 table = scan(-0.70, -0.63, 8, area=3.0)
-for row in table.rows:
-    marker = "  <-- nearest to -2/3" if abs(row.beta - BETA_CRITICAL) < 0.006 else ""
-    print(f"  beta {row.beta:>9.5f}   log det {row.log_det:.9f}{marker}")
+for beta, log_det in zip(table.beta, table.log_det):
+    marker = "  <-- nearest to -2/3" if abs(beta - BETA_CRITICAL) < 0.006 else ""
+    print(f"  beta {beta:>9.5f}   log det {log_det:.9f}{marker}")

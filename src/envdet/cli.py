@@ -8,7 +8,6 @@ invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -16,6 +15,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Tuple
+
+import numpy as np
 
 from . import envelope, verify
 from .specfun import DomainError, QuadratureError, QuadratureSpec
@@ -119,15 +120,16 @@ _CSV_ROW = ",".join(["%.17g"] * len(_SCAN_COLUMNS)) + "\n"
 _JSON_ROW = "    {\n" + ",\n".join(f'      "{c}": %r' for c in _SCAN_COLUMNS) + "\n    }"
 
 
-def _scan_json(inputs: Dict[str, Any], rows) -> str:
+def _scan_json(inputs: Dict[str, Any], columns, rows) -> str:
     """The text json.dumps(doc, indent=2, allow_nan=False) gives the scan
     document, with the rows rendered from _JSON_ROW: with an indent json
     runs its pure-Python encoder, several times slower on a large scan."""
     doc = {"schema_version": SCHEMA_VERSION, "command": "scan", "inputs": inputs, "rows": None}
     head = json.dumps(doc, indent=2, allow_nan=False)[: -len("null\n}")]
-    bad = next(itertools.filterfalse(math.isfinite, itertools.chain.from_iterable(rows)), None)
-    if bad is not None:
-        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    values = np.column_stack(columns)
+    bad = values[~np.isfinite(values)]  # in row order, as json meets them
+    if bad.size:
+        raise ValueError(f"Out of range float values are not JSON compliant: {float(bad[0])!r}")
     body = "[\n" + ",\n".join([_JSON_ROW % row for row in rows]) + "\n  ]"
     return head + body + "\n}\n"
 
@@ -141,9 +143,13 @@ def _cmd_scan(args: argparse.Namespace, quad: QuadratureSpec) -> int:
         quad=quad,
         include_exact_points=args.exact_points,
     )
+    # _SCAN_COLUMNS order; tolist gives floats, so "%r" is float.__repr__
+    columns = (table.beta, table.log_det, table.d1, table.d2,
+               table.asymptotic_neg1, table.asymptotic_neghalf)
+    rows = zip(*(c.tolist() for c in columns))
     if args.format == "csv":
         header = ",".join(_SCAN_COLUMNS) + "\n"
-        payload = header + "".join([_CSV_ROW % row for row in table.rows])
+        payload = header + "".join([_CSV_ROW % row for row in rows])
     else:
         inputs = {
             "beta_from": args.beta_from,
@@ -152,10 +158,10 @@ def _cmd_scan(args: argparse.Namespace, quad: QuadratureSpec) -> int:
             "area": args.area,
             "exact_points": bool(args.exact_points),
         }
-        payload = _scan_json(inputs, table.rows)
+        payload = _scan_json(inputs, columns, rows)
     with open(args.out, "w", encoding="ascii", newline="") as handle:
         handle.write(payload)
-    sys.stdout.write(f"wrote {len(table.rows)} rows to {args.out}\n")
+    sys.stdout.write(f"wrote {len(table.beta)} rows to {args.out}\n")
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy import special as _sp
@@ -28,7 +28,6 @@ __all__ = [
     "AngleParam",
     "DetResult",
     "EnvelopeGeometry",
-    "ScanRow",
     "ScanTable",
     "scaling_factor",
     "log_scaling_factor",
@@ -62,7 +61,7 @@ _EDGE = 1e-6
 # fraction with a denominator up to this bound.
 _MAX_DENOMINATOR = 12
 # Largest scan grid, ten times the 1e5-point scans the performance targets
-# are set for; every row is held in memory, so a far larger count would
+# are set for; every column is held in memory, so a far larger count would
 # allocate until the host runs out.
 _MAX_SCAN_COUNT = 10**6
 
@@ -123,8 +122,8 @@ class AngleParam:
         object.__setattr__(self, "a2", -2.0 * self.beta - 1.0)
         if self.exact is not None:
             ex = Fraction(self.exact)
-            if float(ex) != self.beta:
-                raise DomainError("exact fraction does not match beta")
+            if np.ndim(self.beta) or float(ex) != self.beta:
+                raise DomainError("exact fraction does not match a scalar beta")
             object.__setattr__(self, "exact", ex)
 
     @classmethod
@@ -158,27 +157,22 @@ class EnvelopeGeometry:
     area: float
 
 
-class ScanRow(NamedTuple):
-    beta: float
-    log_det: float
-    d1: float
-    d2: float
-    asymptotic_neg1: float
-    asymptotic_neghalf: float
-
-
 @dataclass(frozen=True)
 class ScanTable:
-    """Grid of per-beta quantities at fixed area, sorted by beta.
+    """Per-beta float64 columns at fixed area, in strictly increasing ``beta``.
 
     All columns refer to the fixed-area function beta -> log det: ``d1`` and
     ``d2`` are its beta-derivatives and the asymptotic columns carry the
     endpoint truncations shifted by the same area term as ``log_det``.
     """
 
-    rows: Tuple[ScanRow, ...]
+    beta: np.ndarray
+    log_det: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    asymptotic_neg1: np.ndarray
+    asymptotic_neghalf: np.ndarray
     area: float
-    grid_spec: Tuple[float, float, int]
 
 
 # --------------------------------------------------------------------------
@@ -474,10 +468,12 @@ def geometry(p: AngleParam, area: float = 1.0) -> EnvelopeGeometry:
 
 
 def _columns(b: np.ndarray, area: float, quad: QuadratureSpec):
+    """The ScanTable columns at the betas ``b``, in field order."""
     p = AngleParam(b)
     log_area = math.log(area)
     det = log_det_area(p, area, quad=quad)
     return (
+        b,
         det.log_det,
         d_log_det(p, quad) - d_zeta0(p) * log_area,
         d2_log_det(p, quad) - d2_zeta0(p) * log_area,
@@ -500,10 +496,6 @@ def _exact_betas(beta_min: float, beta_max: float):
     return sorted(f - 1 for f in reduced_fractions() if beta_min <= float(f - 1) <= beta_max)
 
 
-def _rows(b: np.ndarray, cols):
-    return [ScanRow(*vals) for vals in zip(b.tolist(), *(c.tolist() for c in cols))]
-
-
 def scan(
     beta_min: float,
     beta_max: float,
@@ -512,7 +504,8 @@ def scan(
     quad: QuadratureSpec = DEFAULT_QUAD,
     include_exact_points: bool = False,
 ) -> ScanTable:
-    """Uniform beta grid with per-point log det, derivatives and asymptotics.
+    """Uniform grid of ``count`` distinct betas with per-point log det,
+    derivatives and asymptotics, as a ScanTable of float64 columns.
 
     With ``include_exact_points`` the grid is augmented by every reduced
     rational beta with denominator <= 12 inside the range, whose log det is
@@ -528,22 +521,24 @@ def scan(
     _check_beta(np.asarray([beta_min, beta_max]))
 
     b = np.linspace(beta_min, beta_max, int(count))
-    rows = _rows(b, _columns(b, area, quad))
+    if np.any(b[1:] <= b[:-1]):
+        raise DomainError(f"count {count} exceeds the doubles in [{beta_min!r}, {beta_max!r}]")
+    cols = _columns(b, area, quad)
 
     if include_exact_points:
         fracs = _exact_betas(beta_min, beta_max)
         if fracs:
             eb = np.asarray([float(f) for f in fracs])
-            cols = list(_columns(eb, area, quad))
-            cols[0] = np.asarray([
+            exact = list(_columns(eb, area, quad))
+            exact[1] = np.asarray([
                 log_det_area(AngleParam.from_fraction(f), area, route="rational").log_det
                 for f in fracs
             ])
-            merged = {row.beta: row for row in rows}
-            merged.update({row.beta: row for row in _rows(eb, cols)})  # exact wins ties
-            rows = [merged[k] for k in sorted(merged)]
+            # first occurrences, so an exact point wins a tie with the grid
+            _, keep = np.unique(np.concatenate([eb, b]), return_index=True)
+            cols = [np.concatenate([e, g])[keep] for e, g in zip(exact, cols)]
 
-    return ScanTable(rows=tuple(rows), area=area, grid_spec=(beta_min, beta_max, int(count)))
+    return ScanTable(*cols, area=area)
 
 
 def refine_minimum(

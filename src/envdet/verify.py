@@ -180,9 +180,7 @@ def _criterion_8(quad: QuadratureSpec) -> List[CheckResult]:
 def _criterion_9(quad: QuadratureSpec) -> List[CheckResult]:
     t1 = envelope.scan(-0.95, -0.55, 101, 1.0, quad=quad)
     t3 = envelope.scan(-0.95, -0.55, 101, 3.0, quad=quad)
-    b = np.asarray([r.beta for r in t1.rows])
-    ld1 = np.asarray([r.log_det for r in t1.rows])
-    ld3 = np.asarray([r.log_det for r in t3.rows])
+    b, ld1, ld3 = t1.beta, t1.log_det, t3.log_det
     i_star = int(np.argmin(np.abs(b - envelope.BETA_CRITICAL)))
 
     min_offset = float(abs(int(np.argmin(ld1)) - i_star))

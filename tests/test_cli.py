@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 
 from envdet import barnes, envelope
@@ -175,19 +176,26 @@ def test_scan_json_schema(tmp_path, capsys):
 COLUMNS = ("beta", "log_det", "d1", "d2", "asym_neg1", "asym_neghalf")
 
 
-def _reference_scan_text(table, inputs, fmt):
+def _table_rows(table):
+    """The table as rows of plain floats, one per beta, in COLUMNS order."""
+    columns = (table.beta, table.log_det, table.d1, table.d2,
+               table.asymptotic_neg1, table.asymptotic_neghalf)
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+def _reference_scan_text(rows, inputs, fmt):
     """The scan file as written before the row templates: an f-string per
     value joined per row, or json.dumps of the whole document."""
     if fmt == "csv":
         lines = [",".join(COLUMNS)]
-        for row in table.rows:
+        for row in rows:
             lines.append(",".join(f"{value:.17g}" for value in row))
         return "\n".join(lines) + "\n"
     doc = {
         "schema_version": "1",
         "command": "scan",
         "inputs": inputs,
-        "rows": [dict(zip(COLUMNS, row)) for row in table.rows],
+        "rows": [dict(zip(COLUMNS, row)) for row in rows],
     }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
@@ -199,12 +207,12 @@ def test_scan_writer_matches_reference(fmt, exact, tmp_path, capsys):
     argv = ["scan", "--from", "-0.99", "--to", "-0.51", "--count", "301", "--area", "1.1",
             "--out", str(out_path), "--format", fmt] + (["--exact-points"] if exact else [])
     assert run_cli(argv, capsys)[0] == 0
-    table = envelope.scan(-0.99, -0.51, 301, 1.1, include_exact_points=exact)
+    rows = _table_rows(envelope.scan(-0.99, -0.51, 301, 1.1, include_exact_points=exact))
     # "%r" of an np.float64 is not its json text: every value is a float
-    assert all(type(value) is float for row in table.rows for value in row)
+    assert all(type(value) is float for row in rows for value in row)
     inputs = {"beta_from": -0.99, "beta_to": -0.51, "count": 301, "area": 1.1,
               "exact_points": exact}
-    expected = _reference_scan_text(table, inputs, fmt).encode("ascii")
+    expected = _reference_scan_text(rows, inputs, fmt).encode("ascii")
     assert out_path.read_bytes() == expected
 
 
@@ -232,12 +240,23 @@ def test_scan_file_sha256_is_pinned(args, sha256, tmp_path, capsys):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == sha256
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_scan_json_refuses_non_finite_rows(bad, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "log_det, d2, bad",
+    [
+        pytest.param((0.1, 0.1), (0.3, math.nan), math.nan, id="nan"),
+        pytest.param((0.1, 0.1), (0.3, math.inf), math.inf, id="inf"),
+        pytest.param((0.1, 0.1), (0.3, -math.inf), -math.inf, id="-inf"),
+        # the earlier row holds the later column: json meets the inf first
+        pytest.param((0.1, math.nan), (math.inf, 0.3), math.inf, id="inf-row0-d2-nan-row1"),
+    ],
+)
+def test_scan_json_refuses_non_finite_rows(log_det, d2, bad, tmp_path, capsys, monkeypatch):
     def fake_scan(*args, **kwargs):
-        rows = (envelope.ScanRow(-0.8, 0.1, 0.2, 0.3, 0.4, 0.5),
-                envelope.ScanRow(-0.7, 0.1, 0.2, bad, 0.4, 0.5))
-        return envelope.ScanTable(rows=rows, area=1.0, grid_spec=(-0.8, -0.7, 2))
+        return envelope.ScanTable(
+            beta=np.array([-0.8, -0.7]), log_det=np.array(log_det), d1=np.array([0.2, 0.2]),
+            d2=np.array(d2), asymptotic_neg1=np.array([0.4, 0.4]),
+            asymptotic_neghalf=np.array([0.5, 0.5]), area=1.0,
+        )
 
     monkeypatch.setattr(envelope, "scan", fake_scan)
     out_path = tmp_path / "scan.json"
@@ -273,6 +292,20 @@ def test_scan_domain_error(tmp_path, capsys):
         capsys,
     )
     assert code == 2
+
+
+def test_scan_count_beyond_the_doubles_in_range_exits_two(tmp_path, capsys):
+    # 5 doubles lie in the range; 9 grid points would repeat betas
+    out_path = tmp_path / "scan.csv"
+    for extra in ([], ["--exact-points"]):
+        code, _, err = run_cli(
+            ["scan", "--from", "-0.75", "--to", "-0.7499999999999996", "--count", "9",
+             "--out", str(out_path), *extra],
+            capsys,
+        )
+        assert code == 2
+        assert "exceeds the doubles" in err
+        assert not out_path.exists()
 
 
 def test_scan_count_above_cap_exits_two(tmp_path, capsys):

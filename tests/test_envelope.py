@@ -86,6 +86,12 @@ def test_angle_param_from_fraction():
         AngleParam(-0.625, exact=Fraction(-2, 3))
 
 
+@pytest.mark.parametrize("beta", [np.array([-0.75, -0.7]), np.array([-0.75])])
+def test_angle_param_exact_needs_scalar_beta(beta):
+    with pytest.raises(DomainError, match="scalar beta"):
+        AngleParam(beta, exact=Fraction(-3, 4))
+
+
 # ---------------------------------------------------------------------------
 # scaling factor
 # ---------------------------------------------------------------------------
@@ -328,8 +334,7 @@ def test_array_beta_matches_scalar_calls(betas):
 def test_scan_columns_are_the_public_functions():
     area = 2.0
     table = scan(-0.95, -0.55, 41, area)
-    beta, *columns = np.array(table.rows).T
-    p = AngleParam(beta)
+    p = AngleParam(table.beta)
     det = log_det_area(p, area)
     log_area = math.log(area)
     expected = [
@@ -339,6 +344,8 @@ def test_scan_columns_are_the_public_functions():
         asymptotic_neg1(p) + det.area_term,
         asymptotic_neghalf(p) + det.area_term,
     ]
+    columns = [table.log_det, table.d1, table.d2,
+               table.asymptotic_neg1, table.asymptotic_neghalf]
     for got, want in zip(columns, expected):
         assert np.array_equal(got, want)
 
@@ -459,9 +466,9 @@ def test_geometry_domain():
 
 def test_scan_two_points():
     table = scan(-0.9, -0.6, 2)
-    assert len(table.rows) == 2
-    assert table.rows[0].beta == -0.9
-    assert table.rows[1].beta == -0.6
+    assert len(table.beta) == 2
+    assert table.beta[0] == -0.9
+    assert table.beta[1] == -0.6
 
 
 def test_scan_validation():
@@ -479,16 +486,29 @@ def test_scan_count_is_capped():
         scan(-0.9, -0.6, 10**6 + 1)
 
 
+# 5 doubles from -0.75 to the upper end; a larger count repeats betas
+NARROW = (-0.75, -0.7499999999999996)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_scan_count_beyond_the_doubles_in_range(exact):
+    with pytest.raises(DomainError, match="exceeds the doubles"):
+        scan(*NARROW, 9, include_exact_points=exact)
+    with pytest.raises(DomainError, match="exceeds the doubles"):
+        scan(*NARROW, 6, include_exact_points=exact)
+    table = scan(*NARROW, 5, include_exact_points=exact)
+    assert len(set(table.beta.tolist())) == len(table.beta) == 5
+
+
 def test_scan_rows_strictly_increasing():
     table = scan(-0.95, -0.55, 101, include_exact_points=True)
-    betas = [r.beta for r in table.rows]
+    betas = table.beta.tolist()
     assert all(x < y for x, y in zip(betas, betas[1:]))
 
 
 def test_scan_minimum_at_equilateral_unit_area():
     table = scan(-0.95, -0.55, 101, 1.0)
-    b = np.asarray([r.beta for r in table.rows])
-    ld = np.asarray([r.log_det for r in table.rows])
+    b, ld = table.beta, table.log_det
     i_star = int(np.argmin(np.abs(b - BETA_CRITICAL)))
     assert int(np.argmin(ld)) == i_star
     # strict convexity: first differences change sign exactly once
@@ -499,8 +519,7 @@ def test_scan_minimum_at_equilateral_unit_area():
 
 def test_scan_local_max_at_area_three():
     table = scan(-0.95, -0.55, 101, 3.0)
-    b = np.asarray([r.beta for r in table.rows])
-    ld = np.asarray([r.log_det for r in table.rows])
+    b, ld = table.beta, table.log_det
     i_star = int(np.argmin(np.abs(b - BETA_CRITICAL)))
     assert ld[i_star] > ld[i_star - 1]
     assert ld[i_star] > ld[i_star + 1]
@@ -513,20 +532,19 @@ def test_scan_local_max_at_area_three():
 def test_scan_rowwise_rescaling():
     t1 = scan(-0.95, -0.55, 101, 1.0)
     t3 = scan(-0.95, -0.55, 101, 3.0)
-    for r1, r3 in zip(t1.rows, t3.rows):
-        z0 = zeta0(AngleParam(r1.beta))
-        assert abs((r3.log_det - r1.log_det) + z0 * math.log(3.0)) <= 1e-12
+    assert np.array_equal(t1.beta, t3.beta)
+    for beta, ld1, ld3 in zip(t1.beta.tolist(), t1.log_det.tolist(), t3.log_det.tolist()):
+        z0 = zeta0(AngleParam(beta))
+        assert abs((ld3 - ld1) + z0 * math.log(3.0)) <= 1e-12
 
 
 def test_scan_exact_points_inserted():
     table = scan(-0.95, -0.55, 101, 1.0, include_exact_points=True)
-    betas = [r.beta for r in table.rows]
+    betas = table.beta.tolist()
     assert float(Fraction(-2, 3)) in betas
     assert -0.75 in betas
-    row = table.rows[betas.index(-0.75)]
-    assert abs(row.log_det - CLOSED_M34) <= 1e-12
-    row23 = table.rows[betas.index(float(Fraction(-2, 3)))]
-    assert abs(row23.log_det - CLOSED_M23) <= 1e-12
+    assert abs(table.log_det[betas.index(-0.75)] - CLOSED_M34) <= 1e-12
+    assert abs(table.log_det[betas.index(float(Fraction(-2, 3)))] - CLOSED_M23) <= 1e-12
 
 
 def _exact_betas_by_denominator(beta_min, beta_max, max_denominator=12):
@@ -573,16 +591,16 @@ def test_reduced_fractions_are_reduced_and_complete():
 
 def test_scan_columns_match_operations():
     table = scan(-0.9, -0.6, 7, 2.0)
-    for row in table.rows:
-        p = AngleParam(row.beta)
-        assert abs(row.log_det - log_det_area(p, 2.0).log_det) <= 1e-12
+    for i, beta in enumerate(table.beta.tolist()):
+        p = AngleParam(beta)
+        assert abs(table.log_det[i] - log_det_area(p, 2.0).log_det) <= 1e-12
         d1 = d_log_det(p) - d_zeta0(p) * math.log(2.0)
         d2 = d2_log_det(p) - d2_zeta0(p) * math.log(2.0)
-        assert abs(row.d1 - d1) <= 1e-10
-        assert abs(row.d2 - d2) <= 1e-9
+        assert abs(table.d1[i] - d1) <= 1e-10
+        assert abs(table.d2[i] - d2) <= 1e-9
         shift = -zeta0(p) * math.log(2.0)
-        assert abs(row.asymptotic_neg1 - (asymptotic_neg1(p) + shift)) <= 1e-10
-        assert abs(row.asymptotic_neghalf - (asymptotic_neghalf(p) + shift)) <= 1e-10
+        assert abs(table.asymptotic_neg1[i] - (asymptotic_neg1(p) + shift)) <= 1e-10
+        assert abs(table.asymptotic_neghalf[i] - (asymptotic_neghalf(p) + shift)) <= 1e-10
 
 
 def test_refine_minimum_locates_equilateral():
