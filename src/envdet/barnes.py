@@ -26,8 +26,10 @@ from typing import Union
 import numpy as np
 
 from .specfun import (
-    CONSTANTS,
     DEFAULT_QUAD,
+    EULER_GAMMA,
+    LOG_2PI,
+    ZETA_PRIME_NEG1,
     DomainError,
     QuadratureSpec,
     bernoulli,
@@ -51,9 +53,7 @@ __all__ = [
 ArrayLike = Union[float, np.ndarray]
 
 # 1/12 - zeta'(-1), which equals log of the Glaisher-Kinkelin constant.
-_LOG_A = 1.0 / 12.0 - CONSTANTS.zeta_prime_neg1
-_GAMMA = CONSTANTS.euler_gamma
-_LOG_2PI = CONSTANTS.log_2pi
+_LOG_A = 1.0 / 12.0 - ZETA_PRIME_NEG1
 
 # Coefficients of F(r) = 1/(e^r - 1) - 1/r + 1/2 - r/12
 #                      = sum_{k>=2} B_{2k}/(2k)! r^{2k-1}.
@@ -152,15 +152,15 @@ class BarnesEval:
 
 
 def _integral(a: ArrayLike, order: int, quad: QuadratureSpec):
-    """d^order/da^order of zeta_B'(0; a, 1, 1) for a > 0, from one quadrature
+    """d^order/da^order of zeta_B'(0; a, 1, 1) for finite a > 0, from one quadrature
     over all of ``a``; returns (values shaped like ``a``, error estimate).
 
     The integrands F(at)/(t(e^t-1)), F'(at)/(e^t-1) and t F''(at)/(e^t-1) are
     smooth at t = 0 and decay like e^{-t}.
     """
     arr = np.asarray(a, dtype=float).ravel()
-    if arr.size == 0 or not np.all(arr > 0.0):
-        raise DomainError(f"the integral route needs a > 0, got {a!r}")
+    if arr.size == 0 or not np.all((arr > 0.0) & (arr < math.inf)):
+        raise DomainError(f"the integral route needs finite a > 0, got {a!r}")
 
     # One kernel call per block of nodes t, on the outer product t a.  The
     # kernel values stay an unnamed temporary, so numpy divides them in place
@@ -177,9 +177,9 @@ def _integral(a: ArrayLike, order: int, quad: QuadratureSpec):
 
     integral, err = integrate_semi_infinite(integrand, quad)
     if order == 0:
-        head = _LOG_A / arr - 0.25 * _LOG_2PI + _GAMMA * arr / 12.0
+        head = _LOG_A / arr - 0.25 * LOG_2PI + EULER_GAMMA * arr / 12.0
     elif order == 1:
-        head = -_LOG_A / arr**2 + _GAMMA / 12.0
+        head = -_LOG_A / arr**2 + EULER_GAMMA / 12.0
     else:
         head = 2.0 * _LOG_A / arr**3
     out = (head + integral).reshape(np.shape(a))
@@ -197,11 +197,9 @@ def zeta_b_prime0(a: float, quad: QuadratureSpec = DEFAULT_QUAD) -> BarnesEval:
     return BarnesEval(value=value, error_bound=err, route="integral")
 
 
-def zeta_b_prime0_values(
-    a: np.ndarray, quad: QuadratureSpec = DEFAULT_QUAD
-) -> tuple[np.ndarray, float]:
+def zeta_b_prime0_values(a: np.ndarray, quad: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
     """Integral-route values on a grid of a > 0, via one vectorized quadrature."""
-    return _integral(np.atleast_1d(a), 0, quad)
+    return _integral(np.atleast_1d(a), 0, quad)[0]
 
 
 def series_error_bound(a: ArrayLike, n: int) -> ArrayLike:
@@ -220,10 +218,10 @@ def zeta_b_prime0_series(a: float, n: int = 4) -> BarnesEval:
     """
     if int(n) != n or not 2 <= n <= 16:
         raise DomainError(f"series order n must be an integer in [2, 16], got {n!r}")
-    if np.ndim(a) != 0 or not a > 0.0:
-        raise DomainError(f"zeta_b_prime0_series needs a scalar a > 0, got {a!r}")
+    if np.ndim(a) != 0 or not 0.0 < a < math.inf:
+        raise DomainError(f"zeta_b_prime0_series needs a finite scalar a > 0, got {a!r}")
     av = float(a)
-    value = _LOG_A / av - 0.25 * _LOG_2PI + _GAMMA * av / 12.0
+    value = _LOG_A / av - 0.25 * LOG_2PI + EULER_GAMMA * av / 12.0
     for k in range(2, n):
         coeff = float(bernoulli(2 * k) / (2 * k * (2 * k - 1))) * zeta_int(2 * k - 1)
         value += coeff * av ** (2 * k - 1)
@@ -240,7 +238,7 @@ def zeta_b_prime0_rational(r: Fraction) -> BarnesEval:
     if r <= 0:
         raise DomainError(f"zeta_b_prime0_rational needs a positive rational, got {r}")
     p, q = r.numerator, r.denominator
-    value = (CONSTANTS.zeta_prime_neg1 - math.log(q) / 12.0) / (p * q)
+    value = (ZETA_PRIME_NEG1 - math.log(q) / 12.0) / (p * q)
     value += (float(dedekind_sum(q, p)) + 0.25) * math.log(q / p)
     # ((kq/p)) + 1/2 = (kq mod p) / p, never 0 as gcd(p, q) = 1; int / int
     # division is correctly rounded.

@@ -12,9 +12,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict
 
 import numpy as np
 
@@ -29,30 +28,6 @@ EXIT_DOMAIN = 2
 EXIT_QUADRATURE = 3
 EXIT_IO = 4
 
-Diagnostic = Tuple[str, bool, float, float]
-
-
-@dataclass
-class OutputRecord:
-    """Envelope for everything the CLI reports on stdout."""
-
-    command: str
-    inputs: Dict[str, Any]
-    results: Dict[str, Any]
-    diagnostics: List[Diagnostic] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "diagnostics": [
-                [name, "pass" if ok else "fail", measured, tolerance]
-                for name, ok, measured, tolerance in self.diagnostics
-            ],
-        }
-
 
 def _fmt6(value: Any) -> str:
     if isinstance(value, float):
@@ -60,23 +35,31 @@ def _fmt6(value: Any) -> str:
     return str(value)
 
 
-def _render_text(record: OutputRecord) -> str:
-    lines = [f"command: {record.command}"]
-    for key, value in record.inputs.items():
-        lines.append(f"  {key}: {_fmt6(value)}")
-    for key, value in record.results.items():
-        lines.append(f"{key}: {_fmt6(value)}")
-    for name, ok, measured, tolerance in record.diagnostics:
+def _emit(
+    fmt: str, command: str, inputs: Dict[str, Any], results: Dict[str, Any], diagnostics=()
+) -> None:
+    """Write one command's report to stdout; ``diagnostics`` holds
+    ``(name, passed, measured, tolerance)`` tuples."""
+    if fmt == "json":
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "command": command,
+            "inputs": inputs,
+            "results": results,
+            "diagnostics": [
+                [name, "pass" if ok else "fail", measured, tolerance]
+                for name, ok, measured, tolerance in diagnostics
+            ],
+        }
+        sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        return
+    lines = [f"command: {command}"]
+    lines += [f"  {key}: {_fmt6(value)}" for key, value in inputs.items()]
+    lines += [f"{key}: {_fmt6(value)}" for key, value in results.items()]
+    for name, ok, measured, tolerance in diagnostics:
         status = "PASS" if ok else "FAIL"
         lines.append(f"{status} {name} measured={measured:.6g} tolerance={tolerance:.6g}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit(record: OutputRecord, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(record.to_dict(), indent=2, allow_nan=False) + "\n")
-    else:
-        sys.stdout.write(_render_text(record))
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _quad_from_env() -> QuadratureSpec:
@@ -93,10 +76,11 @@ def _cmd_eval(args: argparse.Namespace, quad: QuadratureSpec) -> int:
     p = envelope.AngleParam(args.beta)
     det = envelope.log_det_area(p, args.area, quad=quad)
     geo = envelope.geometry(p, args.area)
-    record = OutputRecord(
-        command="eval",
-        inputs={"beta": args.beta, "area": args.area},
-        results={
+    _emit(
+        args.format,
+        "eval",
+        {"beta": args.beta, "area": args.area},
+        {
             "log_det": det.log_det,
             "elementary_part": det.elementary_part,
             "barnes_part": det.barnes_part,
@@ -109,7 +93,6 @@ def _cmd_eval(args: argparse.Namespace, quad: QuadratureSpec) -> int:
             "angle_c": geo.angle_c,
         },
     )
-    _emit(record, args.format)
     return EXIT_OK
 
 
@@ -168,13 +151,13 @@ def _cmd_scan(args: argparse.Namespace, quad: QuadratureSpec) -> int:
 def _cmd_verify(args: argparse.Namespace, quad: QuadratureSpec) -> int:
     checks = verify.run_suite(args.suite, quad)
     failed = sum(1 for c in checks if not c.passed)
-    record = OutputRecord(
-        command="verify",
-        inputs={"suite": args.suite},
-        results={"checks_total": len(checks), "checks_failed": failed},
-        diagnostics=[(c.name, c.passed, c.measured, c.tolerance) for c in checks],
+    _emit(
+        args.format,
+        "verify",
+        {"suite": args.suite},
+        {"checks_total": len(checks), "checks_failed": failed},
+        [(c.name, c.passed, c.measured, c.tolerance) for c in checks],
     )
-    _emit(record, args.format)
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
@@ -189,10 +172,11 @@ def _cmd_critical(args: argparse.Namespace, quad: QuadratureSpec) -> int:
         classification = "minimum"
     else:
         classification = "maximum"
-    record = OutputRecord(
-        command="critical",
-        inputs={"area": args.area},
-        results={
+    _emit(
+        args.format,
+        "critical",
+        {"area": args.area},
+        {
             "beta_star": envelope.BETA_CRITICAL,
             "log_det": det.log_det,
             "d2_unit_area": d2_unit,
@@ -201,7 +185,6 @@ def _cmd_critical(args: argparse.Namespace, quad: QuadratureSpec) -> int:
             "classification": classification,
         },
     )
-    _emit(record, args.format)
     return EXIT_OK
 
 

@@ -22,7 +22,15 @@ import numpy as np
 from scipy import special as _sp
 
 from . import barnes
-from .specfun import CONSTANTS, DEFAULT_QUAD, DomainError, QuadratureSpec
+from .specfun import (
+    DEFAULT_QUAD,
+    EULER_GAMMA,
+    LOG_GLAISHER,
+    LOG_PI,
+    ZETA_PRIME_NEG1,
+    DomainError,
+    QuadratureSpec,
+)
 
 __all__ = [
     "AngleParam",
@@ -30,7 +38,6 @@ __all__ = [
     "EnvelopeGeometry",
     "ScanTable",
     "scaling_factor",
-    "log_scaling_factor",
     "log_det_unit",
     "log_det_area",
     "zeta0",
@@ -49,10 +56,6 @@ __all__ = [
     "BETA_CRITICAL",
 ]
 
-_GAMMA = CONSTANTS.euler_gamma
-_LOG_A = CONSTANTS.log_glaisher
-_ZP1 = CONSTANTS.zeta_prime_neg1
-_LOG_PI = CONSTANTS.log_pi
 _LOG2 = math.log(2.0)
 _ZETA2 = math.pi**2 / 6.0
 _ZETA3 = 1.2020569031595942854
@@ -187,7 +190,7 @@ def _log_c(b):
         _LOG2
         - _sp.gammaln(a2 / 2.0)
         - _sp.gammaln(a1)
-        + 0.5 * (_LOG_PI - np.log(np.sin(np.pi * a2)))
+        + 0.5 * (LOG_PI - np.log(np.sin(np.pi * a2)))
     )
 
 
@@ -217,7 +220,7 @@ def _elementary(b):
         - np.log(a1)
         - 0.5 * np.log(a2)
         - 2.5 * _LOG2
-        - _LOG_PI
+        - LOG_PI
     )
 
 
@@ -253,13 +256,10 @@ def _integral_pair(p: AngleParam, k: int, quad: QuadratureSpec):
     """Integral-route k-th a-derivative of zeta_B'(0; ., 1, 1) at a1 and at
     a2, from one quadrature over both."""
     a = np.concatenate([np.atleast_1d(p.a1), np.atleast_1d(p.a2)])
-    if k == 0:
-        z, _ = barnes.zeta_b_prime0_values(a, quad)
-    elif k == 1:
-        z = barnes.d_zeta_b_prime0(a, quad)
-    else:
-        z = barnes.d2_zeta_b_prime0(a, quad)
-    return np.reshape(z, (2,) + np.shape(p.beta))
+    # only the k-th name is looked up, and at call time, so a replaced (or
+    # removed) module attribute of another order never matters
+    route = getattr(barnes, ("zeta_b_prime0_values", "d_zeta_b_prime0", "d2_zeta_b_prime0")[k])
+    return np.reshape(route(a, quad), (2,) + np.shape(p.beta))
 
 
 def _chain(k: int, elementary, z1, z2):
@@ -270,17 +270,12 @@ def _chain(k: int, elementary, z1, z2):
     Every route and scan column sums in this one order.
     """
     out = elementary - 4.0 * z1 - 2.0 * (-2.0) ** k * z2
-    return out + 2.0 * _ZP1 if k == 0 else out
+    return out + 2.0 * ZETA_PRIME_NEG1 if k == 0 else out
 
 
 # --------------------------------------------------------------------------
 # public operations
 # --------------------------------------------------------------------------
-
-
-def log_scaling_factor(p: AngleParam) -> float:
-    """log of the area-normalizing conformal factor."""
-    return float(_log_c(p.beta))
 
 
 def scaling_factor(p: AngleParam) -> float:
@@ -289,7 +284,7 @@ def scaling_factor(p: AngleParam) -> float:
     Evaluated in log form, so the value degrades gracefully to 0+ near the
     endpoints instead of overflowing intermediates.
     """
-    return math.exp(log_scaling_factor(p))
+    return math.exp(_log_c(p.beta))
 
 
 def zeta0(p: AngleParam) -> float:
@@ -367,7 +362,7 @@ def asymptotic_neg1(p: AngleParam) -> float:
     a1 = p.a1
     return _out(
         -_log(a1) / (6.0 * a1)
-        + (math.log(8.0 * math.pi) / 6.0 - 4.0 * _LOG_A) / a1
+        + (math.log(8.0 * math.pi) / 6.0 - 4.0 * LOG_GLAISHER) / a1
         - _log(a1)
         - _LOG2
     )
@@ -379,10 +374,10 @@ def asymptotic_neghalf(p: AngleParam) -> float:
     a2 = p.a2
     return _out(
         _log(a2) / (12.0 * x2)
-        - (_LOG2 / 6.0 + _LOG_PI / 12.0 - 2.0 * _LOG_A) / x2
+        - (_LOG2 / 6.0 + LOG_PI / 12.0 - 2.0 * LOG_GLAISHER) / x2
         - 0.75 * _log(a2)
         - 0.5 * _LOG2
-        - 0.25 * _LOG_PI
+        - 0.25 * LOG_PI
     )
 
 
@@ -418,10 +413,10 @@ def convexity_lower_bound(p: AngleParam) -> float:
     )
     Q = (
         np.log(np.sin(np.pi * a2))
-        - _LOG_PI
+        - LOG_PI
         - 2.0 * np.log(a1)
         - 2.0 * np.log(a2)
-        - _GAMMA
+        - EULER_GAMMA
         + series_q
     )
     s = np.sin(np.pi * a2)
@@ -440,7 +435,7 @@ def convexity_lower_bound(p: AngleParam) -> float:
     )
     Rpp = (8.0 / a1**3 - 8.0 / x2**3) * _LOG2 / 6.0 + 1.0 / a1**2 + 2.0 / x2**2
     Gpp = Ppp * Q + 2.0 * Pp * Qp + P * Qpp + Rpp
-    return _out(Gpp - 0.2 - _LOG_A * (8.0 / a1**3 - 2.0 / half**3))
+    return _out(Gpp - 0.2 - LOG_GLAISHER * (8.0 / a1**3 - 2.0 / half**3))
 
 
 def critical_area(quad: QuadratureSpec = DEFAULT_QUAD) -> float:
@@ -523,21 +518,15 @@ def scan(
     b = np.linspace(beta_min, beta_max, int(count))
     if np.any(b[1:] <= b[:-1]):
         raise DomainError(f"count {count} exceeds the doubles in [{beta_min!r}, {beta_max!r}]")
-    cols = _columns(b, area, quad)
-
-    if include_exact_points:
-        fracs = _exact_betas(beta_min, beta_max)
-        if fracs:
-            eb = np.asarray([float(f) for f in fracs])
-            exact = list(_columns(eb, area, quad))
-            exact[1] = np.asarray([
-                log_det_area(AngleParam.from_fraction(f), area, route="rational").log_det
-                for f in fracs
-            ])
-            # first occurrences, so an exact point wins a tie with the grid
-            _, keep = np.unique(np.concatenate([eb, b]), return_index=True)
-            cols = [np.concatenate([e, g])[keep] for e, g in zip(exact, cols)]
-
+    fracs = _exact_betas(beta_min, beta_max) if include_exact_points else []
+    eb = np.asarray([float(f) for f in fracs])
+    cols = _columns(np.union1d(b, eb), area, quad)
+    # an exact point's log det comes from the rational route, also where it
+    # ties with a grid point
+    cols[1][np.searchsorted(cols[0], eb)] = [
+        log_det_area(AngleParam.from_fraction(f), area, route="rational").log_det
+        for f in fracs
+    ]
     return ScanTable(*cols, area=area)
 
 
@@ -549,13 +538,21 @@ def refine_minimum(
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
     """Locate the minimizer of beta -> log det at fixed area by repeated
-    grid refinement, to within ``tol``."""
+    grid refinement, to within ``tol`` > 0 or until the bracket stops
+    shrinking (a few ulps wide, where the grid repeats doubles)."""
+    if not (tol > 0.0 and beta_min < beta_max):
+        raise DomainError(
+            f"refine_minimum needs tol > 0 and beta_min < beta_max, got "
+            f"tol={tol!r}, [{beta_min!r}, {beta_max!r}]"
+        )
     lo, hi = float(beta_min), float(beta_max)
     count = 65
     while hi - lo > tol:
         b = np.linspace(lo, hi, count)
         log_det = log_det_area(AngleParam(b), area, quad=quad).log_det
         i = int(np.argmin(log_det))
-        lo = b[max(i - 1, 0)]
-        hi = b[min(i + 1, count - 1)]
+        new_lo, new_hi = b[max(i - 1, 0)], b[min(i + 1, count - 1)]
+        if new_hi - new_lo >= hi - lo:
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)

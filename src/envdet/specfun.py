@@ -18,8 +18,11 @@ import numpy as np
 from scipy import special as _sp
 
 __all__ = [
-    "Constants",
-    "CONSTANTS",
+    "EULER_GAMMA",
+    "LOG_GLAISHER",
+    "ZETA_PRIME_NEG1",
+    "LOG_2PI",
+    "LOG_PI",
     "DomainError",
     "QuadratureError",
     "QuadratureSpec",
@@ -43,26 +46,13 @@ class QuadratureError(RuntimeError):
 
 # Frozen from a one-time 40-digit computation (Euler-Maclaurin for gamma,
 # Glaisher-Kinkelin constant via its zeta'(-1) identity).  The identity
-# zeta'(-1) = 1/12 - log A links the last two and is enforced by tests.
-_EULER_GAMMA = 0.577215664901532860606512090082
-_LOG_GLAISHER = 0.248754477033784262547252993576
-_ZETA_PRIME_NEG1 = -0.165421143700450929213919660243
-_LOG_2PI = 1.83787706640934548356065947281
-_LOG_PI = 1.14472988584940017414342735135
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Immutable bundle of the transcendental constants the library needs."""
-
-    euler_gamma: float = _EULER_GAMMA
-    log_glaisher: float = _LOG_GLAISHER
-    zeta_prime_neg1: float = _ZETA_PRIME_NEG1
-    log_2pi: float = _LOG_2PI
-    log_pi: float = _LOG_PI
-
-
-CONSTANTS = Constants()
+# zeta'(-1) = 1/12 - log A links LOG_GLAISHER and ZETA_PRIME_NEG1 and is
+# enforced by tests.
+EULER_GAMMA = 0.577215664901532860606512090082
+LOG_GLAISHER = 0.248754477033784262547252993576
+ZETA_PRIME_NEG1 = -0.165421143700450929213919660243
+LOG_2PI = 1.83787706640934548356065947281
+LOG_PI = 1.14472988584940017414342735135
 
 
 def _require_positive(x: ArrayLike, what: str) -> np.ndarray:

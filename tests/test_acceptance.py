@@ -43,3 +43,9 @@ def test_full_suite_through_cli(capsys):
     assert main(["verify", "--suite", "full"]) == 0
     out = capsys.readouterr().out
     assert "checks_failed: 0" in out
+
+
+def test_critical_value_compares_with_the_quoted_reference(monkeypatch):
+    monkeypatch.setattr(verify, "REFERENCE_M23", 0.1)
+    checks, _ = verify.run_criterion(1)
+    assert not next(c for c in checks if c.name == "critical_value").passed

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envdet import barnes, specfun
 from envdet.barnes import (
@@ -17,10 +19,15 @@ from envdet.barnes import (
     zeta_b_prime0_series,
     zeta_b_prime0_values,
 )
-from envdet.specfun import CONSTANTS, DEFAULT_QUAD, DomainError, integrate_semi_infinite
-
-ZP1 = CONSTANTS.zeta_prime_neg1
-LOG_A = CONSTANTS.log_glaisher  # equals 1/12 - zeta'(-1)
+from envdet.specfun import (
+    DEFAULT_QUAD,
+    EULER_GAMMA,
+    LOG_2PI,
+    DomainError,
+    integrate_semi_infinite,
+)
+from envdet.specfun import LOG_GLAISHER as LOG_A  # equals 1/12 - zeta'(-1)
+from envdet.specfun import ZETA_PRIME_NEG1 as ZP1
 
 # Reference values from a one-time 40-digit evaluation of the integral route
 # (cross-checked there against the exact rational closed form).
@@ -242,18 +249,21 @@ def test_zeta_b_prime0_small_a_limit():
 
 def test_zeta_b_prime0_values_matches_scalar():
     grid = np.array([0.21, 1 / 3, 0.8, 1.5])
-    vec, _ = zeta_b_prime0_values(grid)
+    vec = zeta_b_prime0_values(grid)
     for a, v in zip(grid, vec):
         assert abs(v - zeta_b_prime0(float(a)).value) <= 1e-14
 
 
 def test_zeta_b_prime0_domain():
-    with pytest.raises(DomainError):
-        zeta_b_prime0(0.0)
-    with pytest.raises(DomainError):
-        zeta_b_prime0(-0.3)
+    for bad in (0.0, -0.3, math.inf):
+        with pytest.raises(DomainError):
+            zeta_b_prime0(bad)
     with pytest.raises(DomainError):
         zeta_b_prime0_values(np.array([]))
+    with pytest.raises(DomainError):
+        zeta_b_prime0_values(np.array([0.5, math.inf]))
+    with pytest.raises(DomainError):
+        d_zeta_b_prime0(math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +285,7 @@ def test_rational_reciprocal_simplification(q):
         ZP1 / q
         - math.log(q) / (12.0 * q)
         - sum(j / q * math.lgamma(j / q) for j in range(1, q))
-        + (q - 1) / 4.0 * CONSTANTS.log_2pi
+        + (q - 1) / 4.0 * LOG_2PI
     )
     assert abs(zeta_b_prime0_rational(Fraction(1, q)).value - expected) <= 1e-13
 
@@ -285,6 +295,15 @@ def test_rational_route_matches_integral(pq):
     p, q = pq
     gap = abs(zeta_b_prime0(p / q).value - zeta_b_prime0_rational(Fraction(p, q)).value)
     assert gap <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(1, 50), data=st.data())
+def test_rational_route_matches_integral_property(q, data):
+    # the largest gap over every reduced p/q <= 2 with q <= 50 is about 1e-14
+    p = data.draw(st.integers(1, 2 * q).filter(lambda p: math.gcd(p, q) == 1))
+    exact = zeta_b_prime0_rational(Fraction(p, q)).value
+    assert abs(exact - zeta_b_prime0(p / q).value) <= 1e-12
 
 
 def test_rational_domain():
@@ -320,7 +339,7 @@ def test_series_within_bound_of_integral():
 
 def test_series_certificate_on_grid():
     grid = np.linspace(0.01, 1.0, 50)
-    vals, _ = zeta_b_prime0_values(grid)
+    vals = zeta_b_prime0_values(grid)
     eps = np.finfo(float).eps
     for n in (2, 3, 4, 5):
         for a, target in zip(grid, vals):
@@ -348,6 +367,8 @@ def test_series_domain():
         zeta_b_prime0_series(0.5, 17)
     with pytest.raises(DomainError):
         zeta_b_prime0_series(-0.5, 4)
+    with pytest.raises(DomainError):
+        zeta_b_prime0_series(math.inf, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +424,9 @@ def _integral_reference(a, order, quad=DEFAULT_QUAD):
 
     integral, err = _loop_quadrature(integrand, quad)
     if order == 0:
-        head = barnes._LOG_A / arr - 0.25 * barnes._LOG_2PI + barnes._GAMMA * arr / 12.0
+        head = barnes._LOG_A / arr - 0.25 * LOG_2PI + EULER_GAMMA * arr / 12.0
     elif order == 1:
-        head = -barnes._LOG_A / arr**2 + barnes._GAMMA / 12.0
+        head = -barnes._LOG_A / arr**2 + EULER_GAMMA / 12.0
     else:
         head = 2.0 * barnes._LOG_A / arr**3
     return head + integral, err
@@ -468,10 +489,10 @@ def _zeta_b_prime0_alt(a):
         lambda t: (f_kernel(t / a, 0) / t + a * f_kernel(t, 1)) / math.expm1(t)
     )
     return (
-        (a + 1.0 / a) * (CONSTANTS.euler_gamma - math.log(a)) / 12.0
+        (a + 1.0 / a) * (EULER_GAMMA - math.log(a)) / 12.0
         - 0.25 * math.log(a)
         + 5.0 * a / 24.0
-        - 0.25 * CONSTANTS.log_2pi
+        - 0.25 * LOG_2PI
         + integral
     )
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 
 from envdet import barnes, envelope
-from envdet.cli import SCHEMA_VERSION, OutputRecord, main
+from envdet.cli import SCHEMA_VERSION, main
 from envdet.specfun import DomainError
 
 CLOSED_M34 = 0.0829015200310546721
@@ -400,13 +399,14 @@ def test_quad_tolerance_env_loose_still_works(capsys, monkeypatch):
 
 
 
-def test_settings_are_constants():
+def test_settings_are_constants(capsys):
     # the quadrature tolerance is the one setting; the crossover, the
     # refinement budget, the exact-point denominator and the schema version
     # are fixed where they are used
     assert list(inspect.signature(barnes.f_kernel).parameters) == ["r", "derivative"]
     assert "max_denominator" not in inspect.signature(envelope.scan).parameters
-    assert [f.name for f in dataclasses.fields(OutputRecord)] == [
-        "command", "inputs", "results", "diagnostics"
-    ]
-    assert OutputRecord("eval", {}, {}).to_dict()["schema_version"] == SCHEMA_VERSION
+    code, out, _ = run_cli(["eval", "--beta", "-0.75", "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert code == 0
+    assert list(doc) == ["schema_version", "command", "inputs", "results", "diagnostics"]
+    assert doc["schema_version"] == SCHEMA_VERSION

@@ -26,7 +26,7 @@ from envdet.envelope import (
     scan,
     zeta0,
 )
-from envdet.specfun import CONSTANTS, DomainError
+from envdet.specfun import LOG_PI, DomainError, integrate_semi_infinite
 
 # Closed-form values, frozen from a 40-digit evaluation.
 CLOSED_M23 = 0.0216976709018315181
@@ -44,7 +44,7 @@ FROZEN_C_BETA_M071 = 0.2664890401077568000853114
 
 def closed_form_m23():
     return (
-        2.0 / 3.0 * CONSTANTS.log_pi
+        2.0 / 3.0 * LOG_PI
         + math.log(2.0 / 3.0) / 3.0
         - 2.0 * math.lgamma(2.0 / 3.0)
     )
@@ -290,12 +290,12 @@ def test_scaling_factor_expansions():
     log2 = math.log(2.0)
     for a1 in (1e-2, 1e-3, 1e-4):
         b = -1.0 + a1
-        main = 0.5 * math.log(a1) + 0.5 * log2 - 0.5 * CONSTANTS.log_pi - 2.0 * a1 * log2
+        main = 0.5 * math.log(a1) + 0.5 * log2 - 0.5 * LOG_PI - 2.0 * a1 * log2
         assert abs(float(_log_c(b)) - main) / a1**2 <= 0.1
     for a2 in (1e-2, 1e-3, 1e-4):
         b = (-1.0 - a2) / 2.0
         x2 = 2.0 * b + 1.0
-        main = 0.5 * math.log(a2) - 0.5 * CONSTANTS.log_pi + x2 * log2
+        main = 0.5 * math.log(a2) - 0.5 * LOG_PI + x2 * log2
         assert abs(float(_log_c(b)) - main) / a2**2 <= 0.1
 
 
@@ -547,6 +547,26 @@ def test_scan_exact_points_inserted():
     assert abs(table.log_det[betas.index(float(Fraction(-2, 3)))] - CLOSED_M23) <= 1e-12
 
 
+def test_scan_exact_points_share_one_evaluation(monkeypatch):
+    calls = []
+
+    def quadrature(f, spec):
+        calls.append(spec)
+        return integrate_semi_infinite(f, spec)
+
+    monkeypatch.setattr(envelope.barnes, "integrate_semi_infinite", quadrature)
+    scan(-0.8, -0.6, 11, 1.5, include_exact_points=True)
+    assert len(calls) == 3  # orders 0, 1 and 2, over the grid and the exact betas at once
+
+
+def test_scan_exact_point_wins_a_tie_with_the_grid():
+    table = scan(*NARROW, 5, 2.0, include_exact_points=True)
+    assert table.beta[0] == -0.75
+    rational = log_det_area(AngleParam.from_fraction(Fraction(-3, 4)), 2.0, route="rational")
+    assert table.log_det[0] == rational.log_det
+    assert np.array_equal(table.log_det[1:], scan(*NARROW, 5, 2.0).log_det[1:])
+
+
 def _exact_betas_by_denominator(beta_min, beta_max, max_denominator=12):
     """The exact scan points as first defined: every -num/den in lowest terms
     with den <= 12 inside (-1, -1/2) and [beta_min, beta_max]."""
@@ -605,3 +625,18 @@ def test_scan_columns_match_operations():
 
 def test_refine_minimum_locates_equilateral():
     assert abs(refine_minimum() - BETA_CRITICAL) <= 1e-6
+
+
+def test_refine_minimum_stops_when_the_bracket_stops_shrinking():
+    # a tolerance below the spacing of doubles ends at a bracket a few ulps wide
+    assert abs(refine_minimum(tol=1e-300) - BETA_CRITICAL) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan},
+     {"beta_min": -0.6, "beta_max": -0.9}, {"beta_min": -0.7, "beta_max": -0.7}],
+)
+def test_refine_minimum_domain(kwargs):
+    with pytest.raises(DomainError):
+        refine_minimum(**kwargs)
