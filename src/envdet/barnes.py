@@ -1,7 +1,7 @@
 """Derivative at s = 0 of the Barnes double zeta function zeta_B(s; a, 1, 1),
 evaluated by three mutually validating routes:
 
-* ``zeta_b_prime0``          smooth integral representation (any a > 0),
+* ``zeta_b_prime0``          smooth integral representation (0 < a <= 1e27),
 * ``zeta_b_prime0_series``   truncated Bernoulli tail with a rigorous
                              remainder certificate,
 * ``zeta_b_prime0_rational`` exact closed form for rational a, built from
@@ -26,12 +26,10 @@ from typing import Union
 import numpy as np
 
 from .specfun import (
-    DEFAULT_QUAD,
     EULER_GAMMA,
     LOG_2PI,
     ZETA_PRIME_NEG1,
     DomainError,
-    QuadratureSpec,
     bernoulli,
     integrate_semi_infinite,
     log_gamma,
@@ -66,6 +64,9 @@ _F2 = [c * (2 * k - 1) * (2 * k - 2) for k, c in zip(range(2, _KMAX + 1), _F0)]
 _POWER = {0: 3, 1: 2, 2: 1}
 _COEFFS = {0: _F0, 1: _F1, 2: _F2}
 _CROSSOVER = 0.5
+# Largest a the integral route takes.  In a log-spaced sweep every order
+# converged without overflow up to here; order 1 first failed at a = 4.4e27.
+_A_MAX = 1e27
 
 
 def _series(r: np.ndarray, derivative: int) -> np.ndarray:
@@ -151,16 +152,16 @@ class BarnesEval:
             raise DomainError(f"unknown route {self.route!r}")
 
 
-def _integral(a: ArrayLike, order: int, quad: QuadratureSpec):
-    """d^order/da^order of zeta_B'(0; a, 1, 1) for finite a > 0, from one quadrature
+def _integral(a: ArrayLike, order: int):
+    """d^order/da^order of zeta_B'(0; a, 1, 1) for 0 < a <= 1e27, from one quadrature
     over all of ``a``; returns (values shaped like ``a``, error estimate).
 
     The integrands F(at)/(t(e^t-1)), F'(at)/(e^t-1) and t F''(at)/(e^t-1) are
     smooth at t = 0 and decay like e^{-t}.
     """
     arr = np.asarray(a, dtype=float).ravel()
-    if arr.size == 0 or not np.all((arr > 0.0) & (arr < math.inf)):
-        raise DomainError(f"the integral route needs finite a > 0, got {a!r}")
+    if arr.size == 0 or not np.all((arr > 0.0) & (arr <= _A_MAX)):
+        raise DomainError(f"the integral route needs 0 < a <= {_A_MAX:g}, got {a!r}")
 
     # One kernel call per block of nodes t, on the outer product t a.  The
     # kernel values stay an unnamed temporary, so numpy divides them in place
@@ -175,7 +176,7 @@ def _integral(a: ArrayLike, order: int, quad: QuadratureSpec):
             return f_kernel(t * arr, 1) / em
         return t * f_kernel(t * arr, 2) / em
 
-    integral, err = integrate_semi_infinite(integrand, quad)
+    integral, err = integrate_semi_infinite(integrand)
     if order == 0:
         head = _LOG_A / arr - 0.25 * LOG_2PI + EULER_GAMMA * arr / 12.0
     elif order == 1:
@@ -186,27 +187,40 @@ def _integral(a: ArrayLike, order: int, quad: QuadratureSpec):
     return (out if np.ndim(a) else float(out)), err
 
 
-def zeta_b_prime0(a: float, quad: QuadratureSpec = DEFAULT_QUAD) -> BarnesEval:
-    """zeta_B'(0; a, 1, 1) for a > 0 through the integral representation
+def zeta_b_prime0(a: float) -> BarnesEval:
+    """zeta_B'(0; a, 1, 1) for 0 < a <= 1e27 through the integral representation
 
         log A / a - log(2 pi)/4 + gamma a / 12 + int_0^inf F(at)/(t(e^t-1)) dt.
     """
     if np.ndim(a) != 0:
         raise DomainError("zeta_b_prime0 is scalar; use zeta_b_prime0_values for grids")
-    value, err = _integral(a, 0, quad)
+    value, err = _integral(a, 0)
     return BarnesEval(value=value, error_bound=err, route="integral")
 
 
-def zeta_b_prime0_values(a: np.ndarray, quad: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
+def zeta_b_prime0_values(a: np.ndarray) -> np.ndarray:
     """Integral-route values on a grid of a > 0, via one vectorized quadrature."""
-    return _integral(np.atleast_1d(a), 0, quad)[0]
+    return _integral(np.atleast_1d(a), 0)[0]
 
 
 def series_error_bound(a: ArrayLike, n: int) -> ArrayLike:
     """Certified remainder of the truncated series route: the first omitted
-    term |B_{2N} zeta(2N-1)| / (2N(2N-1)) * a^{2N-1}."""
+    term |B_{2N} zeta(2N-1)| / (2N(2N-1)) * a^{2N-1}; ``DomainError`` where
+    it overflows."""
     coeff = abs(float(bernoulli(2 * n) / (2 * n * (2 * n - 1)))) * zeta_int(2 * n - 1)
-    return coeff * np.asarray(a, dtype=float) ** (2 * n - 1) if np.ndim(a) else coeff * float(a) ** (2 * n - 1)
+    if np.ndim(a):
+        with np.errstate(over="ignore"):
+            bound = coeff * np.asarray(a, dtype=float) ** (2 * n - 1)
+        overflow = np.isinf(bound).any()
+    else:
+        try:
+            bound = coeff * float(a) ** (2 * n - 1)
+        except OverflowError:  # where numpy would give inf
+            bound = math.inf
+        overflow = math.isinf(bound)  # np.isinf on a float is ~100x slower
+    if overflow:
+        raise DomainError(f"the series remainder overflows for n = {n} at a = {a!r}")
+    return bound
 
 
 def zeta_b_prime0_series(a: float, n: int = 4) -> BarnesEval:
@@ -221,11 +235,13 @@ def zeta_b_prime0_series(a: float, n: int = 4) -> BarnesEval:
     if np.ndim(a) != 0 or not 0.0 < a < math.inf:
         raise DomainError(f"zeta_b_prime0_series needs a finite scalar a > 0, got {a!r}")
     av = float(a)
+    # the remainder holds the highest power of a, so it overflows first
+    bound = series_error_bound(av, n)
     value = _LOG_A / av - 0.25 * LOG_2PI + EULER_GAMMA * av / 12.0
     for k in range(2, n):
         coeff = float(bernoulli(2 * k) / (2 * k * (2 * k - 1))) * zeta_int(2 * k - 1)
         value += coeff * av ** (2 * k - 1)
-    return BarnesEval(value=value, error_bound=series_error_bound(av, n), route="series")
+    return BarnesEval(value=value, error_bound=bound, route="series")
 
 
 def zeta_b_prime0_rational(r: Fraction) -> BarnesEval:
@@ -249,11 +265,11 @@ def zeta_b_prime0_rational(r: Fraction) -> BarnesEval:
     return BarnesEval(value=value, error_bound=1e-14 * (p + q), route="rational")
 
 
-def d_zeta_b_prime0(a: ArrayLike, quad: QuadratureSpec = DEFAULT_QUAD) -> ArrayLike:
+def d_zeta_b_prime0(a: ArrayLike) -> ArrayLike:
     """d/da of zeta_B'(0; a, 1, 1):  -log A / a^2 + gamma/12 + int F'(at)/(e^t-1) dt."""
-    return _integral(a, 1, quad)[0]
+    return _integral(a, 1)[0]
 
 
-def d2_zeta_b_prime0(a: ArrayLike, quad: QuadratureSpec = DEFAULT_QUAD) -> ArrayLike:
+def d2_zeta_b_prime0(a: ArrayLike) -> ArrayLike:
     """d^2/da^2 of zeta_B'(0; a, 1, 1):  2 log A / a^3 + int t F''(at)/(e^t-1) dt."""
-    return _integral(a, 2, quad)[0]
+    return _integral(a, 2)[0]

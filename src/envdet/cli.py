@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Any, Dict
@@ -18,7 +17,7 @@ from typing import Any, Dict
 import numpy as np
 
 from . import envelope, verify
-from .specfun import DomainError, QuadratureError, QuadratureSpec
+from .specfun import DomainError, QuadratureError
 
 SCHEMA_VERSION = "1"
 
@@ -62,19 +61,9 @@ def _emit(
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _quad_from_env() -> QuadratureSpec:
-    raw = os.environ.get("ENVDET_QUAD_TOL")
-    if raw is None:
-        return QuadratureSpec()
-    try:
-        return QuadratureSpec(float(raw))
-    except ValueError as exc:  # not a number, or not finite and positive
-        raise DomainError(f"ENVDET_QUAD_TOL={raw!r}: {exc}") from exc
-
-
-def _cmd_eval(args: argparse.Namespace, quad: QuadratureSpec) -> int:
+def _cmd_eval(args: argparse.Namespace) -> int:
     p = envelope.AngleParam(args.beta)
-    det = envelope.log_det_area(p, args.area, quad=quad)
+    det = envelope.log_det_area(p, args.area)
     geo = envelope.geometry(p, args.area)
     _emit(
         args.format,
@@ -117,13 +106,12 @@ def _scan_json(inputs: Dict[str, Any], columns, rows) -> str:
     return head + body + "\n}\n"
 
 
-def _cmd_scan(args: argparse.Namespace, quad: QuadratureSpec) -> int:
+def _cmd_scan(args: argparse.Namespace) -> int:
     table = envelope.scan(
         args.beta_from,
         args.beta_to,
         args.count,
         args.area,
-        quad=quad,
         include_exact_points=args.exact_points,
     )
     # _SCAN_COLUMNS order; tolist gives floats, so "%r" is float.__repr__
@@ -148,8 +136,8 @@ def _cmd_scan(args: argparse.Namespace, quad: QuadratureSpec) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace, quad: QuadratureSpec) -> int:
-    checks = verify.run_suite(args.suite, quad)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    checks = verify.run_suite(args.suite)
     failed = sum(1 for c in checks if not c.passed)
     _emit(
         args.format,
@@ -161,10 +149,10 @@ def _cmd_verify(args: argparse.Namespace, quad: QuadratureSpec) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
-def _cmd_critical(args: argparse.Namespace, quad: QuadratureSpec) -> int:
+def _cmd_critical(args: argparse.Namespace) -> int:
     p = envelope.AngleParam.from_fraction(Fraction(-2, 3))
     det = envelope.log_det_area(p, args.area, route="rational")
-    d2_unit = envelope.d2_log_det(p, quad)
+    d2_unit = envelope.d2_log_det(p)
     d2_at_area = d2_unit - envelope.d2_zeta0(p) * math.log(args.area)
     if abs(d2_at_area) <= 1e-6:
         classification = "degenerate"
@@ -181,7 +169,7 @@ def _cmd_critical(args: argparse.Namespace, quad: QuadratureSpec) -> int:
             "log_det": det.log_det,
             "d2_unit_area": d2_unit,
             "d2_at_area": d2_at_area,
-            "critical_area": envelope.critical_area(quad),
+            "critical_area": envelope.critical_area(),
             "classification": classification,
         },
     )
@@ -234,8 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        quad = _quad_from_env()
-        return args.func(args, quad)
+        return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -23,13 +23,11 @@ from scipy import special as _sp
 
 from . import barnes
 from .specfun import (
-    DEFAULT_QUAD,
     EULER_GAMMA,
     LOG_GLAISHER,
     LOG_PI,
     ZETA_PRIME_NEG1,
     DomainError,
-    QuadratureSpec,
 )
 
 __all__ = [
@@ -252,14 +250,14 @@ def _d2_elementary(b):
     )
 
 
-def _integral_pair(p: AngleParam, k: int, quad: QuadratureSpec):
+def _integral_pair(p: AngleParam, k: int):
     """Integral-route k-th a-derivative of zeta_B'(0; ., 1, 1) at a1 and at
     a2, from one quadrature over both."""
     a = np.concatenate([np.atleast_1d(p.a1), np.atleast_1d(p.a2)])
     # only the k-th name is looked up, and at call time, so a replaced (or
     # removed) module attribute of another order never matters
     route = getattr(barnes, ("zeta_b_prime0_values", "d_zeta_b_prime0", "d2_zeta_b_prime0")[k])
-    return np.reshape(route(a, quad), (2,) + np.shape(p.beta))
+    return np.reshape(route(a), (2,) + np.shape(p.beta))
 
 
 def _chain(k: int, elementary, z1, z2):
@@ -306,7 +304,6 @@ def log_det_unit(
     p: AngleParam,
     route: str = "integral",
     series_terms: int = 4,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> DetResult:
     """log det at unit area, with the Barnes terms evaluated by ``route``.
 
@@ -315,7 +312,7 @@ def log_det_unit(
     certified truncation of order ``series_terms``.
     """
     if route == "integral":
-        zb1, zb2 = _integral_pair(p, 0, quad)
+        zb1, zb2 = _integral_pair(p, 0)
     elif route == "series":
         zb1 = barnes.zeta_b_prime0_series(p.a1, series_terms).value
         zb2 = barnes.zeta_b_prime0_series(p.a2, series_terms).value
@@ -342,11 +339,10 @@ def log_det_area(
     area: float,
     route: str = "integral",
     series_terms: int = 4,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> DetResult:
     """log det at the given area: the unit-area value minus zeta0 * log(area)."""
     _check_area(area)
-    base = log_det_unit(p, route=route, series_terms=series_terms, quad=quad)
+    base = log_det_unit(p, route=route, series_terms=series_terms)
     area_term = -zeta0(p) * math.log(area)
     return DetResult(
         log_det=base.log_det + area_term,
@@ -381,14 +377,14 @@ def asymptotic_neghalf(p: AngleParam) -> float:
     )
 
 
-def d_log_det(p: AngleParam, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def d_log_det(p: AngleParam) -> float:
     """Analytic d/dbeta of the unit-area log det."""
-    return _out(_chain(1, _d_elementary(p.beta), *_integral_pair(p, 1, quad)))
+    return _out(_chain(1, _d_elementary(p.beta), *_integral_pair(p, 1)))
 
 
-def d2_log_det(p: AngleParam, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def d2_log_det(p: AngleParam) -> float:
     """Analytic d^2/dbeta^2 of the unit-area log det."""
-    return _out(_chain(2, _d2_elementary(p.beta), *_integral_pair(p, 2, quad)))
+    return _out(_chain(2, _d2_elementary(p.beta), *_integral_pair(p, 2)))
 
 
 def convexity_lower_bound(p: AngleParam) -> float:
@@ -438,10 +434,10 @@ def convexity_lower_bound(p: AngleParam) -> float:
     return _out(Gpp - 0.2 - LOG_GLAISHER * (8.0 / a1**3 - 2.0 / half**3))
 
 
-def critical_area(quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def critical_area() -> float:
     """Area above which the equilateral point flips from the absolute minimum
     to a local maximum: exp(d2_log_det(-2/3) / 27)."""
-    return math.exp(d2_log_det(AngleParam(BETA_CRITICAL), quad) / 27.0)
+    return math.exp(d2_log_det(AngleParam(BETA_CRITICAL)) / 27.0)
 
 
 def geometry(p: AngleParam, area: float = 1.0) -> EnvelopeGeometry:
@@ -462,16 +458,16 @@ def geometry(p: AngleParam, area: float = 1.0) -> EnvelopeGeometry:
 # --------------------------------------------------------------------------
 
 
-def _columns(b: np.ndarray, area: float, quad: QuadratureSpec):
+def _columns(b: np.ndarray, area: float):
     """The ScanTable columns at the betas ``b``, in field order."""
     p = AngleParam(b)
     log_area = math.log(area)
-    det = log_det_area(p, area, quad=quad)
+    det = log_det_area(p, area)
     return (
         b,
         det.log_det,
-        d_log_det(p, quad) - d_zeta0(p) * log_area,
-        d2_log_det(p, quad) - d2_zeta0(p) * log_area,
+        d_log_det(p) - d_zeta0(p) * log_area,
+        d2_log_det(p) - d2_zeta0(p) * log_area,
         asymptotic_neg1(p) + det.area_term,
         asymptotic_neghalf(p) + det.area_term,
     )
@@ -496,7 +492,6 @@ def scan(
     beta_max: float,
     count: int,
     area: float = 1.0,
-    quad: QuadratureSpec = DEFAULT_QUAD,
     include_exact_points: bool = False,
 ) -> ScanTable:
     """Uniform grid of ``count`` distinct betas with per-point log det,
@@ -520,7 +515,7 @@ def scan(
         raise DomainError(f"count {count} exceeds the doubles in [{beta_min!r}, {beta_max!r}]")
     fracs = _exact_betas(beta_min, beta_max) if include_exact_points else []
     eb = np.asarray([float(f) for f in fracs])
-    cols = _columns(np.union1d(b, eb), area, quad)
+    cols = _columns(np.union1d(b, eb), area)
     # an exact point's log det comes from the rational route, also where it
     # ties with a grid point
     cols[1][np.searchsorted(cols[0], eb)] = [
@@ -535,7 +530,6 @@ def refine_minimum(
     beta_max: float = -0.55,
     area: float = 1.0,
     tol: float = 1e-6,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
     """Locate the minimizer of beta -> log det at fixed area by repeated
     grid refinement, to within ``tol`` > 0 or until the bracket stops
@@ -549,7 +543,7 @@ def refine_minimum(
     count = 65
     while hi - lo > tol:
         b = np.linspace(lo, hi, count)
-        log_det = log_det_area(AngleParam(b), area, quad=quad).log_det
+        log_det = log_det_area(AngleParam(b), area).log_det
         i = int(np.argmin(log_det))
         new_lo, new_hi = b[max(i - 1, 0)], b[min(i + 1, count - 1)]
         if new_hi - new_lo >= hi - lo:

@@ -2,15 +2,16 @@
 exact Bernoulli numbers, and a double-exponential quadrature rule for
 exponentially decaying integrands on (0, inf).
 
-Everything here is pure; the constant tables are built once at import time
-and the quadrature's node tables once per refinement level, on first use.
+Everything here is pure but the quadrature's read of ``ENVDET_QUAD_TOL``;
+the constant tables are built once at import time and the quadrature's node
+tables once per refinement level, on first use.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import os
 from fractions import Fraction
 from typing import Callable, Tuple, Union
 
@@ -25,8 +26,6 @@ __all__ = [
     "LOG_PI",
     "DomainError",
     "QuadratureError",
-    "QuadratureSpec",
-    "DEFAULT_QUAD",
     "log_gamma",
     "zeta_int",
     "bernoulli",
@@ -99,20 +98,21 @@ def bernoulli(n: int) -> Fraction:
     return _bernoulli_cache[int(n)]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance of the semi-infinite quadrature rule, absolute and relative:
-    a refinement is accepted when it moves the estimate by at most
-    ``max(tol, tol * |estimate|)``.  Must be finite and positive."""
-
-    tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise DomainError(f"quadrature tol must be finite and positive, got {self.tol!r}")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+def _tol() -> float:
+    """``ENVDET_QUAD_TOL``, else 1e-12; read per call, so that a bad value
+    fails the quadrature that reads it, not ``import envdet``."""
+    raw = os.environ.get("ENVDET_QUAD_TOL")
+    if raw is None:
+        return 1e-12
+    try:
+        tol = float(raw)
+    except ValueError as exc:
+        raise DomainError(f"ENVDET_QUAD_TOL={raw!r}: {exc}") from exc
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(
+            f"ENVDET_QUAD_TOL={raw!r}: quadrature tol must be finite and positive, got {tol!r}"
+        )
+    return tol
 
 
 # Nodes per integrand call are capped so that no (nodes x width) temporary
@@ -144,10 +144,7 @@ def _level_nodes(
     return tables
 
 
-def integrate_semi_infinite(
-    f: Callable[[np.ndarray], np.ndarray],
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> Tuple[ArrayLike, float]:
+def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray]) -> Tuple[ArrayLike, float]:
     """Integrate ``f`` over (0, inf) with a double-exponential trapezoid rule.
 
     The substitution t = exp(u - exp(-u)) maps the integral to the real line
@@ -164,13 +161,19 @@ def integrate_semi_infinite(
     summed one node at a time in node order, so the result does not depend
     on how the nodes were split into calls.
 
+    A refinement is accepted when it moves the estimate by at most
+    ``max(tol, tol * |estimate|)``, with ``tol`` from ``ENVDET_QUAD_TOL``
+    (default 1e-12), read once per call; a value that is not a finite
+    positive number raises ``DomainError``.
+
     Returns ``(value, err_est)`` where ``err_est`` is the last refinement
     difference, an upper estimate of the remaining error.
     """
+    target = _tol()
     # Hard cutoffs chosen so the neglected tails are far below tol:
     # t_hi has exp(-t) * poly(t) < tol / 10, the t -> 0 end is damped
     # double-exponentially by the map itself.
-    decades = -math.log(min(spec.tol, 1e-6))
+    decades = -math.log(min(target, 1e-6))
     u_hi = math.log(decades + 45.0)
     u_lo = -math.log(decades + 40.0)
     block = 1  # nodes per call, until the first call reveals the width
@@ -199,7 +202,7 @@ def integrate_semi_infinite(
         err = float(np.max(np.abs(refined - estimate)))
         scale = float(np.max(np.abs(refined)))
         estimate = refined
-        tol = max(spec.tol, spec.tol * scale)
+        tol = max(target, target * scale)
         # refuse to certify accuracy below what doubles can represent, even
         # if two refinements happen to agree bitwise
         if level >= 1 and err <= tol and tol >= 4.0 * eps * scale:
@@ -207,6 +210,6 @@ def integrate_semi_infinite(
                 return estimate, err
             return float(estimate), err
     raise QuadratureError(
-        f"quadrature did not reach tolerance {spec.tol:g} within "
+        f"quadrature did not reach tolerance {target:g} within "
         f"{_MAX_LEVELS} refinements (last diff {err:g})"
     )

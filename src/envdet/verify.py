@@ -17,7 +17,6 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from . import barnes, envelope
-from .specfun import DEFAULT_QUAD, QuadratureSpec
 
 __all__ = ["CheckResult", "run_criterion", "run_suite", "CRITERIA"]
 
@@ -43,9 +42,9 @@ class CheckResult:
     tolerance: float
 
 
-def _criterion_1(quad: QuadratureSpec) -> List[CheckResult]:
+def _criterion_1() -> List[CheckResult]:
     p = envelope.AngleParam(envelope.BETA_CRITICAL)
-    value = envelope.log_det_area(p, 1.0, quad=quad).log_det
+    value = envelope.log_det_area(p, 1.0).log_det
     gap = abs(value - CLOSED_FORM_M23)
     return [
         CheckResult("critical_value", abs(value - REFERENCE_M23) <= 1e-4, value, 1e-4),
@@ -53,7 +52,7 @@ def _criterion_1(quad: QuadratureSpec) -> List[CheckResult]:
     ]
 
 
-def _criterion_2(quad: QuadratureSpec) -> List[CheckResult]:
+def _criterion_2() -> List[CheckResult]:
     out = []
     cases = [
         (Fraction(-3, 4), CLOSED_FORM_M34, REFERENCE_M34, "special_value_m34"),
@@ -62,7 +61,7 @@ def _criterion_2(quad: QuadratureSpec) -> List[CheckResult]:
     for frac, closed, reference, name in cases:
         p = envelope.AngleParam.from_fraction(frac)
         rational = envelope.log_det_area(p, 1.0, route="rational").log_det
-        integral = envelope.log_det_area(p, 1.0, route="integral", quad=quad).log_det
+        integral = envelope.log_det_area(p, 1.0, route="integral").log_det
         gap = abs(rational - integral)
         out.append(CheckResult(name, abs(rational - reference) <= 1e-4, rational, 1e-4))
         out.append(CheckResult(f"{name}_route_gap", gap <= 1e-9, gap, 1e-9))
@@ -78,11 +77,11 @@ def _criterion_2(quad: QuadratureSpec) -> List[CheckResult]:
     return out
 
 
-def _criterion_3(quad: QuadratureSpec) -> List[CheckResult]:
+def _criterion_3() -> List[CheckResult]:
     p = envelope.AngleParam(envelope.BETA_CRITICAL)
-    d1 = abs(envelope.d_log_det(p, quad))
+    d1 = abs(envelope.d_log_det(p))
     a = 1.0 / 3.0
-    dz = barnes.d_zeta_b_prime0(np.array([a, 1.0 - 2.0 * a]), quad)
+    dz = barnes.d_zeta_b_prime0(np.array([a, 1.0 - 2.0 * a]))
     combo = float(abs(2.0 * dz[0] - 2.0 * dz[1]))
     return [
         CheckResult("criticality_d1", d1 <= 1e-9, d1, 1e-9),
@@ -90,9 +89,9 @@ def _criterion_3(quad: QuadratureSpec) -> List[CheckResult]:
     ]
 
 
-def _criterion_4(quad: QuadratureSpec) -> List[CheckResult]:
-    d2 = envelope.d2_log_det(envelope.AngleParam(envelope.BETA_CRITICAL), quad)
-    s_star = envelope.critical_area(quad)
+def _criterion_4() -> List[CheckResult]:
+    d2 = envelope.d2_log_det(envelope.AngleParam(envelope.BETA_CRITICAL))
+    s_star = envelope.critical_area()
     return [
         CheckResult("second_derivative", abs(d2 - REFERENCE_D2) <= 5e-3, d2, 5e-3),
         CheckResult(
@@ -101,10 +100,10 @@ def _criterion_4(quad: QuadratureSpec) -> List[CheckResult]:
     ]
 
 
-def _criterion_5(quad: QuadratureSpec) -> List[CheckResult]:
+def _criterion_5() -> List[CheckResult]:
     p = envelope.AngleParam(np.linspace(-0.999, -0.501, 10_000))
     bound = envelope.convexity_lower_bound(p)
-    d2 = envelope.d2_log_det(p, quad)
+    d2 = envelope.d2_log_det(p)
     min_bound = float(np.min(bound))
     min_gap = float(np.min(d2 - bound))
     return [
@@ -113,16 +112,16 @@ def _criterion_5(quad: QuadratureSpec) -> List[CheckResult]:
     ]
 
 
-def _criterion_6(quad: QuadratureSpec) -> List[CheckResult]:
+def _criterion_6() -> List[CheckResult]:
     fractions = list(envelope.reduced_fractions())
-    integral = barnes.zeta_b_prime0_values(np.array([float(f) for f in fractions]), quad)
+    integral = barnes.zeta_b_prime0_values(np.array([float(f) for f in fractions]))
     worst = max(
         abs(float(value) - barnes.zeta_b_prime0_rational(frac).value)
         for value, frac in zip(integral, fractions)
     )
 
     grid = np.linspace(0.005, 1.0, 200)
-    integral_vals = barnes.zeta_b_prime0_values(grid, quad)
+    integral_vals = barnes.zeta_b_prime0_values(grid)
     excess = -math.inf
     eps = np.finfo(float).eps
     for n in (2, 3, 4, 5):
@@ -138,30 +137,30 @@ def _criterion_6(quad: QuadratureSpec) -> List[CheckResult]:
     ]
 
 
-def _residual_spread(side: str, quad: QuadratureSpec) -> float:
+def _residual_spread(side: str) -> float:
     distances = (1e-2, 1e-3, 1e-4)
     ratios = []
     for d in distances:
         if side == "neg1":
             p = envelope.AngleParam(-1.0 + d)
-            resid = envelope.log_det_unit(p, quad=quad).log_det - envelope.asymptotic_neg1(p)
+            resid = envelope.log_det_unit(p).log_det - envelope.asymptotic_neg1(p)
         else:
             p = envelope.AngleParam(-0.5 - d / 2.0)
-            resid = envelope.log_det_unit(p, quad=quad).log_det - envelope.asymptotic_neghalf(p)
+            resid = envelope.log_det_unit(p).log_det - envelope.asymptotic_neghalf(p)
         ratios.append(abs(resid) / d)
     return max(ratios) / min(ratios)
 
 
-def _criterion_7(quad: QuadratureSpec) -> List[CheckResult]:
-    spread1 = _residual_spread("neg1", quad)
-    spread2 = _residual_spread("neghalf", quad)
+def _criterion_7() -> List[CheckResult]:
+    spread1 = _residual_spread("neg1")
+    spread2 = _residual_spread("neghalf")
     return [
         CheckResult("asymptotics_neg1_order", spread1 <= 3.0, spread1, 3.0),
         CheckResult("asymptotics_neghalf_order", spread2 <= 3.0, spread2, 3.0),
     ]
 
 
-def _criterion_8(quad: QuadratureSpec) -> List[CheckResult]:
+def _criterion_8() -> List[CheckResult]:
     failures = 0
     for p in range(1, 31):
         for q in range(1, 31):
@@ -177,9 +176,9 @@ def _criterion_8(quad: QuadratureSpec) -> List[CheckResult]:
     return [CheckResult("dedekind_reciprocity", failures == 0, float(failures), 0.0)]
 
 
-def _criterion_9(quad: QuadratureSpec) -> List[CheckResult]:
-    t1 = envelope.scan(-0.95, -0.55, 101, 1.0, quad=quad)
-    t3 = envelope.scan(-0.95, -0.55, 101, 3.0, quad=quad)
+def _criterion_9() -> List[CheckResult]:
+    t1 = envelope.scan(-0.95, -0.55, 101, 1.0)
+    t3 = envelope.scan(-0.95, -0.55, 101, 3.0)
     b, ld1, ld3 = t1.beta, t1.log_det, t3.log_det
     i_star = int(np.argmin(np.abs(b - envelope.BETA_CRITICAL)))
 
@@ -197,7 +196,7 @@ def _criterion_9(quad: QuadratureSpec) -> List[CheckResult]:
 
 
 # criterion number -> (check runner, wall-clock budget in seconds)
-CRITERIA: dict[int, Tuple[Callable[[QuadratureSpec], List[CheckResult]], float]] = {
+CRITERIA: dict[int, Tuple[Callable[[], List[CheckResult]], float]] = {
     1: (_criterion_1, 0.1),
     2: (_criterion_2, 0.5),
     3: (_criterion_3, 1.0),
@@ -210,17 +209,15 @@ CRITERIA: dict[int, Tuple[Callable[[QuadratureSpec], List[CheckResult]], float]]
 }
 
 
-def run_criterion(
-    number: int, quad: QuadratureSpec = DEFAULT_QUAD
-) -> Tuple[List[CheckResult], float]:
+def run_criterion(number: int) -> Tuple[List[CheckResult], float]:
     """Run one numbered criterion; returns its checks and the elapsed time."""
     runner, _budget = CRITERIA[number]
     start = time.perf_counter()
-    checks = runner(quad)
+    checks = runner()
     return checks, time.perf_counter() - start
 
 
-def run_suite(suite: str = "fast", quad: QuadratureSpec = DEFAULT_QUAD) -> List[CheckResult]:
+def run_suite(suite: str = "fast") -> List[CheckResult]:
     """Run the verification suite; ``fast`` skips the dense convexity grid."""
     if suite not in ("fast", "full"):
         raise ValueError(f"suite must be 'fast' or 'full', got {suite!r}")
@@ -228,7 +225,7 @@ def run_suite(suite: str = "fast", quad: QuadratureSpec = DEFAULT_QUAD) -> List[
     for number, (_runner, budget) in CRITERIA.items():
         if suite == "fast" and number == 5:
             continue
-        checks, elapsed = run_criterion(number, quad)
+        checks, elapsed = run_criterion(number)
         results.extend(checks)
         results.append(
             CheckResult(f"criterion_{number}_runtime", elapsed < budget, elapsed, budget)

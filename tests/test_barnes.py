@@ -20,7 +20,6 @@ from envdet.barnes import (
     zeta_b_prime0_values,
 )
 from envdet.specfun import (
-    DEFAULT_QUAD,
     EULER_GAMMA,
     LOG_2PI,
     DomainError,
@@ -189,7 +188,7 @@ def _grid_level_products(level):
     """t[:, None] * a for each one-node block of quadrature level ``level``
     (0 is the h = 1/2 base level) and the 40000 values of a that a
     20000-point scan passes to the integral route."""
-    decades = -math.log(min(DEFAULT_QUAD.tol, 1e-6))
+    decades = -math.log(1e-12)
     u_lo, u_hi = -math.log(decades + 40.0), math.log(decades + 45.0)
     nodes, _ = specfun._level_nodes(u_lo, u_hi, 0.5 / 2**level, level > 0)
     b = np.linspace(-0.9999, -0.5001, 20000)
@@ -264,6 +263,14 @@ def test_zeta_b_prime0_domain():
         zeta_b_prime0_values(np.array([0.5, math.inf]))
     with pytest.raises(DomainError):
         d_zeta_b_prime0(math.inf)
+    # the integral route takes a up to 1e27 and refuses any larger a
+    for route in (zeta_b_prime0_values, d_zeta_b_prime0, d2_zeta_b_prime0):
+        assert np.all(np.isfinite(route(np.array([0.5, 1e27]))))
+    for bad in (np.nextafter(1e27, math.inf), 5e27, 1e300):
+        with pytest.raises(DomainError):
+            zeta_b_prime0(bad)
+    with pytest.raises(DomainError):
+        d2_zeta_b_prime0([1e102])
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +376,15 @@ def test_series_domain():
         zeta_b_prime0_series(-0.5, 4)
     with pytest.raises(DomainError):
         zeta_b_prime0_series(math.inf, 4)
+    # a ** (2n - 1) overflows a double
+    with pytest.raises(DomainError):
+        zeta_b_prime0_series(1e100)
+    with pytest.raises(DomainError):
+        zeta_b_prime0_series(1e10, 16)
+    with pytest.raises(DomainError):
+        series_error_bound(1e100, 4)
+    with pytest.raises(DomainError):
+        series_error_bound(np.array([0.5, 1e100]), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +392,11 @@ def test_series_domain():
 # ---------------------------------------------------------------------------
 
 
-def _loop_quadrature(f, spec=DEFAULT_QUAD):
+def _loop_quadrature(f):
     """The double-exponential rule with a scalar node per call of ``f``,
     summed node by node, at most 10 refinements: the reference for the
     blocked engine."""
-    decades = -math.log(min(spec.tol, 1e-6))
+    decades = -math.log(1e-12)
     u_hi = math.log(decades + 45.0)
     u_lo = -math.log(decades + 40.0)
 
@@ -404,13 +420,13 @@ def _loop_quadrature(f, spec=DEFAULT_QUAD):
         err = float(np.max(np.abs(refined - estimate)))
         scale = float(np.max(np.abs(refined)))
         estimate = refined
-        tol = max(spec.tol, spec.tol * scale)
+        tol = max(1e-12, 1e-12 * scale)
         if level >= 1 and err <= tol and tol >= 4.0 * eps * scale:
             return estimate, err
     raise AssertionError("reference quadrature did not converge")
 
 
-def _integral_reference(a, order, quad=DEFAULT_QUAD):
+def _integral_reference(a, order):
     """barnes._integral with the kernel called on a at one node at a time."""
     arr = np.atleast_1d(np.asarray(a, dtype=float))
 
@@ -422,7 +438,7 @@ def _integral_reference(a, order, quad=DEFAULT_QUAD):
             return f_kernel(arr * t, 1) / em
         return t * f_kernel(arr * t, 2) / em
 
-    integral, err = _loop_quadrature(integrand, quad)
+    integral, err = _loop_quadrature(integrand)
     if order == 0:
         head = barnes._LOG_A / arr - 0.25 * LOG_2PI + EULER_GAMMA * arr / 12.0
     elif order == 1:
@@ -438,7 +454,7 @@ def _integral_reference(a, order, quad=DEFAULT_QUAD):
 def test_blocked_quadrature_matches_node_loop(width, order):
     rng = np.random.default_rng(width)
     a = 10.0 ** rng.uniform(-6.0, 0.5, width)
-    value, err = barnes._integral(a, order, DEFAULT_QUAD)
+    value, err = barnes._integral(a, order)
     expected, expected_err = _integral_reference(a, order)
     assert np.array_equal(value, expected)
     assert err == expected_err
@@ -449,13 +465,13 @@ def _record_integrand_calls(monkeypatch):
     integrand call, the nodes and the number of values returned."""
     calls = []
 
-    def quadrature(f, spec=DEFAULT_QUAD):
+    def quadrature(f):
         def recorded(t):
             values = f(t)
             calls.append((t.copy(), np.size(values)))
             return values
 
-        return integrate_semi_infinite(recorded, spec)
+        return integrate_semi_infinite(recorded)
 
     monkeypatch.setattr(barnes, "integrate_semi_infinite", quadrature)
     return calls
@@ -463,14 +479,14 @@ def _record_integrand_calls(monkeypatch):
 
 def test_wide_integrand_gets_one_node_per_call(monkeypatch):
     calls = _record_integrand_calls(monkeypatch)
-    barnes._integral(np.linspace(1e-3, 1.0, 40000), 2, DEFAULT_QUAD)
+    barnes._integral(np.linspace(1e-3, 1.0, 40000), 2)
     assert len(calls) == 68
     assert max(size for _, size in calls) <= 40000
 
 
 def test_narrow_integrand_gets_whole_levels(monkeypatch):
     calls = _record_integrand_calls(monkeypatch)
-    barnes._integral(np.array([0.3, 0.7]), 0, DEFAULT_QUAD)
+    barnes._integral(np.array([0.3, 0.7]), 0)
     # each level's nodes increase, so a new level starts below the last node
     levels = 1 + sum(t[0] < prev[-1] for (prev, _), (t, _) in zip(calls, calls[1:]))
     assert len(calls) <= 2 * levels

@@ -1,14 +1,17 @@
 import hashlib
+import importlib
 import inspect
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import envdet
 from envdet import barnes, envelope
 from envdet.cli import SCHEMA_VERSION, main
-from envdet.specfun import DomainError
+from envdet.specfun import DomainError, QuadratureError
 
 CLOSED_M34 = 0.0829015200310546721
 
@@ -344,7 +347,7 @@ def test_verify_json_diagnostics(capsys):
 def test_verify_failure_exits_one(capsys, monkeypatch):
     from envdet import verify as verify_mod
 
-    def fake_suite(suite, quad):
+    def fake_suite(suite):
         return [verify_mod.CheckResult("stub_check", False, 1.0, 0.5)]
 
     monkeypatch.setattr(verify_mod, "run_suite", fake_suite)
@@ -380,15 +383,40 @@ def test_quad_tolerance_env_nonconvergence(capsys, monkeypatch):
     code, _, err = run_cli(["eval", "--beta", "-0.7", "--area", "1"], capsys)
     assert code == 3
     assert "error" in err
+    # the library reads the same variable
+    with pytest.raises(QuadratureError):
+        envelope.log_det_area(envelope.AngleParam(-0.7), 1.0)
 
 
-@pytest.mark.parametrize("raw", ["not-a-number", "inf", "1e999", "nan", "0", "-1e-9"])
-def test_quad_tolerance_env_invalid(raw, capsys, monkeypatch):
+_BAD_TOL = "quadrature tol must be finite and positive, got "
+_INVALID_TOL = {
+    "not-a-number": "could not convert string to float: 'not-a-number'",
+    "inf": _BAD_TOL + "inf",
+    "1e999": _BAD_TOL + "inf",
+    "nan": _BAD_TOL + "nan",
+    "0": _BAD_TOL + "0.0",
+    "-1e-9": _BAD_TOL + "-1e-09",
+}
+
+
+@pytest.mark.parametrize("raw", list(_INVALID_TOL))
+def test_quad_tolerance_env_invalid(raw, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ENVDET_QUAD_TOL", raw)
-    code, out, err = run_cli(["eval", "--beta", "-0.7", "--area", "1"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ")
+    out_path = tmp_path / "scan.csv"
+    for argv in (
+        ["eval", "--beta", "-0.7", "--area", "1"],
+        ["scan", "--from", "-0.8", "--to", "-0.6", "--count", "5", "--out", str(out_path)],
+        ["critical", "--area", "3", "--format", "json"],
+        ["verify", "--suite", "fast"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert err == f"error: ENVDET_QUAD_TOL={raw!r}: {_INVALID_TOL[raw]}\n"
+        assert not out_path.exists()
+    # the library reads the same variable
+    with pytest.raises(DomainError):
+        envelope.log_det_area(envelope.AngleParam(-0.7), 1.0)
 
 
 def test_quad_tolerance_env_loose_still_works(capsys, monkeypatch):
@@ -405,6 +433,15 @@ def test_settings_are_constants(capsys):
     # are fixed where they are used
     assert list(inspect.signature(barnes.f_kernel).parameters) == ["r", "derivative"]
     assert "max_denominator" not in inspect.signature(envelope.scan).parameters
+    # the tolerance is read from ENVDET_QUAD_TOL by the quadrature alone
+    for info in pkgutil.iter_modules(envdet.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"envdet.{info.name}")
+        for name in getattr(module, "__all__", []):
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                assert not {"quad", "spec"} & set(inspect.signature(obj).parameters), name
     code, out, _ = run_cli(["eval", "--beta", "-0.75", "--format", "json"], capsys)
     doc = json.loads(out)
     assert code == 0

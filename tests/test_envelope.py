@@ -380,6 +380,25 @@ def test_d2_log_det_at_critical():
     assert abs(d2 - 17.614) <= 5e-3
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-0.999, -0.501))
+def test_derivatives_match_central_differences(beta):
+    # step 1e-3 of the distance to the nearer endpoint, rounded to a step
+    # the doubles represent exactly; relative tolerance 1e-5
+    h = 1e-3 * min(beta + 1.0, -0.5 - beta)
+    h = (beta + h) - beta
+
+    def f(b):
+        return log_det_area(AngleParam(b), 1.0).log_det
+
+    p = AngleParam(beta)
+    for analytic, fd in (
+        (d_log_det(p), (f(beta + h) - f(beta - h)) / (2.0 * h)),
+        (d2_log_det(p), (f(beta + h) - 2.0 * f(beta) + f(beta - h)) / (h * h)),
+    ):
+        assert abs(analytic - fd) <= 1e-5 * max(1.0, abs(fd)), (beta, analytic, fd)
+
+
 @pytest.mark.parametrize("beta", [-0.8, BETA_CRITICAL, -0.6])
 def test_d2_log_det_matches_finite_difference(beta):
     h = 1e-4
@@ -550,9 +569,9 @@ def test_scan_exact_points_inserted():
 def test_scan_exact_points_share_one_evaluation(monkeypatch):
     calls = []
 
-    def quadrature(f, spec):
-        calls.append(spec)
-        return integrate_semi_infinite(f, spec)
+    def quadrature(f):
+        calls.append(f)
+        return integrate_semi_infinite(f)
 
     monkeypatch.setattr(envelope.barnes, "integrate_semi_infinite", quadrature)
     scan(-0.8, -0.6, 11, 1.5, include_exact_points=True)

@@ -1,12 +1,11 @@
-import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from envdet import specfun
 from envdet.specfun import (
-    DEFAULT_QUAD,
     EULER_GAMMA,
     LOG_2PI,
     LOG_GLAISHER,
@@ -14,7 +13,6 @@ from envdet.specfun import (
     ZETA_PRIME_NEG1,
     DomainError,
     QuadratureError,
-    QuadratureSpec,
     bernoulli,
     integrate_semi_infinite,
     log_gamma,
@@ -143,7 +141,7 @@ def test_quadrature_zeta_gamma_family():
     for n in range(2, 7):
         value, _ = integrate_semi_infinite(lambda t, n=n: t ** (n - 1) / np.expm1(t))
         target = zeta_int(n) * math.factorial(n - 1)
-        assert abs(value - target) <= max(DEFAULT_QUAD.tol, DEFAULT_QUAD.tol * target)
+        assert abs(value - target) <= max(1e-12, 1e-12 * target)
 
 
 def test_quadrature_error_estimate_is_conservative():
@@ -160,10 +158,10 @@ def test_quadrature_vector_valued():
     assert abs(value[1] - math.pi**2 / 6.0) <= 1e-12
 
 
-def test_quadrature_nonconvergence():
-    spec = QuadratureSpec(tol=1e-30)
+def test_quadrature_nonconvergence(monkeypatch):
+    monkeypatch.setenv("ENVDET_QUAD_TOL", "1e-30")
     with pytest.raises(QuadratureError):
-        integrate_semi_infinite(lambda t: t / np.expm1(t), spec)
+        integrate_semi_infinite(lambda t: t / np.expm1(t))
 
 
 def test_quadrature_nodes_are_read_only_and_increasing():
@@ -184,9 +182,12 @@ def test_quadrature_nodes_are_read_only_and_increasing():
     assert sum(t.size for t in seen) == 68
 
 
-def test_quadrature_spec_validation():
+def test_quadrature_spec_validation(monkeypatch):
     for tol in (0.0, -1.0, math.inf, math.nan):
+        monkeypatch.setenv("ENVDET_QUAD_TOL", repr(tol))
         with pytest.raises(DomainError):
-            QuadratureSpec(tol=tol)
-    assert QuadratureSpec(tol=1e-6).tol == 1e-6
-    assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["tol"]
+            integrate_semi_infinite(lambda t: np.exp(-t))
+    monkeypatch.setenv("ENVDET_QUAD_TOL", "1e-6")
+    assert specfun._tol() == 1e-6
+    value, _ = integrate_semi_infinite(lambda t: np.exp(-t))
+    assert abs(value - 1.0) <= 1e-6
