@@ -20,7 +20,6 @@ from .envelope import (
     d_log_det,
     geometry,
     log_det_area,
-    log_det_unit,
     refine_minimum,
     scan,
 )

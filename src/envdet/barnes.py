@@ -1,19 +1,21 @@
 """Derivative at s = 0 of the Barnes double zeta function zeta_B(s; a, 1, 1),
 evaluated by three mutually validating routes:
 
-* ``zeta_b_prime0``          smooth integral representation (0 < a <= 1e27),
+* ``zeta_b_prime0``          smooth integral representation (1e-100 <= a <= 1e27),
 * ``zeta_b_prime0_series``   truncated Bernoulli tail with a rigorous
                              remainder certificate,
 * ``zeta_b_prime0_rational`` exact closed form for rational a, built from
                              Dedekind sums and log-gamma values.
 
-The integral route and its first and second a-derivatives (the integral
-representation differentiated under the integral sign) share one vectorised
-double-exponential quadrature per derivative order, evaluated on an array of
-a values at once; scalar a is a one-element array.  Each integrand call
-evaluates the kernel once, on the outer product of a block of quadrature
-nodes with the a values.  The Dedekind sum behind the rational route is a
-sum of integers.
+The integral and series routes share one closed-form head; the series route
+and its certificate share one table of Bernoulli-tail coefficients, built at
+import.  The integral route and its first and second a-derivatives (the
+integral representation differentiated under the integral sign) share one
+vectorised double-exponential quadrature per derivative order, evaluated on
+an array of a values at once; scalar a is a one-element array.  Each
+integrand call evaluates the kernel once, on the outer product of a block of
+quadrature nodes with the a values.  The Dedekind sum behind the rational
+route is a sum of integers.
 """
 
 from __future__ import annotations
@@ -64,8 +66,14 @@ _F2 = [c * (2 * k - 1) * (2 * k - 2) for k, c in zip(range(2, _KMAX + 1), _F0)]
 _POWER = {0: 3, 1: 2, 2: 1}
 _COEFFS = {0: _F0, 1: _F1, 2: _F2}
 _CROSSOVER = 0.5
-# Largest a the integral route takes.  In a log-spaced sweep every order
-# converged without overflow up to here; order 1 first failed at a = 4.4e27.
+# Tail coefficients B_{2k} zeta(2k-1) / (2k(2k-1)) of the series route,
+# k = 2..16; the first omitted one sets its certificate.
+_TAIL = [float(bernoulli(2 * k) / (2 * k * (2 * k - 1))) * zeta_int(2 * k - 1)
+         for k in range(2, _KMAX + 1)]
+# Range of a the integral route takes.  In a log-spaced sweep every order
+# converged without overflow up to _A_MAX; order 1 first failed at a = 4.4e27.
+# Below _A_MIN the heads overflow, order 2's from a = 1e-105 on.
+_A_MIN = 1e-100
 _A_MAX = 1e27
 
 
@@ -152,16 +160,27 @@ class BarnesEval:
             raise DomainError(f"unknown route {self.route!r}")
 
 
+def _head(a: ArrayLike, order: int) -> ArrayLike:
+    """Closed-form part of d^order/da^order of zeta_B'(0; a, 1, 1), which the
+    integral route adds to its quadrature and the series route to its tail."""
+    if order == 0:
+        return _LOG_A / a - 0.25 * LOG_2PI + EULER_GAMMA * a / 12.0
+    if order == 1:
+        return -_LOG_A / a**2 + EULER_GAMMA / 12.0
+    return 2.0 * _LOG_A / a**3
+
+
 def _integral(a: ArrayLike, order: int):
-    """d^order/da^order of zeta_B'(0; a, 1, 1) for 0 < a <= 1e27, from one quadrature
-    over all of ``a``; returns (values shaped like ``a``, error estimate).
+    """d^order/da^order of zeta_B'(0; a, 1, 1) for 1e-100 <= a <= 1e27, from one
+    quadrature over all of ``a``; returns (values shaped like ``a``, error
+    estimate).
 
     The integrands F(at)/(t(e^t-1)), F'(at)/(e^t-1) and t F''(at)/(e^t-1) are
     smooth at t = 0 and decay like e^{-t}.
     """
     arr = np.asarray(a, dtype=float).ravel()
-    if arr.size == 0 or not np.all((arr > 0.0) & (arr <= _A_MAX)):
-        raise DomainError(f"the integral route needs 0 < a <= {_A_MAX:g}, got {a!r}")
+    if arr.size == 0 or not np.all((arr >= _A_MIN) & (arr <= _A_MAX)):
+        raise DomainError(f"the integral route needs {_A_MIN:g} <= a <= {_A_MAX:g}, got {a!r}")
 
     # One kernel call per block of nodes t, on the outer product t a.  The
     # kernel values stay an unnamed temporary, so numpy divides them in place
@@ -177,18 +196,12 @@ def _integral(a: ArrayLike, order: int):
         return t * f_kernel(t * arr, 2) / em
 
     integral, err = integrate_semi_infinite(integrand)
-    if order == 0:
-        head = _LOG_A / arr - 0.25 * LOG_2PI + EULER_GAMMA * arr / 12.0
-    elif order == 1:
-        head = -_LOG_A / arr**2 + EULER_GAMMA / 12.0
-    else:
-        head = 2.0 * _LOG_A / arr**3
-    out = (head + integral).reshape(np.shape(a))
+    out = (_head(arr, order) + integral).reshape(np.shape(a))
     return (out if np.ndim(a) else float(out)), err
 
 
 def zeta_b_prime0(a: float) -> BarnesEval:
-    """zeta_B'(0; a, 1, 1) for 0 < a <= 1e27 through the integral representation
+    """zeta_B'(0; a, 1, 1) for 1e-100 <= a <= 1e27 through the integral representation
 
         log A / a - log(2 pi)/4 + gamma a / 12 + int_0^inf F(at)/(t(e^t-1)) dt.
     """
@@ -199,26 +212,25 @@ def zeta_b_prime0(a: float) -> BarnesEval:
 
 
 def zeta_b_prime0_values(a: np.ndarray) -> np.ndarray:
-    """Integral-route values on a grid of a > 0, via one vectorized quadrature."""
+    """Integral-route values on a grid of a, via one vectorized quadrature."""
     return _integral(np.atleast_1d(a), 0)[0]
 
 
-def series_error_bound(a: ArrayLike, n: int) -> ArrayLike:
-    """Certified remainder of the truncated series route: the first omitted
-    term |B_{2N} zeta(2N-1)| / (2N(2N-1)) * a^{2N-1}; ``DomainError`` where
-    it overflows."""
-    coeff = abs(float(bernoulli(2 * n) / (2 * n * (2 * n - 1)))) * zeta_int(2 * n - 1)
-    if np.ndim(a):
-        with np.errstate(over="ignore"):
-            bound = coeff * np.asarray(a, dtype=float) ** (2 * n - 1)
-        overflow = np.isinf(bound).any()
-    else:
-        try:
-            bound = coeff * float(a) ** (2 * n - 1)
-        except OverflowError:  # where numpy would give inf
-            bound = math.inf
-        overflow = math.isinf(bound)  # np.isinf on a float is ~100x slower
-    if overflow:
+def series_error_bound(a: float, n: int) -> float:
+    """Certified remainder of the series route: the first omitted term
+    |B_{2N} zeta(2N-1)| / (2N(2N-1)) * a^{2N-1}.  The one check of the
+    route's arguments: ``DomainError`` unless ``a`` is a finite scalar > 0
+    and N = ``n`` an integer in [2, 16], and where the remainder overflows."""
+    if int(n) != n or not 2 <= n <= _KMAX:
+        raise DomainError(f"series order n must be an integer in [2, {_KMAX}], got {n!r}")
+    if np.ndim(a) != 0 or not 0.0 < a < math.inf:
+        raise DomainError(f"the series route needs a finite scalar a > 0, got {a!r}")
+    n = int(n)
+    try:
+        bound = abs(_TAIL[n - 2]) * float(a) ** (2 * n - 1)
+    except OverflowError:
+        bound = math.inf
+    if math.isinf(bound):
         raise DomainError(f"the series remainder overflows for n = {n} at a = {a!r}")
     return bound
 
@@ -230,17 +242,13 @@ def zeta_b_prime0_series(a: float, n: int = 4) -> BarnesEval:
     certifies the remainder by the first omitted term (the tail terms
     alternate and envelop the function for every a > 0).
     """
-    if int(n) != n or not 2 <= n <= 16:
-        raise DomainError(f"series order n must be an integer in [2, 16], got {n!r}")
-    if np.ndim(a) != 0 or not 0.0 < a < math.inf:
-        raise DomainError(f"zeta_b_prime0_series needs a finite scalar a > 0, got {a!r}")
+    # checks a and n; the remainder holds the highest power of a, so it
+    # overflows first
+    bound = series_error_bound(a, n)
     av = float(a)
-    # the remainder holds the highest power of a, so it overflows first
-    bound = series_error_bound(av, n)
-    value = _LOG_A / av - 0.25 * LOG_2PI + EULER_GAMMA * av / 12.0
-    for k in range(2, n):
-        coeff = float(bernoulli(2 * k) / (2 * k * (2 * k - 1))) * zeta_int(2 * k - 1)
-        value += coeff * av ** (2 * k - 1)
+    value = _head(av, 0)
+    for k in range(2, int(n)):
+        value += _TAIL[k - 2] * av ** (2 * k - 1)
     return BarnesEval(value=value, error_bound=bound, route="series")
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "EnvelopeGeometry",
     "ScanTable",
     "scaling_factor",
-    "log_det_unit",
     "log_det_area",
     "zeta0",
     "d_zeta0",
@@ -192,59 +191,32 @@ def _log_c(b):
     )
 
 
-def _d_log_c(b):
-    a1 = b + 1.0
-    a2 = -2.0 * b - 1.0
-    s = np.sin(np.pi * a2)
-    return _sp.psi(a2 / 2.0) - _sp.psi(a1) + np.pi * np.cos(np.pi * a2) / s
-
-
-def _d2_log_c(b):
-    a1 = b + 1.0
-    a2 = -2.0 * b - 1.0
-    s = np.sin(np.pi * a2)
-    return -_sp.polygamma(1, a2 / 2.0) - _sp.polygamma(1, a1) + 2.0 * np.pi**2 / s**2
-
-
-def _elementary(b):
+def _elementary(b, k: int):
+    """k-th beta-derivative (k = 0, 1, 2) of the elementary terms of the
+    unit-area log det, g log 2 - h log c - log a1 - log(a2)/2 - 2.5 log 2
+    - log pi with c the scaling factor."""
     a1 = b + 1.0
     a2 = -2.0 * b - 1.0
     x2 = 2.0 * b + 1.0
-    g = (2.0 * b + 4.0 / a1 - 1.0 / x2) / 6.0
     h = (2.0 / a1 - 1.0 / x2 - 1.0) / 6.0
-    return (
-        g * _LOG2
-        - h * _log_c(b)
-        - np.log(a1)
-        - 0.5 * np.log(a2)
-        - 2.5 * _LOG2
-        - LOG_PI
-    )
-
-
-def _d_elementary(b):
-    a1 = b + 1.0
-    a2 = -2.0 * b - 1.0
-    x2 = 2.0 * b + 1.0
-    gp = (2.0 - 4.0 / a1**2 + 2.0 / x2**2) / 6.0
-    h = (2.0 / a1 - 1.0 / x2 - 1.0) / 6.0
+    log_c = _log_c(b)
+    if k == 0:
+        g = (2.0 * b + 4.0 / a1 - 1.0 / x2) / 6.0
+        return g * _LOG2 - h * log_c - np.log(a1) - 0.5 * np.log(a2) - 2.5 * _LOG2 - LOG_PI
     hp = (-2.0 / a1**2 + 2.0 / x2**2) / 6.0
-    return gp * _LOG2 - hp * _log_c(b) - h * _d_log_c(b) - 1.0 / a1 + 1.0 / a2
-
-
-def _d2_elementary(b):
-    a1 = b + 1.0
-    a2 = -2.0 * b - 1.0
-    x2 = 2.0 * b + 1.0
+    s = np.sin(np.pi * a2)
+    d_log_c = _sp.psi(a2 / 2.0) - _sp.psi(a1) + np.pi * np.cos(np.pi * a2) / s
+    if k == 1:
+        gp = (2.0 - 4.0 / a1**2 + 2.0 / x2**2) / 6.0
+        return gp * _LOG2 - hp * log_c - h * d_log_c - 1.0 / a1 + 1.0 / a2
     gpp = (8.0 / a1**3 - 8.0 / x2**3) / 6.0
-    h = (2.0 / a1 - 1.0 / x2 - 1.0) / 6.0
-    hp = (-2.0 / a1**2 + 2.0 / x2**2) / 6.0
     hpp = (4.0 / a1**3 - 8.0 / x2**3) / 6.0
+    d2_log_c = -_sp.polygamma(1, a2 / 2.0) - _sp.polygamma(1, a1) + 2.0 * np.pi**2 / s**2
     return (
         gpp * _LOG2
-        - hpp * _log_c(b)
-        - 2.0 * hp * _d_log_c(b)
-        - h * _d2_log_c(b)
+        - hpp * log_c
+        - 2.0 * hp * d_log_c
+        - h * d2_log_c
         + 1.0 / a1**2
         + 2.0 / a2**2
     )
@@ -300,17 +272,20 @@ def d2_zeta0(p: AngleParam) -> float:
     return _out(1.0 / (3.0 * p.a1**3) - 2.0 / (3.0 * x2**3))
 
 
-def log_det_unit(
+def log_det_area(
     p: AngleParam,
+    area: float,
     route: str = "integral",
     series_terms: int = 4,
 ) -> DetResult:
-    """log det at unit area, with the Barnes terms evaluated by ``route``.
+    """log det at the given area: the unit-area value minus zeta0 * log(area),
+    with the Barnes terms evaluated by ``route``.
 
     ``route='rational'`` requires ``p`` built via :meth:`AngleParam.from_fraction`
     and gives the exact closed-form evaluation; ``'series'`` uses the
     certified truncation of order ``series_terms``.
     """
+    _check_area(area)
     if route == "integral":
         zb1, zb2 = _integral_pair(p, 0)
     elif route == "series":
@@ -323,31 +298,13 @@ def log_det_unit(
         zb2 = barnes.zeta_b_prime0_rational(-2 * p.exact - 1).value
     else:
         raise DomainError(f"unknown route {route!r}")
-    elementary = _elementary(p.beta)
+    elementary = _elementary(p.beta, 0)
     log_det = _chain(0, elementary, zb1, zb2)
-    return DetResult(
-        log_det=_out(log_det),
-        elementary_part=_out(elementary),
-        barnes_part=_out(log_det - elementary),
-        area_term=0.0,
-        area=1.0,
-    )
-
-
-def log_det_area(
-    p: AngleParam,
-    area: float,
-    route: str = "integral",
-    series_terms: int = 4,
-) -> DetResult:
-    """log det at the given area: the unit-area value minus zeta0 * log(area)."""
-    _check_area(area)
-    base = log_det_unit(p, route=route, series_terms=series_terms)
     area_term = -zeta0(p) * math.log(area)
     return DetResult(
-        log_det=base.log_det + area_term,
-        elementary_part=base.elementary_part,
-        barnes_part=base.barnes_part,
+        log_det=_out(log_det) + area_term,
+        elementary_part=_out(elementary),
+        barnes_part=_out(log_det - elementary),
         area_term=area_term,
         area=area,
     )
@@ -379,12 +336,12 @@ def asymptotic_neghalf(p: AngleParam) -> float:
 
 def d_log_det(p: AngleParam) -> float:
     """Analytic d/dbeta of the unit-area log det."""
-    return _out(_chain(1, _d_elementary(p.beta), *_integral_pair(p, 1)))
+    return _out(_chain(1, _elementary(p.beta, 1), *_integral_pair(p, 1)))
 
 
 def d2_log_det(p: AngleParam) -> float:
     """Analytic d^2/dbeta^2 of the unit-area log det."""
-    return _out(_chain(2, _d2_elementary(p.beta), *_integral_pair(p, 2)))
+    return _out(_chain(2, _elementary(p.beta, 2), *_integral_pair(p, 2)))
 
 
 def convexity_lower_bound(p: AngleParam) -> float:

@@ -143,10 +143,10 @@ def _residual_spread(side: str) -> float:
     for d in distances:
         if side == "neg1":
             p = envelope.AngleParam(-1.0 + d)
-            resid = envelope.log_det_unit(p).log_det - envelope.asymptotic_neg1(p)
+            resid = envelope.log_det_area(p, 1.0).log_det - envelope.asymptotic_neg1(p)
         else:
             p = envelope.AngleParam(-0.5 - d / 2.0)
-            resid = envelope.log_det_unit(p).log_det - envelope.asymptotic_neghalf(p)
+            resid = envelope.log_det_area(p, 1.0).log_det - envelope.asymptotic_neghalf(p)
         ratios.append(abs(resid) / d)
     return max(ratios) / min(ratios)
 

@@ -263,9 +263,14 @@ def test_zeta_b_prime0_domain():
         zeta_b_prime0_values(np.array([0.5, math.inf]))
     with pytest.raises(DomainError):
         d_zeta_b_prime0(math.inf)
-    # the integral route takes a up to 1e27 and refuses any larger a
+    # the integral route takes a in [1e-100, 1e27] and refuses any other a;
+    # below 1e-100 the closed-form heads overflow (warnings raise here)
     for route in (zeta_b_prime0_values, d_zeta_b_prime0, d2_zeta_b_prime0):
         assert np.all(np.isfinite(route(np.array([0.5, 1e27]))))
+        assert np.all(np.isfinite(route(np.array([1e-100]))))
+        for bad in (np.nextafter(1e-100, 0), 1e-160):
+            with pytest.raises(DomainError):
+                route(np.array([bad]))
     for bad in (np.nextafter(1e27, math.inf), 5e27, 1e300):
         with pytest.raises(DomainError):
             zeta_b_prime0(bad)
@@ -385,6 +390,12 @@ def test_series_domain():
         series_error_bound(1e100, 4)
     with pytest.raises(DomainError):
         series_error_bound(np.array([0.5, 1e100]), 4)
+    # the bound is where the series route checks its arguments
+    for a, n in ((-1.0, 4), (math.nan, 4), (0.5, 17), (np.array([0.5]), 4)):
+        with pytest.raises(DomainError):
+            series_error_bound(a, n)
+    assert series_error_bound(0.3, 4.0) == series_error_bound(0.3, 4)
+    assert zeta_b_prime0_series(0.3, 4.0) == zeta_b_prime0_series(0.3, 4)
 
 
 # ---------------------------------------------------------------------------

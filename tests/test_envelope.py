@@ -20,7 +20,6 @@ from envdet.envelope import (
     d_zeta0,
     geometry,
     log_det_area,
-    log_det_unit,
     refine_minimum,
     scaling_factor,
     scan,
@@ -127,7 +126,7 @@ def test_scaling_factor_frozen_value():
 
 
 def test_log_det_critical_value():
-    det = log_det_unit(AngleParam(BETA_CRITICAL))
+    det = log_det_area(AngleParam(BETA_CRITICAL), 1.0)
     assert abs(det.log_det - closed_form_m23()) <= 1e-9
     assert abs(det.log_det - 0.0217) <= 1e-4
     assert det.area == 1.0 and det.area_term == 0.0
@@ -140,8 +139,8 @@ def test_log_det_special_values_both_routes():
     ]
     for frac, closed, four_dec in cases:
         p = AngleParam.from_fraction(frac)
-        rational = log_det_unit(p, route="rational").log_det
-        integral = log_det_unit(p, route="integral").log_det
+        rational = log_det_area(p, 1.0, route="rational").log_det
+        integral = log_det_area(p, 1.0, route="integral").log_det
         assert abs(rational - closed) <= 1e-12
         assert abs(rational - four_dec) <= 1e-4
         assert abs(rational - integral) <= 1e-9
@@ -149,25 +148,25 @@ def test_log_det_special_values_both_routes():
 
 def test_log_det_series_route_within_certificate():
     p = AngleParam(-0.8)
-    exact = log_det_unit(p).log_det
+    exact = log_det_area(p, 1.0).log_det
     from envdet.barnes import series_error_bound
 
     for n in (3, 4, 5):
-        approx = log_det_unit(p, route="series", series_terms=n).log_det
+        approx = log_det_area(p, 1.0, route="series", series_terms=n).log_det
         budget = 4.0 * series_error_bound(p.a1, n) + 2.0 * series_error_bound(p.a2, n)
         assert abs(approx - exact) <= budget + 1e-13
 
 
 def test_log_det_rational_route_needs_fraction():
     with pytest.raises(DomainError):
-        log_det_unit(AngleParam(-0.75), route="rational")
+        log_det_area(AngleParam(-0.75), 1.0, route="rational")
     with pytest.raises(DomainError):
-        log_det_unit(AngleParam(-0.75), route="bogus")
+        log_det_area(AngleParam(-0.75), 1.0, route="bogus")
 
 
 @pytest.mark.parametrize("beta", sorted(FROZEN_MIDPOINTS))
 def test_log_det_frozen_midpoints(beta):
-    assert abs(log_det_unit(AngleParam(beta)).log_det - FROZEN_MIDPOINTS[beta]) <= 1e-12
+    assert abs(log_det_area(AngleParam(beta), 1.0).log_det - FROZEN_MIDPOINTS[beta]) <= 1e-12
 
 
 def test_det_result_decomposition():
@@ -192,11 +191,6 @@ def test_zeta0_derivatives_at_critical():
     p = AngleParam(BETA_CRITICAL)
     assert abs(d_zeta0(p)) <= 1e-12
     assert abs(d2_zeta0(p) - 27.0) <= 1e-10
-
-
-def test_log_det_area_unit_matches():
-    p = AngleParam(-0.61)
-    assert log_det_area(p, 1.0).log_det == log_det_unit(p).log_det
 
 
 def test_log_det_area_critical_line():
@@ -249,7 +243,7 @@ def test_asymptotic_neg1_residual_shrinks():
     res = {}
     for beta in (-0.99, -0.999, -0.9999):
         p = AngleParam(beta)
-        res[beta] = log_det_unit(p).log_det - asymptotic_neg1(p)
+        res[beta] = log_det_area(p, 1.0).log_det - asymptotic_neg1(p)
     assert abs(res[-0.999]) < abs(res[-0.99])
     # remainder is first order: calibrate the constant two decades out
     c = abs(res[-0.99]) / 1e-2
@@ -267,19 +261,19 @@ def test_asymptotic_neghalf_leading_ratio():
 
 
 def test_asymptotic_neghalf_residual_shrinks_linearly():
-    r1 = log_det_unit(AngleParam(-0.505)).log_det - asymptotic_neghalf(AngleParam(-0.505))
-    r2 = log_det_unit(AngleParam(-0.5005)).log_det - asymptotic_neghalf(AngleParam(-0.5005))
+    r1 = log_det_area(AngleParam(-0.505), 1.0).log_det - asymptotic_neghalf(AngleParam(-0.505))
+    r2 = log_det_area(AngleParam(-0.5005), 1.0).log_det - asymptotic_neghalf(AngleParam(-0.5005))
     assert abs(r2) < abs(r1)
     assert 1.0 / 30.0 <= abs(r2) / abs(r1) <= 1.0 / 3.0
 
 
 def test_log_det_blows_up_toward_both_endpoints():
-    minimum = log_det_unit(AngleParam(BETA_CRITICAL)).log_det
-    v999 = log_det_unit(AngleParam(-0.999)).log_det
-    v99 = log_det_unit(AngleParam(-0.99)).log_det
+    minimum = log_det_area(AngleParam(BETA_CRITICAL), 1.0).log_det
+    v999 = log_det_area(AngleParam(-0.999), 1.0).log_det
+    v99 = log_det_area(AngleParam(-0.99), 1.0).log_det
     assert v999 > v99 > minimum
-    v501 = log_det_unit(AngleParam(-0.501)).log_det
-    v51 = log_det_unit(AngleParam(-0.51)).log_det
+    v501 = log_det_area(AngleParam(-0.501), 1.0).log_det
+    v51 = log_det_area(AngleParam(-0.51), 1.0).log_det
     assert v501 > v51 > minimum
 
 
@@ -304,7 +298,7 @@ def test_scaling_factor_expansions():
 # ---------------------------------------------------------------------------
 
 ARRAY_AWARE = {
-    "log_det_unit": lambda p: log_det_unit(p).log_det,
+    "log_det_area": lambda p: log_det_area(p, 1.3).log_det,
     "d_log_det": d_log_det,
     "d2_log_det": d2_log_det,
     "zeta0": zeta0,
@@ -363,8 +357,8 @@ def test_critical_point():
 def test_d_log_det_matches_finite_difference(beta):
     h = 1e-6
     fd = (
-        log_det_unit(AngleParam(beta + h)).log_det
-        - log_det_unit(AngleParam(beta - h)).log_det
+        log_det_area(AngleParam(beta + h), 1.0).log_det
+        - log_det_area(AngleParam(beta - h), 1.0).log_det
     ) / (2.0 * h)
     assert abs(d_log_det(AngleParam(beta)) - fd) <= 1e-6
 
@@ -403,9 +397,9 @@ def test_derivatives_match_central_differences(beta):
 def test_d2_log_det_matches_finite_difference(beta):
     h = 1e-4
     fd = (
-        log_det_unit(AngleParam(beta + h)).log_det
-        - 2.0 * log_det_unit(AngleParam(beta)).log_det
-        + log_det_unit(AngleParam(beta - h)).log_det
+        log_det_area(AngleParam(beta + h), 1.0).log_det
+        - 2.0 * log_det_area(AngleParam(beta), 1.0).log_det
+        + log_det_area(AngleParam(beta - h), 1.0).log_det
     ) / h**2
     assert abs(d2_log_det(AngleParam(beta)) - fd) <= 1e-4
 

@@ -1,0 +1,85 @@
+"""The scalar path of the determinant, pinned bit for bit.
+
+The scan hashes pin the array path only.  These ``float.hex`` strings pin
+what a float beta or a float a gives: the parts of ``log_det_area`` on the
+integral and series routes, both beta-derivatives, the series route of
+zeta_B'(0; a, 1, 1) with its certificate, and the critical area.
+"""
+
+import pytest
+
+from envdet import barnes, envelope
+from envdet.envelope import AngleParam
+
+PARTS = {
+    (-0.999, 1.0): ("0x1.5ded291d3e705p+9", "0x1.a7422b0611735p+10", "-0x1.f0972ceee4765p+9", "-0x0.0p+0"),
+    (-0.999, 3.0): ("0x1.02ecb2846cc2ep+9", "0x1.a7422b0611735p+10", "-0x1.f0972ceee4765p+9", "-0x1.6c01da6346b5bp+7"),
+    (-0.75, 1.0): ("0x1.53908b55272f4p-4", "0x1.5d15af285ab0ep+1", "-0x1.52792acdb1776p+1", "0x0.0p+0"),
+    (-0.75, 3.0): ("0x1.6e22ca8019fc7p-2", "0x1.5d15af285ab0ep+1", "-0x1.52792acdb1776p+1", "0x1.193ea7aad030ap-2"),
+    (-2.0 / 3.0, 1.0): ("0x1.637ea0bb0e1f0p-6", "0x1.159aba663ff40p+1", "-0x1.12d3bd24c9d7cp+1", "0x0.0p+0"),
+    (-2.0 / 3.0, 3.0): ("0x1.8d361eef7122bp-2", "0x1.159aba663ff40p+1", "-0x1.12d3bd24c9d7cp+1", "0x1.76fe34e3c040cp-2"),
+    (-0.51, 1.0): ("0x1.13cdc8e566f84p+2", "0x1.ce25f839d313ep+4", "-0x1.893286007955dp+4", "-0x0.0p+0"),
+    (-0.51, 3.0): ("0x1.18c3e548b0bfcp-1", "0x1.ce25f839d313ep+4", "-0x1.893286007955dp+4", "-0x1.e16a9878a1c09p+1"),
+}
+DERIVATIVES = {
+    -0.999: ("-0x1.a48eb6a17c30ap+19", "0x1.c2330872ed2a5p+30"),
+    -0.75: ("-0x1.8c068866e1a5ap+0", "0x1.74def56474206p+4"),
+    -2.0 / 3.0: ("0x1.0000000000000p-49", "0x1.19bff16f11180p+4"),
+    -0.51: ("0x1.56c9fc543669cp+9", "0x1.4fa75c49e4d5cp+17"),
+}
+SERIES_ROUTE = {
+    (-0.999, 2): ("0x1.5dec721dd1f3fp+9", "0x1.a7422b0611735p+10", "-0x1.f097e3ee50f2bp+9"),
+    (-0.999, 4): ("0x1.5ded163cd98a8p+9", "0x1.a7422b0611735p+10", "-0x1.f0973fcf495c2p+9"),
+    (-0.75, 2): ("0x1.4f7c0c282ab48p-4", "0x1.5d15af285ab0ep+1", "-0x1.5299cec7195b4p+1"),
+    (-0.75, 4): ("0x1.5388e1d43d354p-4", "0x1.5d15af285ab0ep+1", "-0x1.52796819b8c73p+1"),
+    (-2.0 / 3.0, 2): ("0x1.57a59b5f4a590p-6", "0x1.159aba663ff40p+1", "-0x1.12eb6f2f815f5p+1"),
+    (-2.0 / 3.0, 4): ("0x1.6378989d336b0p-6", "0x1.159aba663ff40p+1", "-0x1.12d3c935058d3p+1"),
+    (-0.51, 2): ("0x1.13b55b51edb60p+2", "0x1.ce25f839d313ep+4", "-0x1.8938a16557a66p+4"),
+    (-0.51, 4): ("0x1.13cd9437ed248p+2", "0x1.ce25f839d313ep+4", "-0x1.8932932bd7cacp+4"),
+}
+BARNES_SERIES = {
+    (0.005, 2): ("0x1.8a555552a6a68p+5", "0x1.caea453a8569dp-32"),
+    (0.005, 5): ("0x1.8a555552984f3p+5", "0x1.fdd43c79e915bp-80"),
+    (0.005, 16): ("0x1.8a555552984f3p+5", "0x1.de4263c013c60p-214"),
+    (0.3, 2): ("0x1.895cb539f7e67p-2", "0x1.7a22686ae84dcp-14"),
+    (0.3, 5): ("0x1.894590786fae9p-2", "0x1.1d35fb27b5622p-26"),
+    (0.3, 16): ("0x1.8945916d3a5dcp-2", "0x1.02b8c7877ce11p-30"),
+    (1.0, 2): ("-0x1.4d084c62d9820p-3", "0x1.b5a7d2ed83639p-9"),
+    (1.0, 5): ("-0x1.536a22991a3d6p-3", "0x1.ba34ca1c7439ap-11"),
+    (1.0, 16): ("0x1.4100781f85960p+19", "0x1.d1089b17cf477p+23"),
+}
+CRITICAL_AREA = "0x1.eb75300deff52p+0"
+
+
+def _hex(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+@pytest.mark.parametrize("beta,area", sorted(PARTS))
+def test_log_det_area_parts(beta, area):
+    det = envelope.log_det_area(AngleParam(beta), area)
+    parts = (det.log_det, det.elementary_part, det.barnes_part, det.area_term)
+    assert _hex(*parts) == PARTS[beta, area]
+
+
+@pytest.mark.parametrize("beta", sorted(DERIVATIVES))
+def test_derivatives(beta):
+    p = AngleParam(beta)
+    assert _hex(envelope.d_log_det(p), envelope.d2_log_det(p)) == DERIVATIVES[beta]
+
+
+@pytest.mark.parametrize("beta,n", sorted(SERIES_ROUTE))
+def test_log_det_area_series_route(beta, n):
+    det = envelope.log_det_area(AngleParam(beta), 1.0, route="series", series_terms=n)
+    parts = (det.log_det, det.elementary_part, det.barnes_part)
+    assert _hex(*parts) == SERIES_ROUTE[beta, n]
+
+
+@pytest.mark.parametrize("a,n", sorted(BARNES_SERIES))
+def test_zeta_b_prime0_series(a, n):
+    out = barnes.zeta_b_prime0_series(a, n)
+    assert _hex(out.value, out.error_bound) == BARNES_SERIES[a, n]
+
+
+def test_critical_area():
+    assert envelope.critical_area().hex() == CRITICAL_AREA

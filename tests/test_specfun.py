@@ -53,7 +53,7 @@ def test_log_gamma_critical_value_relation():
     # 2 log Gamma(2/3) recovers the determinant's critical value identity
     from envdet import envelope
 
-    log_det = envelope.log_det_unit(envelope.AngleParam(-2.0 / 3.0)).log_det
+    log_det = envelope.log_det_area(envelope.AngleParam(-2.0 / 3.0), 1.0).log_det
     lhs = 2.0 * log_gamma(2.0 / 3.0)
     rhs = (2.0 / 3.0) * LOG_PI + math.log(2.0 / 3.0) / 3.0 - log_det
     assert abs(lhs - rhs) <= 1e-9
