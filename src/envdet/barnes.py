@@ -11,11 +11,11 @@ The integral and series routes share one closed-form head; the series route
 and its certificate share one table of Bernoulli-tail coefficients, built at
 import.  The integral route and its first and second a-derivatives (the
 integral representation differentiated under the integral sign) share one
-vectorised double-exponential quadrature per derivative order, evaluated on
-an array of a values at once; scalar a is a one-element array.  Each
-integrand call evaluates the kernel once, on the outer product of a block of
-quadrature nodes with the a values.  The Dedekind sum behind the rational
-route is a sum of integers.
+vectorised double-exponential quadrature, evaluated on an array of a values
+and for one or several derivative orders at once; scalar a is a one-element
+array.  Each integrand call evaluates the kernel once, for every order, on
+the outer product of a block of quadrature nodes with the a values.  The
+Dedekind sum behind the rational route is a sum of integers.
 """
 
 from __future__ import annotations
@@ -77,52 +77,64 @@ _A_MIN = 1e-100
 _A_MAX = 1e27
 
 
-def _series(r: np.ndarray, derivative: int) -> np.ndarray:
-    # Horner in place from the last coefficient: the same roundings as
-    # acc * s + c started from 0.0, without a temporary per step.
-    coeffs = _COEFFS[derivative]
+def _series(r: np.ndarray, orders: tuple):
+    # One array per order, yielded in turn, from one s = r^2.  Horner in
+    # place from the last coefficient: the same roundings as acc * s + c
+    # started from 0.0, without a temporary per step.
     s = r * r
-    acc = np.full_like(s, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc *= s
-        acc += c
-    acc *= r ** _POWER[derivative]
-    return acc
+    for k in orders:
+        coeffs = _COEFFS[k]
+        acc = np.full_like(s, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            acc *= s
+            acc += c
+        acc *= r ** _POWER[k]
+        yield acc
 
 
-def _closed(r: np.ndarray, derivative: int) -> np.ndarray:
-    # Closed forms written in exp(-r) to stay finite and cancellation-free
-    # for arbitrarily large r.
+def _closed(r: np.ndarray, orders: tuple):
+    # One array per order, yielded in turn, from one e^{-r}.  Closed forms
+    # written in exp(-r) to stay finite and cancellation-free for
+    # arbitrarily large r.
     den = -np.expm1(-r)            # 1 - e^{-r}
     er = 1.0 - den                 # e^{-r}
-    if derivative == 0:
-        return er / den - 1.0 / r + 0.5 - r / 12.0
-    if derivative == 1:
-        return -er / den**2 + 1.0 / r**2 - 1.0 / 12.0
-    return er * (1.0 + er) / den**3 - 2.0 / r**3
+    for k in orders:
+        if k == 0:
+            yield er / den - 1.0 / r + 0.5 - r / 12.0
+        elif k == 1:
+            yield -er / den**2 + 1.0 / r**2 - 1.0 / 12.0
+        else:
+            yield er * (1.0 + er) / den**3 - 2.0 / r**3
 
 
-def f_kernel(r: ArrayLike, derivative: int = 0) -> ArrayLike:
+def f_kernel(r: ArrayLike, derivative: Union[int, tuple] = 0) -> ArrayLike:
     """Regularized Bose kernel F(r) = 1/(e^r - 1) - 1/r + 1/2 - r/12.
 
-    ``derivative`` selects F, F' or F''.  Below the fixed crossover r = 0.5
-    the value comes from the Bernoulli series by Horner's rule, one
-    accumulator updated in place (the closed form cancels catastrophically as
-    r -> 0); from 0.5 on from the closed form.  The branches agree to ~1e-15
-    near the crossover.  NaN raises ``DomainError``; +inf gives the closed
-    form's limit.  A scalar r gives a float.
+    ``derivative`` selects F, F' or F''; a tuple of them gives one row per
+    order, stacked in a ``(len(derivative),) + r.shape`` array, from one
+    pass over r.  Below the fixed crossover r = 0.5 the value comes from the
+    Bernoulli series by Horner's rule, one accumulator updated in place (the
+    closed form cancels catastrophically as r -> 0); from 0.5 on from the
+    closed form.  The branches agree to ~1e-15 near the crossover.  NaN
+    raises ``DomainError``; +inf gives the closed form's limit.  A scalar r
+    and one order give a float.
     """
-    if derivative not in (0, 1, 2):
-        raise DomainError("derivative must be 0, 1 or 2")
+    orders = derivative if isinstance(derivative, tuple) else (derivative,)
+    if not orders or not all(k in (0, 1, 2) for k in orders):
+        raise DomainError("derivative must be 0, 1 or 2, or a tuple of them")
     arr = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all(arr >= 0.0):
         raise DomainError("f_kernel needs r >= 0")
     small = arr < _CROSSOVER
-    out = np.empty_like(arr)
-    out[small] = _series(arr[small], derivative)
     big = ~small
-    out[big] = _closed(arr[big], derivative)
-    return out if np.ndim(r) else float(out[0])
+    out = np.empty((len(orders),) + arr.shape)
+    # each order's values are scattered as soon as they are made
+    for row, series, closed in zip(out, _series(arr[small], orders), _closed(arr[big], orders)):
+        row[small] = series
+        row[big] = closed
+    if isinstance(derivative, tuple):
+        return out if np.ndim(r) else out[:, 0]
+    return out[0] if np.ndim(r) else float(out[0, 0])
 
 
 def dedekind_sum(q: int, p: int) -> Fraction:
@@ -170,33 +182,41 @@ def _head(a: ArrayLike, order: int) -> ArrayLike:
     return 2.0 * _LOG_A / a**3
 
 
-def _integral(a: ArrayLike, order: int):
-    """d^order/da^order of zeta_B'(0; a, 1, 1) for 1e-100 <= a <= 1e27, from one
-    quadrature over all of ``a``; returns (values shaped like ``a``, error
-    estimate).
+def _integral(a: ArrayLike, orders: Union[int, tuple]):
+    """d^k/da^k of zeta_B'(0; a, 1, 1) for 1e-100 <= a <= 1e27 and each order
+    k in ``orders``, from one quadrature over all of ``a``; returns (values,
+    error estimate).  An int order gives values shaped like ``a`` and a float
+    error; a tuple of orders one row of values and one error per order.
 
     The integrands F(at)/(t(e^t-1)), F'(at)/(e^t-1) and t F''(at)/(e^t-1) are
     smooth at t = 0 and decay like e^{-t}.
     """
+    fused = isinstance(orders, tuple)
+    ks = orders if fused else (orders,)
     arr = np.asarray(a, dtype=float).ravel()
     if arr.size == 0 or not np.all((arr >= _A_MIN) & (arr <= _A_MAX)):
         raise DomainError(f"the integral route needs {_A_MIN:g} <= a <= {_A_MAX:g}, got {a!r}")
 
-    # One kernel call per block of nodes t, on the outer product t a.  The
-    # kernel values stay an unnamed temporary, so numpy divides them in place
-    # instead of allocating a second array.  e^t - 1 comes from math.expm1
-    # node by node: np.expm1 differs from it in the last bit at some nodes.
+    # One kernel call per block of nodes t, for every order at once, on the
+    # outer product t a; each order's kernel values are divided in place.
+    # e^t - 1 comes from math.expm1 node by node: np.expm1 differs from it in
+    # the last bit at some nodes.
     def integrand(t: np.ndarray) -> np.ndarray:
         em = np.array([[math.expm1(x)] for x in t.tolist()])
         t = t[:, None]
-        if order == 0:
-            return f_kernel(t * arr, 0) / (t * em)
-        if order == 1:
-            return f_kernel(t * arr, 1) / em
-        return t * f_kernel(t * arr, 2) / em
+        values = f_kernel(t * arr, ks)
+        for v, k in zip(values, ks):
+            if k == 2:
+                v *= t
+            v /= t * em if k == 0 else em
+        # node axis first, then one group per order for the quadrature
+        return np.moveaxis(values, 0, 1) if fused else values[0]
 
     integral, err = integrate_semi_infinite(integrand)
-    out = (_head(arr, order) + integral).reshape(np.shape(a))
+    if fused:
+        out = np.stack([_head(arr, k) + row for k, row in zip(orders, integral)])
+        return out.reshape((len(orders),) + np.shape(a)), err
+    out = (_head(arr, orders) + integral).reshape(np.shape(a))
     return (out if np.ndim(a) else float(out)), err
 
 

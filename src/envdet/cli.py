@@ -92,18 +92,18 @@ _CSV_ROW = ",".join(["%.17g"] * len(_SCAN_COLUMNS)) + "\n"
 _JSON_ROW = "    {\n" + ",\n".join(f'      "{c}": %r' for c in _SCAN_COLUMNS) + "\n    }"
 
 
-def _scan_json(inputs: Dict[str, Any], columns, rows) -> str:
+def _scan_json(inputs: Dict[str, Any], columns, rows):
     """The text json.dumps(doc, indent=2, allow_nan=False) gives the scan
-    document, with the rows rendered from _JSON_ROW: with an indent json
-    runs its pure-Python encoder, several times slower on a large scan."""
+    document, as the pieces to write in order, with the rows rendered from
+    _JSON_ROW: with an indent json runs its pure-Python encoder, several
+    times slower on a large scan."""
     doc = {"schema_version": SCHEMA_VERSION, "command": "scan", "inputs": inputs, "rows": None}
     head = json.dumps(doc, indent=2, allow_nan=False)[: -len("null\n}")]
     values = np.column_stack(columns)
     bad = values[~np.isfinite(values)]  # in row order, as json meets them
     if bad.size:
         raise ValueError(f"Out of range float values are not JSON compliant: {float(bad[0])!r}")
-    body = "[\n" + ",\n".join([_JSON_ROW % row for row in rows]) + "\n  ]"
-    return head + body + "\n}\n"
+    return head + "[\n", ",\n".join([_JSON_ROW % row for row in rows]), "\n  ]\n}\n"
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -118,9 +118,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     columns = (table.beta, table.log_det, table.d1, table.d2,
                table.asymptotic_neg1, table.asymptotic_neghalf)
     rows = zip(*(c.tolist() for c in columns))
+    # the rows are rendered in one string and written apart from the header,
+    # never joined to it: a copy of the whole payload would double the peak
     if args.format == "csv":
-        header = ",".join(_SCAN_COLUMNS) + "\n"
-        payload = header + "".join([_CSV_ROW % row for row in rows])
+        pieces = ",".join(_SCAN_COLUMNS) + "\n", "".join([_CSV_ROW % row for row in rows])
     else:
         inputs = {
             "beta_from": args.beta_from,
@@ -129,9 +130,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             "area": args.area,
             "exact_points": bool(args.exact_points),
         }
-        payload = _scan_json(inputs, columns, rows)
+        pieces = _scan_json(inputs, columns, rows)
     with open(args.out, "w", encoding="ascii", newline="") as handle:
-        handle.write(payload)
+        for piece in pieces:
+            handle.write(piece)
     sys.stdout.write(f"wrote {len(table.beta)} rows to {args.out}\n")
     return EXIT_OK
 

@@ -191,45 +191,60 @@ def _log_c(b):
     )
 
 
-def _elementary(b, k: int):
+def _elementary(b, orders):
     """k-th beta-derivative (k = 0, 1, 2) of the elementary terms of the
     unit-area log det, g log 2 - h log c - log a1 - log(a2)/2 - 2.5 log 2
-    - log pi with c the scaling factor."""
+    - log pi with c the scaling factor, for an int order k or, for a tuple
+    of orders, a list with one term per order from shared intermediates."""
+    ks = orders if isinstance(orders, tuple) else (orders,)
     a1 = b + 1.0
     a2 = -2.0 * b - 1.0
     x2 = 2.0 * b + 1.0
     h = (2.0 / a1 - 1.0 / x2 - 1.0) / 6.0
     log_c = _log_c(b)
-    if k == 0:
-        g = (2.0 * b + 4.0 / a1 - 1.0 / x2) / 6.0
-        return g * _LOG2 - h * log_c - np.log(a1) - 0.5 * np.log(a2) - 2.5 * _LOG2 - LOG_PI
-    hp = (-2.0 / a1**2 + 2.0 / x2**2) / 6.0
-    s = np.sin(np.pi * a2)
-    d_log_c = _sp.psi(a2 / 2.0) - _sp.psi(a1) + np.pi * np.cos(np.pi * a2) / s
-    if k == 1:
-        gp = (2.0 - 4.0 / a1**2 + 2.0 / x2**2) / 6.0
-        return gp * _LOG2 - hp * log_c - h * d_log_c - 1.0 / a1 + 1.0 / a2
-    gpp = (8.0 / a1**3 - 8.0 / x2**3) / 6.0
-    hpp = (4.0 / a1**3 - 8.0 / x2**3) / 6.0
-    d2_log_c = -_sp.polygamma(1, a2 / 2.0) - _sp.polygamma(1, a1) + 2.0 * np.pi**2 / s**2
-    return (
-        gpp * _LOG2
-        - hpp * log_c
-        - 2.0 * hp * d_log_c
-        - h * d2_log_c
-        + 1.0 / a1**2
-        + 2.0 / a2**2
-    )
+    if max(ks) > 0:
+        hp = (-2.0 / a1**2 + 2.0 / x2**2) / 6.0
+        s = np.sin(np.pi * a2)
+        d_log_c = _sp.psi(a2 / 2.0) - _sp.psi(a1) + np.pi * np.cos(np.pi * a2) / s
+    terms = []
+    for k in ks:
+        if k == 0:
+            g = (2.0 * b + 4.0 / a1 - 1.0 / x2) / 6.0
+            terms.append(
+                g * _LOG2 - h * log_c - np.log(a1) - 0.5 * np.log(a2) - 2.5 * _LOG2 - LOG_PI
+            )
+        elif k == 1:
+            gp = (2.0 - 4.0 / a1**2 + 2.0 / x2**2) / 6.0
+            terms.append(gp * _LOG2 - hp * log_c - h * d_log_c - 1.0 / a1 + 1.0 / a2)
+        else:
+            gpp = (8.0 / a1**3 - 8.0 / x2**3) / 6.0
+            hpp = (4.0 / a1**3 - 8.0 / x2**3) / 6.0
+            d2_log_c = -_sp.polygamma(1, a2 / 2.0) - _sp.polygamma(1, a1) + 2.0 * np.pi**2 / s**2
+            terms.append(
+                gpp * _LOG2
+                - hpp * log_c
+                - 2.0 * hp * d_log_c
+                - h * d2_log_c
+                + 1.0 / a1**2
+                + 2.0 / a2**2
+            )
+    return terms if isinstance(orders, tuple) else terms[0]
 
 
-def _integral_pair(p: AngleParam, k: int):
+def _integral_pair(p: AngleParam, orders):
     """Integral-route k-th a-derivative of zeta_B'(0; ., 1, 1) at a1 and at
-    a2, from one quadrature over both."""
+    a2, from one quadrature over both: shaped (2,) + beta's shape for an int
+    order k, with a leading axis of one row per order for a tuple of them."""
     a = np.concatenate([np.atleast_1d(p.a1), np.atleast_1d(p.a2)])
-    # only the k-th name is looked up, and at call time, so a replaced (or
-    # removed) module attribute of another order never matters
-    route = getattr(barnes, ("zeta_b_prime0_values", "d_zeta_b_prime0", "d2_zeta_b_prime0")[k])
-    return np.reshape(route(a), (2,) + np.shape(p.beta))
+    if isinstance(orders, tuple):
+        z = barnes._integral(a, orders)[0]
+    else:
+        # one order goes through its public route, looked up by name at call
+        # time, so a replaced (or removed) module attribute of another order
+        # never matters
+        route = ("zeta_b_prime0_values", "d_zeta_b_prime0", "d2_zeta_b_prime0")[orders]
+        z = getattr(barnes, route)(a)
+    return np.reshape(z, np.shape(z)[:-1] + (2,) + np.shape(p.beta))
 
 
 def _chain(k: int, elementary, z1, z2):
@@ -416,17 +431,25 @@ def geometry(p: AngleParam, area: float = 1.0) -> EnvelopeGeometry:
 
 
 def _columns(b: np.ndarray, area: float):
-    """The ScanTable columns at the betas ``b``, in field order."""
+    """The ScanTable columns at the betas ``b``, in field order: the values
+    of log_det_area, d_log_det and d2_log_det, from one quadrature for all
+    three orders."""
     p = AngleParam(b)
     log_area = math.log(area)
-    det = log_det_area(p, area)
+    orders = (0, 1, 2)
+    elementary = _elementary(b, orders)
+    log_det, d1, d2 = (
+        _chain(k, e, z1, z2)
+        for k, e, (z1, z2) in zip(orders, elementary, _integral_pair(p, orders))
+    )
+    area_term = -zeta0(p) * log_area
     return (
         b,
-        det.log_det,
-        d_log_det(p) - d_zeta0(p) * log_area,
-        d2_log_det(p) - d2_zeta0(p) * log_area,
-        asymptotic_neg1(p) + det.area_term,
-        asymptotic_neghalf(p) + det.area_term,
+        log_det + area_term,
+        d1 - d_zeta0(p) * log_area,
+        d2 - d2_zeta0(p) * log_area,
+        asymptotic_neg1(p) + area_term,
+        asymptotic_neghalf(p) + area_term,
     )
 
 
@@ -490,7 +513,13 @@ def refine_minimum(
 ) -> float:
     """Locate the minimizer of beta -> log det at fixed area by repeated
     grid refinement, to within ``tol`` > 0 or until the bracket stops
-    shrinking (a few ulps wide, where the grid repeats doubles)."""
+    shrinking (a few ulps wide, where the grid repeats doubles).
+
+    The result is accurate to ``tol`` only down to about 1e-8 in beta.  Near
+    its minimum log det is flat to within rounding over a few 1e-9, so a
+    smaller ``tol`` narrows the bracket on rounding noise: it can end a few
+    ulps wide about a point some 1e-9 from the true minimizer (at unit area,
+    -0.66666666850 against -2/3)."""
     if not (tol > 0.0 and beta_min < beta_max):
         raise DomainError(
             f"refine_minimum needs tol > 0 and beta_min < beta_max, got "

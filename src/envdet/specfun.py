@@ -144,7 +144,7 @@ def _level_nodes(
     return tables
 
 
-def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray]) -> Tuple[ArrayLike, float]:
+def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray]) -> Tuple[ArrayLike, ArrayLike]:
     """Integrate ``f`` over (0, inf) with a double-exponential trapezoid rule.
 
     The substitution t = exp(u - exp(-u)) maps the integral to the real line
@@ -154,20 +154,24 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray]) -> Tuple[Arra
     ``f`` takes a read-only 1-D array of n nodes and returns the integrand
     there with the node axis first: shape ``(n,)`` for a scalar integrand,
     ``(n, width)`` for a vector of ``width`` integrands (the rule is applied
-    component wise, with the max norm driving convergence).  The first call
-    gets one node and reveals ``width``; later calls get at most
-    ``max(1, 2**14 // width)`` nodes, so a level of a narrow integrand is one
-    call and a wide one gets one node per call.  The weighted values are
-    summed one node at a time in node order, so the result does not depend
-    on how the nodes were split into calls.
+    component wise, with the max norm driving convergence) and
+    ``(n, groups, width)`` for several such vectors, each converging on its
+    own.  The first call gets one node and reveals the size per node; later
+    calls get at most ``max(1, 2**14 // size)`` nodes, so a level of a narrow
+    integrand is one call and a wide one gets one node per call.  The
+    weighted values are summed one node at a time in node order, so the
+    result does not depend on how the nodes were split into calls.
 
     A refinement is accepted when it moves the estimate by at most
     ``max(tol, tol * |estimate|)``, with ``tol`` from ``ENVDET_QUAD_TOL``
     (default 1e-12), read once per call; a value that is not a finite
-    positive number raises ``DomainError``.
+    positive number raises ``DomainError``.  A group is frozen at the level
+    that accepts it, so its value and level are those of a call on that
+    group alone.
 
     Returns ``(value, err_est)`` where ``err_est`` is the last refinement
-    difference, an upper estimate of the remaining error.
+    difference, an upper estimate of the remaining error; grouped values
+    give one ``err_est`` per group.
     """
     target = _tol()
     # Hard cutoffs chosen so the neglected tails are far below tol:
@@ -187,29 +191,49 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray]) -> Tuple[Arra
             stop = start + block
             values = f(nodes[start:stop])
             block = max(1, _BLOCK_POINTS // np.size(values[0]))
-            for value, weight in zip(values, weights[start:stop].tolist()):
-                total = total + value * weight
+            # the whole block weighted by one multiply, its rows then added in
+            # node order
+            for row in values * weights[start:stop].reshape((-1,) + (1,) * (values.ndim - 1)):
+                total += row
+            del values, row  # free this block before the next one is made
             start = stop
         return total
 
     h = 0.5
     estimate = weighted_sum(h, odd_only=False) * h
-    err = math.inf
+    grouped = np.ndim(estimate) == 2
+    groups = len(estimate) if grouped else 1
+    # per group: the value it was accepted with and its last refinement
+    # difference
+    accepted = [None] * groups
+    errs = [math.inf] * groups
     eps = np.finfo(float).eps
+
     for level in range(_MAX_LEVELS):
         h /= 2.0
-        refined = estimate / 2.0 + weighted_sum(h, odd_only=True) * h
-        err = float(np.max(np.abs(refined - estimate)))
-        scale = float(np.max(np.abs(refined)))
+        # the new nodes' sum first, so that no halved copy of the estimate
+        # is held while it is formed (floating-point addition commutes)
+        refined = weighted_sum(h, odd_only=True) * h + estimate / 2.0
+        for g in range(groups):
+            if accepted[g] is not None:
+                continue
+            new = refined[g] if grouped else refined
+            errs[g] = float(np.max(np.abs(new - (estimate[g] if grouped else estimate))))
+            scale = float(np.max(np.abs(new)))
+            tol = max(target, target * scale)
+            # refuse to certify accuracy below what doubles can represent,
+            # even if two refinements happen to agree bitwise
+            if level >= 1 and errs[g] <= tol and tol >= 4.0 * eps * scale:
+                accepted[g] = new
         estimate = refined
-        tol = max(target, target * scale)
-        # refuse to certify accuracy below what doubles can represent, even
-        # if two refinements happen to agree bitwise
-        if level >= 1 and err <= tol and tol >= 4.0 * eps * scale:
-            if isinstance(estimate, np.ndarray) and estimate.ndim > 0:
-                return estimate, err
-            return float(estimate), err
+        if all(value is not None for value in accepted):
+            if grouped:
+                return np.stack(accepted), np.array(errs)
+            if np.ndim(refined) > 0:
+                return refined, errs[0]
+            return float(refined), errs[0]
+    last = max(err for err, value in zip(errs, accepted) if value is None)
     raise QuadratureError(
         f"quadrature did not reach tolerance {target:g} within "
-        f"{_MAX_LEVELS} refinements (last diff {err:g})"
+        f"{_MAX_LEVELS} refinements (last diff {last:g})"
     )

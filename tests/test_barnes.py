@@ -126,7 +126,8 @@ def test_f_kernel_branch_agreement_near_crossover():
     # evaluate both branches on each side of the crossover and compare
     r = np.linspace(0.45, 0.55, 21)
     for d in (0, 1, 2):
-        assert np.max(np.abs(barnes._series(r, d) - barnes._closed(r, d))) <= 1e-13
+        (series,), (closed,) = barnes._series(r, (d,)), barnes._closed(r, (d,))
+        assert np.max(np.abs(series - closed)) <= 1e-13
 
 
 def test_f_kernel_array_matches_scalar():
@@ -219,6 +220,22 @@ def test_kernel_matches_masked_reference(derivative, case):
         expected = _masked_kernel(r, derivative)
         assert type(got) is type(expected)
         assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_fused_kernel_matches_one_order_calls(case):
+    for r in KERNEL_CASES[case]():
+        got = f_kernel(r, (0, 1, 2))
+        assert got.shape == (3,) + np.shape(r)
+        for k in (0, 1, 2):
+            assert np.array_equal(got[k], f_kernel(r, k))
+        assert np.array_equal(f_kernel(r, (2, 0)), got[[2, 0]])
+
+
+@pytest.mark.parametrize("orders", [(), (0, 3), (-1,), [0, 1]])
+def test_fused_kernel_domain(orders):
+    with pytest.raises(DomainError):
+        f_kernel(1.0, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +486,18 @@ def test_blocked_quadrature_matches_node_loop(width, order):
     expected, expected_err = _integral_reference(a, order)
     assert np.array_equal(value, expected)
     assert err == expected_err
+
+
+@pytest.mark.parametrize("width", [1, 2, 45, 2**14 - 1, 2**14 + 1, 40000])
+def test_fused_orders_match_one_order_calls(width):
+    rng = np.random.default_rng(width)
+    a = 10.0 ** rng.uniform(-6.0, 0.5, width)
+    values, errs = barnes._integral(a, (0, 1, 2))
+    assert values.shape == (3, width) and errs.shape == (3,)
+    for k in (0, 1, 2):
+        value, err = barnes._integral(a, k)
+        assert np.array_equal(values[k], value)
+        assert errs[k] == err
 
 
 def _record_integrand_calls(monkeypatch):

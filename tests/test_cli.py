@@ -427,6 +427,66 @@ def test_quad_tolerance_env_loose_still_works(capsys, monkeypatch):
 
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+_REPORT_KEYS = ["schema_version", "command", "inputs", "results", "diagnostics"]
+# command line -> (inputs keys, results keys) of its JSON report
+_REPORTS = {
+    ("eval", "--beta", "-0.7", "--area", "2"): (
+        ["beta", "area"],
+        ["log_det", "elementary_part", "barnes_part", "area_term", "zeta0", "c_beta",
+         "side_ab", "angle_a", "angle_b", "angle_c"],
+    ),
+    ("critical", "--area", "3"): (
+        ["area"],
+        ["beta_star", "log_det", "d2_unit_area", "d2_at_area", "critical_area",
+         "classification"],
+    ),
+    ("verify", "--suite", "fast"): (["suite"], ["checks_total", "checks_failed"]),
+}
+
+
+@pytest.mark.parametrize("argv", list(_REPORTS), ids=lambda argv: argv[0])
+def test_json_reports_parse_strictly(argv, capsys):
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    inputs, results = _REPORTS[argv]
+    assert list(doc) == _REPORT_KEYS
+    assert doc["schema_version"] == SCHEMA_VERSION
+    assert doc["command"] == argv[0]
+    assert list(doc["inputs"]) == inputs
+    assert list(doc["results"]) == results
+    for name, status, measured, tolerance in doc["diagnostics"]:
+        assert status == "pass", name
+        assert all(type(x) in (int, float) for x in (measured, tolerance))
+    assert bool(doc["diagnostics"]) == (argv[0] == "verify")
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["grid", "exact-points"])
+def test_json_scan_parses_strictly(exact, tmp_path, capsys):
+    path = tmp_path / "scan.json"
+    argv = ["scan", "--from", "-0.8", "--to", "-0.6", "--count", "7", "--area", "1.5",
+            "--out", str(path), "--format", "json"] + ["--exact-points"] * exact
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    doc = json.loads(path.read_text(encoding="ascii"), parse_constant=_reject_constant)
+    assert list(doc) == ["schema_version", "command", "inputs", "rows"]
+    assert doc["schema_version"] == SCHEMA_VERSION
+    assert doc["command"] == "scan"
+    assert doc["inputs"] == {"beta_from": -0.8, "beta_to": -0.6, "count": 7, "area": 1.5,
+                             "exact_points": exact}
+    assert list(doc["inputs"]) == ["beta_from", "beta_to", "count", "area", "exact_points"]
+    # [-0.8, -0.6] holds ten reduced fractions with denominator <= 12, four
+    # of them (-4/5, -7/10, -2/3, -3/5) on the grid
+    assert len(doc["rows"]) == (13 if exact else 7)
+    for row in doc["rows"]:
+        assert list(row) == ["beta", "log_det", "d1", "d2", "asym_neg1", "asym_neghalf"]
+        assert all(type(x) is float for x in row.values())
+
+
 def test_settings_are_constants(capsys):
     # the quadrature tolerance is the one setting; the crossover, the
     # refinement budget, the exact-point denominator and the schema version

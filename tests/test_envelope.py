@@ -393,6 +393,17 @@ def test_derivatives_match_central_differences(beta):
         assert abs(analytic - fd) <= 1e-5 * max(1.0, abs(fd)), (beta, analytic, fd)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-0.999, -0.501), st.floats(math.log(1e-3), math.log(1e3)))
+def test_rescaling_identity_property(beta, log_area):
+    # S log-uniform on [1e-3, 1e3]
+    area = math.exp(log_area)
+    p = AngleParam(beta)
+    scaled = log_det_area(p, area).log_det
+    expected = log_det_area(p, 1.0).log_det - zeta0(p) * math.log(area)
+    assert abs(scaled - expected) <= 1e-12 * max(1.0, abs(expected)), (beta, area)
+
+
 @pytest.mark.parametrize("beta", [-0.8, BETA_CRITICAL, -0.6])
 def test_d2_log_det_matches_finite_difference(beta):
     h = 1e-4
@@ -569,7 +580,27 @@ def test_scan_exact_points_share_one_evaluation(monkeypatch):
 
     monkeypatch.setattr(envelope.barnes, "integrate_semi_infinite", quadrature)
     scan(-0.8, -0.6, 11, 1.5, include_exact_points=True)
-    assert len(calls) == 3  # orders 0, 1 and 2, over the grid and the exact betas at once
+    assert len(calls) == 1  # orders 0, 1 and 2 together, over the grid and the exact betas at once
+
+
+def test_scan_runs_one_quadrature_and_one_kernel_call_per_node(monkeypatch):
+    quadratures, kernel_calls = [], []
+    kernel = envelope.barnes.f_kernel
+
+    def quadrature(f):
+        quadratures.append(f)
+        return integrate_semi_infinite(f)
+
+    def counted_kernel(r, derivative=0):
+        kernel_calls.append((np.shape(r), derivative))
+        return kernel(r, derivative)
+
+    monkeypatch.setattr(envelope.barnes, "integrate_semi_infinite", quadrature)
+    monkeypatch.setattr(envelope.barnes, "f_kernel", counted_kernel)
+    scan(-0.9999, -0.5001, 20000, 1.7)
+    assert len(quadratures) == 1
+    # all three orders at each of the 68 nodes, on the 40000 values of a
+    assert kernel_calls == [((1, 40000), (0, 1, 2))] * 68
 
 
 def test_scan_exact_point_wins_a_tie_with_the_grid():

@@ -164,6 +164,56 @@ def test_quadrature_nonconvergence(monkeypatch):
         integrate_semi_infinite(lambda t: t / np.expm1(t))
 
 
+_RATES = np.array([0.5, 1.0, 2.0])
+
+
+def _fast(t):
+    # e^{-ct}: accepted at level 1, after 68 nodes
+    return np.exp(-t[:, None] * _RATES)
+
+
+def _slow(t):
+    # e^{-t} times a narrow peak at ct = 3: accepted at level 7, after 4352 nodes
+    return np.exp(-t[:, None]) / (1.0 + 100.0 * (t[:, None] * _RATES - 3.0) ** 2)
+
+
+def _counted(f):
+    """Integrate f, returning (value, err, nodes evaluated)."""
+    nodes = []
+
+    def g(t):
+        nodes.append(t.size)
+        return f(t)
+
+    value, err = integrate_semi_infinite(g)
+    return value, err, sum(nodes)
+
+
+@pytest.mark.parametrize("first", ["fast", "slow"])
+def test_grouped_quadrature_freezes_each_group_at_its_level(first):
+    fast, fast_err, fast_nodes = _counted(_fast)
+    slow, slow_err, slow_nodes = _counted(_slow)
+    assert (fast_nodes, slow_nodes) == (68, 4352)
+    groups = [(_fast, fast, fast_err), (_slow, slow, slow_err)]
+    if first == "slow":
+        groups.reverse()
+    value, err, nodes = _counted(lambda t: np.stack([f(t) for f, _, _ in groups], axis=1))
+    assert nodes == 4352
+    assert value.shape == (2, 3) and err.shape == (2,)
+    for g, (_, alone, alone_err) in enumerate(groups):
+        assert np.array_equal(value[g], alone)
+        assert err[g] == alone_err
+
+
+def test_grouped_quadrature_raises_while_a_group_is_open(monkeypatch):
+    # e^{-t} t^{-0.9} is integrable, but too singular at 0 for ten refinements
+    with pytest.raises(QuadratureError):
+        integrate_semi_infinite(lambda t: np.stack([_fast(t), _fast(t) * t[:, None] ** -0.9], axis=1))
+    monkeypatch.setenv("ENVDET_QUAD_TOL", "1e-30")
+    with pytest.raises(QuadratureError):
+        integrate_semi_infinite(lambda t: np.stack([_fast(t), _slow(t)], axis=1))
+
+
 def test_quadrature_nodes_are_read_only_and_increasing():
     seen = []
 
