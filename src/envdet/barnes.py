@@ -12,9 +12,10 @@ and its certificate share one table of Bernoulli-tail coefficients, built at
 import.  The integral route and its first and second a-derivatives (the
 integral representation differentiated under the integral sign) share one
 vectorised double-exponential quadrature, evaluated on an array of a values
-and for one or several derivative orders at once; scalar a is a one-element
-array.  Each integrand call evaluates the kernel once, for every order, on
-the outer product of a block of quadrature nodes with the a values.  The
+for a tuple of derivative orders at once, one quadrature group per order;
+scalar a is a one-element array and one order a one-element tuple.  Each
+integrand call evaluates the kernel once, for every order not yet accepted,
+on the outer product of a block of quadrature nodes with the a values.  The
 Dedekind sum behind the rational route is a sum of integers.
 """
 
@@ -123,7 +124,7 @@ def f_kernel(r: ArrayLike, derivative: Union[int, tuple] = 0) -> ArrayLike:
     if not orders or not all(k in (0, 1, 2) for k in orders):
         raise DomainError("derivative must be 0, 1 or 2, or a tuple of them")
     arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if not np.all(arr >= 0.0):
+    if not (arr >= 0.0).all():
         raise DomainError("f_kernel needs r >= 0")
     small = arr < _CROSSOVER
     big = ~small
@@ -182,26 +183,24 @@ def _head(a: ArrayLike, order: int) -> ArrayLike:
     return 2.0 * _LOG_A / a**3
 
 
-def _integral(a: ArrayLike, orders: Union[int, tuple]):
+def _integral(a: ArrayLike, orders: tuple):
     """d^k/da^k of zeta_B'(0; a, 1, 1) for 1e-100 <= a <= 1e27 and each order
-    k in ``orders``, from one quadrature over all of ``a``; returns (values,
-    error estimate).  An int order gives values shaped like ``a`` and a float
-    error; a tuple of orders one row of values and one error per order.
+    k in ``orders``, from one quadrature over all of ``a``; returns the values,
+    one row per order shaped like ``a``, and one error estimate per order.
 
     The integrands F(at)/(t(e^t-1)), F'(at)/(e^t-1) and t F''(at)/(e^t-1) are
     smooth at t = 0 and decay like e^{-t}.
     """
-    fused = isinstance(orders, tuple)
-    ks = orders if fused else (orders,)
     arr = np.asarray(a, dtype=float).ravel()
-    if arr.size == 0 or not np.all((arr >= _A_MIN) & (arr <= _A_MAX)):
+    if arr.size == 0 or not ((arr >= _A_MIN) & (arr <= _A_MAX)).all():
         raise DomainError(f"the integral route needs {_A_MIN:g} <= a <= {_A_MAX:g}, got {a!r}")
 
-    # One kernel call per block of nodes t, for every order at once, on the
-    # outer product t a; each order's kernel values are divided in place.
+    # One kernel call per block of nodes t, for every open order at once, on
+    # the outer product t a; each order's kernel values are divided in place.
     # e^t - 1 comes from math.expm1 node by node: np.expm1 differs from it in
     # the last bit at some nodes.
-    def integrand(t: np.ndarray) -> np.ndarray:
+    def integrand(t: np.ndarray, open_: tuple) -> np.ndarray:
+        ks = tuple(orders[g] for g in open_)
         em = np.array([[math.expm1(x)] for x in t.tolist()])
         t = t[:, None]
         values = f_kernel(t * arr, ks)
@@ -210,14 +209,12 @@ def _integral(a: ArrayLike, orders: Union[int, tuple]):
                 v *= t
             v /= t * em if k == 0 else em
         # node axis first, then one group per order for the quadrature
-        return np.moveaxis(values, 0, 1) if fused else values[0]
+        return values.swapaxes(0, 1)
 
-    integral, err = integrate_semi_infinite(integrand)
-    if fused:
-        out = np.stack([_head(arr, k) + row for k, row in zip(orders, integral)])
-        return out.reshape((len(orders),) + np.shape(a)), err
-    out = (_head(arr, orders) + integral).reshape(np.shape(a))
-    return (out if np.ndim(a) else float(out)), err
+    integral, errs = integrate_semi_infinite(integrand, len(orders))
+    for k, row in zip(orders, integral):
+        row += _head(arr, k)
+    return integral.reshape((len(orders),) + np.shape(a)), errs
 
 
 def zeta_b_prime0(a: float) -> BarnesEval:
@@ -227,13 +224,13 @@ def zeta_b_prime0(a: float) -> BarnesEval:
     """
     if np.ndim(a) != 0:
         raise DomainError("zeta_b_prime0 is scalar; use zeta_b_prime0_values for grids")
-    value, err = _integral(a, 0)
-    return BarnesEval(value=value, error_bound=err, route="integral")
+    (value,), (err,) = _integral(a, (0,))
+    return BarnesEval(value=float(value), error_bound=float(err), route="integral")
 
 
 def zeta_b_prime0_values(a: np.ndarray) -> np.ndarray:
     """Integral-route values on a grid of a, via one vectorized quadrature."""
-    return _integral(np.atleast_1d(a), 0)[0]
+    return _integral(np.atleast_1d(a), (0,))[0][0]
 
 
 def series_error_bound(a: float, n: int) -> float:
@@ -295,9 +292,11 @@ def zeta_b_prime0_rational(r: Fraction) -> BarnesEval:
 
 def d_zeta_b_prime0(a: ArrayLike) -> ArrayLike:
     """d/da of zeta_B'(0; a, 1, 1):  -log A / a^2 + gamma/12 + int F'(at)/(e^t-1) dt."""
-    return _integral(a, 1)[0]
+    (value,), _ = _integral(a, (1,))
+    return value if np.ndim(a) else float(value)
 
 
 def d2_zeta_b_prime0(a: ArrayLike) -> ArrayLike:
     """d^2/da^2 of zeta_B'(0; a, 1, 1):  2 log A / a^3 + int t F''(at)/(e^t-1) dt."""
-    return _integral(a, 2)[0]
+    (value,), _ = _integral(a, (2,))
+    return value if np.ndim(a) else float(value)

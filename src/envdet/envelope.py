@@ -192,22 +192,21 @@ def _log_c(b):
 
 
 def _elementary(b, orders):
-    """k-th beta-derivative (k = 0, 1, 2) of the elementary terms of the
+    """k-th beta-derivatives (k = 0, 1, 2) of the elementary terms of the
     unit-area log det, g log 2 - h log c - log a1 - log(a2)/2 - 2.5 log 2
-    - log pi with c the scaling factor, for an int order k or, for a tuple
-    of orders, a list with one term per order from shared intermediates."""
-    ks = orders if isinstance(orders, tuple) else (orders,)
+    - log pi with c the scaling factor: a list with one term per order k in
+    the tuple ``orders``, from shared intermediates."""
     a1 = b + 1.0
     a2 = -2.0 * b - 1.0
     x2 = 2.0 * b + 1.0
     h = (2.0 / a1 - 1.0 / x2 - 1.0) / 6.0
     log_c = _log_c(b)
-    if max(ks) > 0:
+    if max(orders) > 0:
         hp = (-2.0 / a1**2 + 2.0 / x2**2) / 6.0
         s = np.sin(np.pi * a2)
         d_log_c = _sp.psi(a2 / 2.0) - _sp.psi(a1) + np.pi * np.cos(np.pi * a2) / s
     terms = []
-    for k in ks:
+    for k in orders:
         if k == 0:
             g = (2.0 * b + 4.0 / a1 - 1.0 / x2) / 6.0
             terms.append(
@@ -228,23 +227,23 @@ def _elementary(b, orders):
                 + 1.0 / a1**2
                 + 2.0 / a2**2
             )
-    return terms if isinstance(orders, tuple) else terms[0]
+    return terms
 
 
-def _integral_pair(p: AngleParam, orders):
-    """Integral-route k-th a-derivative of zeta_B'(0; ., 1, 1) at a1 and at
-    a2, from one quadrature over both: shaped (2,) + beta's shape for an int
-    order k, with a leading axis of one row per order for a tuple of them."""
+def _integral_pair(p: AngleParam, orders: tuple) -> np.ndarray:
+    """Integral-route k-th a-derivatives of zeta_B'(0; ., 1, 1) at a1 and at
+    a2 for each order k in ``orders``, from one quadrature over both: shaped
+    (len(orders), 2) + beta's shape."""
     a = np.concatenate([np.atleast_1d(p.a1), np.atleast_1d(p.a2)])
-    if isinstance(orders, tuple):
+    if len(orders) > 1:
         z = barnes._integral(a, orders)[0]
     else:
         # one order goes through its public route, looked up by name at call
         # time, so a replaced (or removed) module attribute of another order
         # never matters
-        route = ("zeta_b_prime0_values", "d_zeta_b_prime0", "d2_zeta_b_prime0")[orders]
+        route = ("zeta_b_prime0_values", "d_zeta_b_prime0", "d2_zeta_b_prime0")[orders[0]]
         z = getattr(barnes, route)(a)
-    return np.reshape(z, np.shape(z)[:-1] + (2,) + np.shape(p.beta))
+    return np.reshape(z, (len(orders), 2) + np.shape(p.beta))
 
 
 def _chain(k: int, elementary, z1, z2):
@@ -256,6 +255,15 @@ def _chain(k: int, elementary, z1, z2):
     """
     out = elementary - 4.0 * z1 - 2.0 * (-2.0) ** k * z2
     return out + 2.0 * ZETA_PRIME_NEG1 if k == 0 else out
+
+
+def _unit(p: AngleParam, orders: tuple) -> list:
+    """The k-th beta-derivatives of the unit-area log det for each order k in
+    ``orders``, from one elementary-term pass and one quadrature."""
+    return [
+        _chain(k, e, z1, z2)
+        for k, e, (z1, z2) in zip(orders, _elementary(p.beta, orders), _integral_pair(p, orders))
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +310,7 @@ def log_det_area(
     """
     _check_area(area)
     if route == "integral":
-        zb1, zb2 = _integral_pair(p, 0)
+        (zb1, zb2), = _integral_pair(p, (0,))
     elif route == "series":
         zb1 = barnes.zeta_b_prime0_series(p.a1, series_terms).value
         zb2 = barnes.zeta_b_prime0_series(p.a2, series_terms).value
@@ -313,7 +321,7 @@ def log_det_area(
         zb2 = barnes.zeta_b_prime0_rational(-2 * p.exact - 1).value
     else:
         raise DomainError(f"unknown route {route!r}")
-    elementary = _elementary(p.beta, 0)
+    elementary, = _elementary(p.beta, (0,))
     log_det = _chain(0, elementary, zb1, zb2)
     area_term = -zeta0(p) * math.log(area)
     return DetResult(
@@ -351,12 +359,12 @@ def asymptotic_neghalf(p: AngleParam) -> float:
 
 def d_log_det(p: AngleParam) -> float:
     """Analytic d/dbeta of the unit-area log det."""
-    return _out(_chain(1, _elementary(p.beta, 1), *_integral_pair(p, 1)))
+    return _out(_unit(p, (1,))[0])
 
 
 def d2_log_det(p: AngleParam) -> float:
     """Analytic d^2/dbeta^2 of the unit-area log det."""
-    return _out(_chain(2, _elementary(p.beta, 2), *_integral_pair(p, 2)))
+    return _out(_unit(p, (2,))[0])
 
 
 def convexity_lower_bound(p: AngleParam) -> float:
@@ -415,7 +423,10 @@ def critical_area() -> float:
 def geometry(p: AngleParam, area: float = 1.0) -> EnvelopeGeometry:
     """Side length |AB| = |BC| and the three angles at the given area."""
     _check_area(area)
-    side = math.sqrt(area / math.sin(math.pi * p.a2))
+    # area / s overflows near the largest double, and then the two roots are
+    # taken apart: |AB| is below 1e157 for any finite area
+    s = math.sin(math.pi * p.a2)
+    side = math.sqrt(area / s) if area / s < math.inf else math.sqrt(area) / math.sqrt(s)
     return EnvelopeGeometry(
         side_ab=side,
         angle_a=math.pi * p.a1,
@@ -436,12 +447,7 @@ def _columns(b: np.ndarray, area: float):
     three orders."""
     p = AngleParam(b)
     log_area = math.log(area)
-    orders = (0, 1, 2)
-    elementary = _elementary(b, orders)
-    log_det, d1, d2 = (
-        _chain(k, e, z1, z2)
-        for k, e, (z1, z2) in zip(orders, elementary, _integral_pair(p, orders))
-    )
+    log_det, d1, d2 = _unit(p, (0, 1, 2))
     area_term = -zeta0(p) * log_area
     return (
         b,

@@ -1,6 +1,7 @@
 """Foundation layer: mathematical constants, the log-gamma function,
-exact Bernoulli numbers, and a double-exponential quadrature rule for
-exponentially decaying integrands on (0, inf).
+exact Bernoulli numbers, and a double-exponential quadrature rule for groups
+of exponentially decaying integrands on (0, inf), each group accepted at its
+own refinement level and no longer evaluated after that.
 
 Everything here is pure but the quadrature's read of ``ENVDET_QUAD_TOL``;
 the constant tables are built once at import time and the quadrature's node
@@ -144,34 +145,35 @@ def _level_nodes(
     return tables
 
 
-def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray]) -> Tuple[ArrayLike, ArrayLike]:
-    """Integrate ``f`` over (0, inf) with a double-exponential trapezoid rule.
+def integrate_semi_infinite(f: Callable, groups: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Integrate ``groups`` vectors of integrands over (0, inf) with a
+    double-exponential trapezoid rule, each group converging on its own.
 
     The substitution t = exp(u - exp(-u)) maps the integral to the real line
     where the trapezoid rule converges geometrically for integrands that are
     analytic on (0, inf), bounded as t -> 0+ and decay at least like exp(-t).
 
-    ``f`` takes a read-only 1-D array of n nodes and returns the integrand
-    there with the node axis first: shape ``(n,)`` for a scalar integrand,
-    ``(n, width)`` for a vector of ``width`` integrands (the rule is applied
-    component wise, with the max norm driving convergence) and
-    ``(n, groups, width)`` for several such vectors, each converging on its
-    own.  The first call gets one node and reveals the size per node; later
-    calls get at most ``max(1, 2**14 // size)`` nodes, so a level of a narrow
-    integrand is one call and a wide one gets one node per call.  The
-    weighted values are summed one node at a time in node order, so the
-    result does not depend on how the nodes were split into calls.
+    ``f(t, open)`` takes a read-only 1-D array of n nodes and the increasing
+    tuple of the indices of the groups still open, and returns their
+    integrands there as an ``(n, len(open), width)`` array; the rule is
+    applied component wise, with the max norm over a group driving its
+    convergence.  The first call gets one node and reveals the size per node;
+    later calls get at most ``max(1, 2**14 // size)`` nodes, with the size of
+    the latest call, so a level of a narrow integrand is one call and a wide
+    one gets one node per call.  The weighted values are summed one node at a
+    time in node order, so the result does not depend on how the nodes were
+    split into calls.
 
-    A refinement is accepted when it moves the estimate by at most
+    A refinement is accepted when it moves a group's estimate by at most
     ``max(tol, tol * |estimate|)``, with ``tol`` from ``ENVDET_QUAD_TOL``
     (default 1e-12), read once per call; a value that is not a finite
     positive number raises ``DomainError``.  A group is frozen at the level
-    that accepts it, so its value and level are those of a call on that
-    group alone.
+    that accepts it and no longer evaluated, so its value and level are those
+    of a call on that group alone.
 
-    Returns ``(value, err_est)`` where ``err_est`` is the last refinement
-    difference, an upper estimate of the remaining error; grouped values
-    give one ``err_est`` per group.
+    Returns ``(values, err_est)``: the ``(groups, width)`` integrals and, per
+    group, the last refinement difference, an upper estimate of the
+    remaining error.
     """
     target = _tol()
     # Hard cutoffs chosen so the neglected tails are far below tol:
@@ -182,58 +184,50 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray]) -> Tuple[Arra
     u_lo = -math.log(decades + 40.0)
     block = 1  # nodes per call, until the first call reveals the width
 
-    def weighted_sum(h: float, odd_only: bool):
+    def weighted_sum(h: float, odd_only: bool, open_: Tuple[int, ...]) -> np.ndarray:
         nonlocal block
         nodes, weights = _level_nodes(u_lo, u_hi, h, odd_only)
         total = 0.0
         start = 0
         while start < nodes.size:
             stop = start + block
-            values = f(nodes[start:stop])
-            block = max(1, _BLOCK_POINTS // np.size(values[0]))
+            values = f(nodes[start:stop], open_)
+            block = max(1, _BLOCK_POINTS // values[0].size)
             # the whole block weighted by one multiply, its rows then added in
             # node order
-            for row in values * weights[start:stop].reshape((-1,) + (1,) * (values.ndim - 1)):
+            for row in values * weights[start:stop, None, None]:
                 total += row
             del values, row  # free this block before the next one is made
             start = stop
         return total
 
     h = 0.5
-    estimate = weighted_sum(h, odd_only=False) * h
-    grouped = np.ndim(estimate) == 2
-    groups = len(estimate) if grouped else 1
-    # per group: the value it was accepted with and its last refinement
-    # difference
-    accepted = [None] * groups
+    open_ = tuple(range(groups))
+    # one row per group, rebound and never written to, so a frozen row keeps
+    # its accepted value (a (groups, width) array tripled the page faults)
+    estimate = list(weighted_sum(h, False, open_) * h)
     errs = [math.inf] * groups
     eps = np.finfo(float).eps
 
     for level in range(_MAX_LEVELS):
         h /= 2.0
-        # the new nodes' sum first, so that no halved copy of the estimate
-        # is held while it is formed (floating-point addition commutes)
-        refined = weighted_sum(h, odd_only=True) * h + estimate / 2.0
-        for g in range(groups):
-            if accepted[g] is not None:
-                continue
-            new = refined[g] if grouped else refined
-            errs[g] = float(np.max(np.abs(new - (estimate[g] if grouped else estimate))))
-            scale = float(np.max(np.abs(new)))
+        still_open = []
+        # the new nodes' sum first, then each open row's halved estimate
+        # added to it in place (floating-point addition commutes)
+        for g, new in zip(open_, weighted_sum(h, True, open_) * h):
+            new += estimate[g] / 2.0
+            errs[g] = float(np.abs(new - estimate[g]).max())
+            scale = float(np.abs(new).max())
             tol = max(target, target * scale)
             # refuse to certify accuracy below what doubles can represent,
             # even if two refinements happen to agree bitwise
-            if level >= 1 and errs[g] <= tol and tol >= 4.0 * eps * scale:
-                accepted[g] = new
-        estimate = refined
-        if all(value is not None for value in accepted):
-            if grouped:
-                return np.stack(accepted), np.array(errs)
-            if np.ndim(refined) > 0:
-                return refined, errs[0]
-            return float(refined), errs[0]
-    last = max(err for err, value in zip(errs, accepted) if value is None)
+            if not (level >= 1 and errs[g] <= tol and tol >= 4.0 * eps * scale):
+                still_open.append(g)
+            estimate[g] = new
+        open_ = tuple(still_open)
+        if not open_:
+            return np.array(estimate), np.array(errs)
     raise QuadratureError(
         f"quadrature did not reach tolerance {target:g} within "
-        f"{_MAX_LEVELS} refinements (last diff {last:g})"
+        f"{_MAX_LEVELS} refinements (last diff {max(errs[g] for g in open_):g})"
     )

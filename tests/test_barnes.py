@@ -482,22 +482,48 @@ def _integral_reference(a, order):
 def test_blocked_quadrature_matches_node_loop(width, order):
     rng = np.random.default_rng(width)
     a = 10.0 ** rng.uniform(-6.0, 0.5, width)
-    value, err = barnes._integral(a, order)
+    (value,), (err,) = barnes._integral(a, (order,))
     expected, expected_err = _integral_reference(a, order)
     assert np.array_equal(value, expected)
     assert err == expected_err
 
 
-@pytest.mark.parametrize("width", [1, 2, 45, 2**14 - 1, 2**14 + 1, 40000])
-def test_fused_orders_match_one_order_calls(width):
+# at the default tolerance (id: the width alone) order 2 takes a level more
+# than orders 0 and 1 on the wider grids, so it runs on after theirs is frozen
+@pytest.mark.parametrize(
+    "width, tol",
+    [pytest.param(width, tol, id=f"{width}-{tol}" if tol else str(width))
+     for tol in (None, "1e-6", "1e-9", "1e-14")
+     for width in (1, 2, 45, 2**14 - 1, 2**14 + 1, 40000)],
+)
+def test_fused_orders_match_one_order_calls(width, tol, monkeypatch):
+    if tol is not None:
+        monkeypatch.setenv("ENVDET_QUAD_TOL", tol)
     rng = np.random.default_rng(width)
     a = 10.0 ** rng.uniform(-6.0, 0.5, width)
     values, errs = barnes._integral(a, (0, 1, 2))
     assert values.shape == (3, width) and errs.shape == (3,)
     for k in (0, 1, 2):
-        value, err = barnes._integral(a, k)
+        (value,), (err,) = barnes._integral(a, (k,))
         assert np.array_equal(values[k], value)
         assert errs[k] == err
+
+
+def test_a_frozen_order_is_no_longer_evaluated(monkeypatch):
+    monkeypatch.setenv("ENVDET_QUAD_TOL", "1e-14")
+    calls = []
+    kernel = barnes.f_kernel
+
+    def counted_kernel(r, derivative=0):
+        calls.append(derivative)
+        return kernel(r, derivative)
+
+    monkeypatch.setattr(barnes, "f_kernel", counted_kernel)
+    # the 40000 values of a of a 20000-row scan: order 0 is accepted a level
+    # before orders 1 and 2
+    b = np.linspace(-0.9999, -0.5001, 20000)
+    barnes._integral(np.concatenate([b + 1.0, -2.0 * b - 1.0]), (0, 1, 2))
+    assert calls == [(0, 1, 2)] * 69 + [(1, 2)] * 69
 
 
 def _record_integrand_calls(monkeypatch):
@@ -505,13 +531,13 @@ def _record_integrand_calls(monkeypatch):
     integrand call, the nodes and the number of values returned."""
     calls = []
 
-    def quadrature(f):
-        def recorded(t):
-            values = f(t)
+    def quadrature(f, *args):
+        def recorded(t, *rest):
+            values = f(t, *rest)
             calls.append((t.copy(), np.size(values)))
             return values
 
-        return integrate_semi_infinite(recorded)
+        return integrate_semi_infinite(recorded, *args)
 
     monkeypatch.setattr(barnes, "integrate_semi_infinite", quadrature)
     return calls
@@ -519,14 +545,14 @@ def _record_integrand_calls(monkeypatch):
 
 def test_wide_integrand_gets_one_node_per_call(monkeypatch):
     calls = _record_integrand_calls(monkeypatch)
-    barnes._integral(np.linspace(1e-3, 1.0, 40000), 2)
+    barnes._integral(np.linspace(1e-3, 1.0, 40000), (2,))
     assert len(calls) == 68
     assert max(size for _, size in calls) <= 40000
 
 
 def test_narrow_integrand_gets_whole_levels(monkeypatch):
     calls = _record_integrand_calls(monkeypatch)
-    barnes._integral(np.array([0.3, 0.7]), 0)
+    barnes._integral(np.array([0.3, 0.7]), (0,))
     # each level's nodes increase, so a new level starts below the last node
     levels = 1 + sum(t[0] < prev[-1] for (prev, _), (t, _) in zip(calls, calls[1:]))
     assert len(calls) <= 2 * levels

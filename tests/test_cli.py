@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -485,6 +486,61 @@ def test_json_scan_parses_strictly(exact, tmp_path, capsys):
     for row in doc["rows"]:
         assert list(row) == ["beta", "log_det", "d1", "d2", "asym_neg1", "asym_neghalf"]
         assert all(type(x) is float for x in row.values())
+
+
+# In-process sweep of the commands over the edges of their inputs: the
+# endpoint slivers either side of envelope._EDGE, the endpoints themselves,
+# NaN, and areas from signed zeros and subnormals up to the largest doubles.
+_SWEEP_BETAS = [
+    -1.0 + envelope._EDGE * (1.0 - 1e-9),
+    -1.0 + envelope._EDGE * (1.0 + 1e-9),
+    -0.999,
+    envelope.BETA_CRITICAL,
+    -0.5 - envelope._EDGE * (1.0 + 1e-9),
+    -0.5 - envelope._EDGE * (1.0 - 1e-9),
+    -1.0,
+    -0.5,
+    math.nan,
+]
+_SWEEP_AREAS = [0.0, -0.0, 5e-324, 2.5e-310, 1.0, 7.5, 1.7e308, math.inf, -math.inf, math.nan]
+_NON_FINITE = re.compile(r"(?<![a-z_])(?:inf|nan)(?![a-z_])", re.IGNORECASE)
+
+
+def _sweep(command, fmt, out):
+    for area in _SWEEP_AREAS:
+        if command == "critical":
+            yield ["critical", f"--area={area!r}", f"--format={fmt}"]
+            continue
+        for beta in _SWEEP_BETAS:
+            if command == "eval":
+                yield ["eval", f"--beta={beta!r}", f"--area={area!r}", f"--format={fmt}"]
+            else:
+                lo, hi = (beta, -0.55) if beta < -0.6 else (-0.95, beta)
+                yield ["scan", f"--from={lo!r}", f"--to={hi!r}", "--count=3",
+                       f"--area={area!r}", f"--out={out}", f"--format={fmt}"]
+
+
+@pytest.mark.parametrize(
+    "command, fmt",
+    [("eval", "text"), ("eval", "json"), ("critical", "text"), ("critical", "json"),
+     ("scan", "csv"), ("scan", "json")],
+)
+def test_edge_inputs_exit_cleanly_with_finite_output(command, fmt, tmp_path, capsys):
+    out = tmp_path / f"table.{fmt}"
+    for argv in _sweep(command, fmt, out):
+        out.unlink(missing_ok=True)
+        code, stdout, err = run_cli(argv, capsys)
+        assert code in (0, 2, 3), (argv, err)
+        if code:
+            assert err.startswith("error: ") and not stdout, argv
+            continue
+        texts = [stdout]
+        if command == "scan":
+            texts.append(out.read_text(encoding="ascii"))
+        if fmt == "json":
+            json.loads(texts.pop(), parse_constant=_reject_constant)
+        for text in texts:
+            assert not _NON_FINITE.search(text), (argv, text)
 
 
 def test_settings_are_constants(capsys):

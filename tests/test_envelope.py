@@ -574,9 +574,9 @@ def test_scan_exact_points_inserted():
 def test_scan_exact_points_share_one_evaluation(monkeypatch):
     calls = []
 
-    def quadrature(f):
+    def quadrature(f, *args):
         calls.append(f)
-        return integrate_semi_infinite(f)
+        return integrate_semi_infinite(f, *args)
 
     monkeypatch.setattr(envelope.barnes, "integrate_semi_infinite", quadrature)
     scan(-0.8, -0.6, 11, 1.5, include_exact_points=True)
@@ -587,9 +587,9 @@ def test_scan_runs_one_quadrature_and_one_kernel_call_per_node(monkeypatch):
     quadratures, kernel_calls = [], []
     kernel = envelope.barnes.f_kernel
 
-    def quadrature(f):
+    def quadrature(f, *args):
         quadratures.append(f)
-        return integrate_semi_infinite(f)
+        return integrate_semi_infinite(f, *args)
 
     def counted_kernel(r, derivative=0):
         kernel_calls.append((np.shape(r), derivative))
@@ -601,6 +601,30 @@ def test_scan_runs_one_quadrature_and_one_kernel_call_per_node(monkeypatch):
     assert len(quadratures) == 1
     # all three orders at each of the 68 nodes, on the 40000 values of a
     assert kernel_calls == [((1, 40000), (0, 1, 2))] * 68
+
+
+_ROUTES = ("zeta_b_prime0_values", "d_zeta_b_prime0", "d2_zeta_b_prime0")
+
+
+@pytest.mark.parametrize("beta", [-0.7, np.linspace(-0.9, -0.6, 5)], ids=["scalar", "array"])
+def test_each_order_calls_its_own_barnes_route_once(beta, monkeypatch):
+    calls = []
+    for name in _ROUTES:
+        def counted(a, name=name, route=getattr(envelope.barnes, name)):
+            calls.append(name)
+            return route(a)
+
+        monkeypatch.setattr(envelope.barnes, name, counted)
+    p = AngleParam(beta)
+    for op, name in zip(
+        (lambda: log_det_area(p, 2.0), lambda: d_log_det(p), lambda: d2_log_det(p)), _ROUTES
+    ):
+        op()
+        assert calls == [name]
+        calls.clear()
+    # a scan runs all three orders in one quadrature, through no public route
+    scan(-0.9, -0.6, 5, 2.0)
+    assert calls == []
 
 
 def test_scan_exact_point_wins_a_tie_with_the_grid():

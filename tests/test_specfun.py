@@ -124,35 +124,40 @@ def test_bernoulli_domain():
             bernoulli(bad)
 
 
+def _integrate(g):
+    """Integrate one group of integrands, ``g(t)`` shaped (n,) or (n, width):
+    its values and its error estimate."""
+    values, errs = integrate_semi_infinite(lambda t, open_: g(t).reshape(t.size, 1, -1), 1)
+    return values[0], errs[0]
+
+
 def test_quadrature_bose_moments():
-    value, err = integrate_semi_infinite(lambda t: t / np.expm1(t))
+    value, err = _integrate(lambda t: t / np.expm1(t))
     assert abs(value - math.pi**2 / 6.0) <= 1e-12
     assert err >= 0.0
-    value, _ = integrate_semi_infinite(lambda t: t * t / np.expm1(t))
+    value, _ = _integrate(lambda t: t * t / np.expm1(t))
     assert abs(value - 2.0 * ZETA3) <= 1e-12
 
 
 def test_quadrature_pure_exponential():
-    value, _ = integrate_semi_infinite(lambda t: np.exp(-t))
+    value, _ = _integrate(lambda t: np.exp(-t))
     assert abs(value - 1.0) <= 1e-12
 
 
 def test_quadrature_zeta_gamma_family():
     for n in range(2, 7):
-        value, _ = integrate_semi_infinite(lambda t, n=n: t ** (n - 1) / np.expm1(t))
+        value, _ = _integrate(lambda t, n=n: t ** (n - 1) / np.expm1(t))
         target = zeta_int(n) * math.factorial(n - 1)
         assert abs(value - target) <= max(1e-12, 1e-12 * target)
 
 
 def test_quadrature_error_estimate_is_conservative():
-    value, err = integrate_semi_infinite(lambda t: t / np.expm1(t))
+    value, err = _integrate(lambda t: t / np.expm1(t))
     assert abs(value - math.pi**2 / 6.0) <= max(err, 1e-14)
 
 
 def test_quadrature_vector_valued():
-    value, _ = integrate_semi_infinite(
-        lambda t: np.stack([np.exp(-t), t / np.expm1(t)], axis=-1)
-    )
+    value, _ = _integrate(lambda t: np.stack([np.exp(-t), t / np.expm1(t)], axis=-1))
     assert isinstance(value, np.ndarray)
     assert abs(value[0] - 1.0) <= 1e-12
     assert abs(value[1] - math.pi**2 / 6.0) <= 1e-12
@@ -161,7 +166,7 @@ def test_quadrature_vector_valued():
 def test_quadrature_nonconvergence(monkeypatch):
     monkeypatch.setenv("ENVDET_QUAD_TOL", "1e-30")
     with pytest.raises(QuadratureError):
-        integrate_semi_infinite(lambda t: t / np.expm1(t))
+        _integrate(lambda t: t / np.expm1(t))
 
 
 _RATES = np.array([0.5, 1.0, 2.0])
@@ -177,30 +182,41 @@ def _slow(t):
     return np.exp(-t[:, None]) / (1.0 + 100.0 * (t[:, None] * _RATES - 3.0) ** 2)
 
 
-def _counted(f):
-    """Integrate f, returning (value, err, nodes evaluated)."""
-    nodes = []
+def _stacked(*fs):
+    """The grouped integrand of the groups ``fs``: the open ones stacked."""
+    return lambda t, open_: np.stack([fs[g](t) for g in open_], axis=1)
 
-    def g(t):
+
+def _counted(*fs):
+    """Integrate the groups ``fs`` at once, returning (values, errs, nodes
+    evaluated, nodes each group was passed on)."""
+    nodes, per_group = [], [0] * len(fs)
+    integrand = _stacked(*fs)
+
+    def g(t, open_):
         nodes.append(t.size)
-        return f(t)
+        for k in open_:
+            per_group[k] += t.size
+        return integrand(t, open_)
 
-    value, err = integrate_semi_infinite(g)
-    return value, err, sum(nodes)
+    value, err = integrate_semi_infinite(g, len(fs))
+    return value, err, sum(nodes), per_group
 
 
 @pytest.mark.parametrize("first", ["fast", "slow"])
 def test_grouped_quadrature_freezes_each_group_at_its_level(first):
-    fast, fast_err, fast_nodes = _counted(_fast)
-    slow, slow_err, slow_nodes = _counted(_slow)
+    (fast,), (fast_err,), fast_nodes, _ = _counted(_fast)
+    (slow,), (slow_err,), slow_nodes, _ = _counted(_slow)
     assert (fast_nodes, slow_nodes) == (68, 4352)
-    groups = [(_fast, fast, fast_err), (_slow, slow, slow_err)]
+    groups = [(_fast, fast, fast_err, 68), (_slow, slow, slow_err, 4352)]
     if first == "slow":
         groups.reverse()
-    value, err, nodes = _counted(lambda t: np.stack([f(t) for f, _, _ in groups], axis=1))
+    value, err, nodes, per_group = _counted(*(f for f, _, _, _ in groups))
     assert nodes == 4352
+    # a frozen group is no longer passed to the integrand
+    assert per_group == [alone_nodes for _, _, _, alone_nodes in groups]
     assert value.shape == (2, 3) and err.shape == (2,)
-    for g, (_, alone, alone_err) in enumerate(groups):
+    for g, (_, alone, alone_err, _) in enumerate(groups):
         assert np.array_equal(value[g], alone)
         assert err[g] == alone_err
 
@@ -208,22 +224,22 @@ def test_grouped_quadrature_freezes_each_group_at_its_level(first):
 def test_grouped_quadrature_raises_while_a_group_is_open(monkeypatch):
     # e^{-t} t^{-0.9} is integrable, but too singular at 0 for ten refinements
     with pytest.raises(QuadratureError):
-        integrate_semi_infinite(lambda t: np.stack([_fast(t), _fast(t) * t[:, None] ** -0.9], axis=1))
+        integrate_semi_infinite(_stacked(_fast, lambda t: _fast(t) * t[:, None] ** -0.9), 2)
     monkeypatch.setenv("ENVDET_QUAD_TOL", "1e-30")
     with pytest.raises(QuadratureError):
-        integrate_semi_infinite(lambda t: np.stack([_fast(t), _slow(t)], axis=1))
+        integrate_semi_infinite(_stacked(_fast, _slow), 2)
 
 
 def test_quadrature_nodes_are_read_only_and_increasing():
     seen = []
 
-    def f(t):
+    def f(t, open_):
         with pytest.raises(ValueError):
             t[0] = 1.0
         seen.append(t.copy())
-        return np.exp(-t)
+        return np.exp(-t)[:, None, None]
 
-    integrate_semi_infinite(f)
+    integrate_semi_infinite(f, 1)
     # the first call has one node; narrow integrands get a whole level per
     # later call, each in increasing order
     assert seen[0].size == 1
@@ -236,8 +252,8 @@ def test_quadrature_spec_validation(monkeypatch):
     for tol in (0.0, -1.0, math.inf, math.nan):
         monkeypatch.setenv("ENVDET_QUAD_TOL", repr(tol))
         with pytest.raises(DomainError):
-            integrate_semi_infinite(lambda t: np.exp(-t))
+            _integrate(lambda t: np.exp(-t))
     monkeypatch.setenv("ENVDET_QUAD_TOL", "1e-6")
     assert specfun._tol() == 1e-6
-    value, _ = integrate_semi_infinite(lambda t: np.exp(-t))
+    value, _ = _integrate(lambda t: np.exp(-t))
     assert abs(value - 1.0) <= 1e-6
