@@ -8,15 +8,17 @@ evaluated by three mutually validating routes:
                              Dedekind sums and log-gamma values.
 
 The integral and series routes share one closed-form head; the series route
-and its certificate share one table of Bernoulli-tail coefficients, built at
-import.  The integral route and its first and second a-derivatives (the
-integral representation differentiated under the integral sign) share one
-vectorised double-exponential quadrature, evaluated on an array of a values
-for a tuple of derivative orders at once, one quadrature group per order;
-scalar a is a one-element array and one order a one-element tuple.  Each
-integrand call evaluates the kernel once, for every order not yet accepted,
-on the outer product of a block of quadrature nodes with the a values.  The
-Dedekind sum behind the rational route is a sum of integers.
+and its certificate share one table of Bernoulli-tail coefficients.  That
+table and the kernel's Taylor coefficients are built at import from the
+exact Bernoulli numbers B_0..B_32 of their defining recurrence.  The integral
+route and its first and second a-derivatives (the integral representation
+differentiated under the integral sign) share one vectorised
+double-exponential quadrature, evaluated on an array of a values for a tuple
+of derivative orders at once, one quadrature group per order; scalar a is a
+one-element array and one order a one-element tuple.  Each integrand call
+evaluates the kernel once, for every order not yet accepted, on the outer
+product of a block of quadrature nodes with the a values.  The Dedekind sum
+behind the rational route is a sum of integers.
 """
 
 from __future__ import annotations
@@ -27,17 +29,9 @@ from fractions import Fraction
 from typing import Union
 
 import numpy as np
+from scipy import special as _sp
 
-from .specfun import (
-    EULER_GAMMA,
-    LOG_2PI,
-    ZETA_PRIME_NEG1,
-    DomainError,
-    bernoulli,
-    integrate_semi_infinite,
-    log_gamma,
-    zeta_int,
-)
+from .specfun import EULER_GAMMA, LOG_2PI, ZETA_PRIME_NEG1, DomainError, integrate_semi_infinite
 
 __all__ = [
     "BarnesEval",
@@ -61,7 +55,19 @@ _LOG_A = 1.0 / 12.0 - ZETA_PRIME_NEG1
 # Terms decay like (r / 2pi)^{2k}; sixteen of them leave the truncation far
 # below double precision for any r <= 1.
 _KMAX = 16
-_F0 = [float(bernoulli(2 * k) / math.factorial(2 * k)) for k in range(2, _KMAX + 1)]
+
+
+def _bernoulli_numbers(n: int) -> list:
+    """Exact B_0, ..., B_n from the defining recurrence
+    sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1 (so B_1 = -1/2)."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, j) * bj for j, bj in enumerate(b)) / (m + 1))
+    return b
+
+
+_B = _bernoulli_numbers(2 * _KMAX)
+_F0 = [float(_B[2 * k] / math.factorial(2 * k)) for k in range(2, _KMAX + 1)]
 _F1 = [c * (2 * k - 1) for k, c in zip(range(2, _KMAX + 1), _F0)]
 _F2 = [c * (2 * k - 1) * (2 * k - 2) for k, c in zip(range(2, _KMAX + 1), _F0)]
 _POWER = {0: 3, 1: 2, 2: 1}
@@ -69,7 +75,7 @@ _COEFFS = {0: _F0, 1: _F1, 2: _F2}
 _CROSSOVER = 0.5
 # Tail coefficients B_{2k} zeta(2k-1) / (2k(2k-1)) of the series route,
 # k = 2..16; the first omitted one sets its certificate.
-_TAIL = [float(bernoulli(2 * k) / (2 * k * (2 * k - 1))) * zeta_int(2 * k - 1)
+_TAIL = [float(_B[2 * k] / (2 * k * (2 * k - 1))) * float(_sp.zeta(2 * k - 1, 1))
          for k in range(2, _KMAX + 1)]
 # Range of a the integral route takes.  In a log-spaced sweep every order
 # converged without overflow up to _A_MAX; order 1 first failed at a = 4.4e27.
@@ -281,12 +287,13 @@ def zeta_b_prime0_rational(r: Fraction) -> BarnesEval:
     p, q = r.numerator, r.denominator
     value = (ZETA_PRIME_NEG1 - math.log(q) / 12.0) / (p * q)
     value += (float(dedekind_sum(q, p)) + 0.25) * math.log(q / p)
-    # ((kq/p)) + 1/2 = (kq mod p) / p, never 0 as gcd(p, q) = 1; int / int
-    # division is correctly rounded.
+    # ((kq/p)) + 1/2 = (kq mod p) / p, never 0 as gcd(p, q) = 1, so every
+    # gammaln argument is positive; int / int division is correctly rounded.
+    # float() keeps the value a Python float (gammaln gives np.float64).
     for k in range(1, p):
-        value += (0.5 - k / p) * log_gamma(k * q % p / p)
+        value += (0.5 - k / p) * float(_sp.gammaln(k * q % p / p))
     for j in range(1, q):
-        value += (0.5 - j / q) * log_gamma(j * p % q / q)
+        value += (0.5 - j / q) * float(_sp.gammaln(j * p % q / q))
     return BarnesEval(value=value, error_bound=1e-14 * (p + q), route="rational")
 
 

@@ -84,6 +84,11 @@ def _check_area(area: float) -> None:
         raise DomainError(f"area must be finite and positive, got {area!r}")
 
 
+def _check_scalar(p: AngleParam, what: str) -> None:
+    if np.ndim(p.beta):
+        raise DomainError(f"{what} takes a float beta, got an array of shape {np.shape(p.beta)}")
+
+
 def _out(x):
     """A float for a scalar beta, the array itself for an array beta."""
     return x if np.ndim(x) else float(x)
@@ -108,7 +113,8 @@ class AngleParam:
     its derivatives, zeta0 and its derivatives, the endpoint expansions and
     the convexity bound map a float beta to a float and an array beta to an
     array, element by element; the series and rational routes, the scaling
-    factor and the geometry take a float beta only.
+    factor and the geometry take a float beta only (an array raises
+    ``DomainError``).
     """
 
     beta: Union[float, np.ndarray]
@@ -180,27 +186,24 @@ class ScanTable:
 # --------------------------------------------------------------------------
 
 
-def _log_c(b):
-    a1 = b + 1.0
-    a2 = -2.0 * b - 1.0
+def _log_c(p: AngleParam):
     return (
         _LOG2
-        - _sp.gammaln(a2 / 2.0)
-        - _sp.gammaln(a1)
-        + 0.5 * (LOG_PI - np.log(np.sin(np.pi * a2)))
+        - _sp.gammaln(p.a2 / 2.0)
+        - _sp.gammaln(p.a1)
+        + 0.5 * (LOG_PI - np.log(np.sin(np.pi * p.a2)))
     )
 
 
-def _elementary(b, orders):
+def _elementary(p: AngleParam, orders):
     """k-th beta-derivatives (k = 0, 1, 2) of the elementary terms of the
     unit-area log det, g log 2 - h log c - log a1 - log(a2)/2 - 2.5 log 2
     - log pi with c the scaling factor: a list with one term per order k in
     the tuple ``orders``, from shared intermediates."""
-    a1 = b + 1.0
-    a2 = -2.0 * b - 1.0
+    b, a1, a2 = p.beta, p.a1, p.a2
     x2 = 2.0 * b + 1.0
     h = (2.0 / a1 - 1.0 / x2 - 1.0) / 6.0
-    log_c = _log_c(b)
+    log_c = _log_c(p)
     if max(orders) > 0:
         hp = (-2.0 / a1**2 + 2.0 / x2**2) / 6.0
         s = np.sin(np.pi * a2)
@@ -262,7 +265,7 @@ def _unit(p: AngleParam, orders: tuple) -> list:
     ``orders``, from one elementary-term pass and one quadrature."""
     return [
         _chain(k, e, z1, z2)
-        for k, e, (z1, z2) in zip(orders, _elementary(p.beta, orders), _integral_pair(p, orders))
+        for k, e, (z1, z2) in zip(orders, _elementary(p, orders), _integral_pair(p, orders))
     ]
 
 
@@ -277,7 +280,8 @@ def scaling_factor(p: AngleParam) -> float:
     Evaluated in log form, so the value degrades gracefully to 0+ near the
     endpoints instead of overflowing intermediates.
     """
-    return math.exp(_log_c(p.beta))
+    _check_scalar(p, "scaling_factor")
+    return math.exp(_log_c(p))
 
 
 def zeta0(p: AngleParam) -> float:
@@ -321,7 +325,7 @@ def log_det_area(
         zb2 = barnes.zeta_b_prime0_rational(-2 * p.exact - 1).value
     else:
         raise DomainError(f"unknown route {route!r}")
-    elementary, = _elementary(p.beta, (0,))
+    elementary, = _elementary(p, (0,))
     log_det = _chain(0, elementary, zb1, zb2)
     area_term = -zeta0(p) * math.log(area)
     return DetResult(
@@ -374,10 +378,8 @@ def convexity_lower_bound(p: AngleParam) -> float:
     zeta-series truncated at the cubic term) minus 1/5 minus the singular
     Barnes leading terms; everything is in closed form.
     """
-    b = p.beta
-    a1 = b + 1.0
-    a2 = -2.0 * b - 1.0
-    x2 = 2.0 * b + 1.0
+    a1, a2 = p.a1, p.a2
+    x2 = 2.0 * p.beta + 1.0
     half = x2 / 2.0  # beta + 1/2
 
     P = (2.0 / a1 - 1.0 / x2 - 1.0) / 12.0
@@ -422,6 +424,7 @@ def critical_area() -> float:
 
 def geometry(p: AngleParam, area: float = 1.0) -> EnvelopeGeometry:
     """Side length |AB| = |BC| and the three angles at the given area."""
+    _check_scalar(p, "geometry")
     _check_area(area)
     # area / s overflows near the largest double, and then the two roots are
     # taken apart: |AB| is below 1e157 for any finite area
@@ -518,7 +521,7 @@ def refine_minimum(
     tol: float = 1e-6,
 ) -> float:
     """Locate the minimizer of beta -> log det at fixed area by repeated
-    grid refinement, to within ``tol`` > 0 or until the bracket stops
+    grid refinement, to within a finite ``tol`` > 0 or until the bracket stops
     shrinking (a few ulps wide, where the grid repeats doubles).
 
     The result is accurate to ``tol`` only down to about 1e-8 in beta.  Near
@@ -526,11 +529,13 @@ def refine_minimum(
     smaller ``tol`` narrows the bracket on rounding noise: it can end a few
     ulps wide about a point some 1e-9 from the true minimizer (at unit area,
     -0.66666666850 against -2/3)."""
-    if not (tol > 0.0 and beta_min < beta_max):
+    if not (math.isfinite(tol) and tol > 0.0 and beta_min < beta_max):
         raise DomainError(
-            f"refine_minimum needs tol > 0 and beta_min < beta_max, got "
+            f"refine_minimum needs a finite tol > 0 and beta_min < beta_max, got "
             f"tol={tol!r}, [{beta_min!r}, {beta_max!r}]"
         )
+    _check_area(area)
+    _check_beta(np.asarray([beta_min, beta_max]))
     lo, hi = float(beta_min), float(beta_max)
     count = 65
     while hi - lo > tol:

@@ -1,11 +1,11 @@
-"""Foundation layer: mathematical constants, the log-gamma function,
-exact Bernoulli numbers, and a double-exponential quadrature rule for groups
-of exponentially decaying integrands on (0, inf), each group accepted at its
-own refinement level and no longer evaluated after that.
+"""Foundation layer: mathematical constants, the two exception types, and a
+double-exponential quadrature rule for groups of exponentially decaying
+integrands on (0, inf), each group accepted at its own refinement level and
+no longer evaluated after that.
 
 Everything here is pure but the quadrature's read of ``ENVDET_QUAD_TOL``;
-the constant tables are built once at import time and the quadrature's node
-tables once per refinement level, on first use.
+the quadrature's node tables are built once per refinement level, on first
+use.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ from __future__ import annotations
 import functools
 import math
 import os
-from fractions import Fraction
-from typing import Callable, Tuple, Union
+from typing import Callable, Tuple
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "EULER_GAMMA",
@@ -27,13 +25,8 @@ __all__ = [
     "LOG_PI",
     "DomainError",
     "QuadratureError",
-    "log_gamma",
-    "zeta_int",
-    "bernoulli",
     "integrate_semi_infinite",
 ]
-
-ArrayLike = Union[float, np.ndarray]
 
 
 class DomainError(ValueError):
@@ -53,50 +46,6 @@ LOG_GLAISHER = 0.248754477033784262547252993576
 ZETA_PRIME_NEG1 = -0.165421143700450929213919660243
 LOG_2PI = 1.83787706640934548356065947281
 LOG_PI = 1.14472988584940017414342735135
-
-
-def _require_positive(x: ArrayLike, what: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(arr > 0.0):
-        raise DomainError(f"{what} must be positive, got {x!r}")
-    return arr
-
-
-def log_gamma(x: ArrayLike) -> ArrayLike:
-    """Natural log of Gamma(x) for x > 0 (scalar or array)."""
-    arr = _require_positive(x, "log_gamma argument")
-    out = _sp.gammaln(arr)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def zeta_int(k: int) -> float:
-    """Riemann zeta at an integer argument k >= 2."""
-    if int(k) != k or k < 2:
-        raise DomainError(f"zeta_int needs an integer k >= 2, got {k!r}")
-    return float(_sp.zeta(int(k), 1))
-
-
-_BERNOULLI_MAX = 64
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
-
-
-def _extend_bernoulli(n: int) -> None:
-    # Defining convolution: sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1,
-    # with the B_1 = -1/2 convention (even indices are convention-free).
-    while len(_bernoulli_cache) <= n:
-        m = len(_bernoulli_cache)
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * _bernoulli_cache[j]
-        _bernoulli_cache.append(-acc / (m + 1))
-
-
-def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n for even n with 2 <= n <= 64."""
-    if int(n) != n or n % 2 != 0 or not 2 <= n <= _BERNOULLI_MAX:
-        raise DomainError(f"bernoulli needs even n in [2, {_BERNOULLI_MAX}], got {n!r}")
-    _extend_bernoulli(int(n))
-    return _bernoulli_cache[int(n)]
 
 
 def _tol() -> float:

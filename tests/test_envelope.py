@@ -285,12 +285,12 @@ def test_scaling_factor_expansions():
     for a1 in (1e-2, 1e-3, 1e-4):
         b = -1.0 + a1
         main = 0.5 * math.log(a1) + 0.5 * log2 - 0.5 * LOG_PI - 2.0 * a1 * log2
-        assert abs(float(_log_c(b)) - main) / a1**2 <= 0.1
+        assert abs(float(_log_c(AngleParam(b))) - main) / a1**2 <= 0.1
     for a2 in (1e-2, 1e-3, 1e-4):
         b = (-1.0 - a2) / 2.0
         x2 = 2.0 * b + 1.0
         main = 0.5 * math.log(a2) - 0.5 * LOG_PI + x2 * log2
-        assert abs(float(_log_c(b)) - main) / a2**2 <= 0.1
+        assert abs(float(_log_c(AngleParam(b))) - main) / a2**2 <= 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +481,13 @@ def test_geometry_invariants_on_grid():
 def test_geometry_domain():
     with pytest.raises(DomainError):
         geometry(AngleParam(-0.6), 0.0)
+
+
+@pytest.mark.parametrize("op", [scaling_factor, geometry])
+@pytest.mark.parametrize("beta", [np.array([-0.75]), np.array([-0.75, -0.6])])
+def test_scalar_only_ops_reject_an_array_beta(op, beta):
+    with pytest.raises(DomainError, match="takes a float beta"):
+        op(AngleParam(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +710,9 @@ def test_refine_minimum_stops_when_the_bracket_stops_shrinking():
 @pytest.mark.parametrize(
     "kwargs",
     [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan},
-     {"beta_min": -0.6, "beta_max": -0.9}, {"beta_min": -0.7, "beta_max": -0.7}],
+     {"beta_min": -0.6, "beta_max": -0.9}, {"beta_min": -0.7, "beta_max": -0.7},
+     {"beta_min": -5.0, "beta_max": 10.0, "tol": 100.0}, {"area": -1.0, "tol": 1.0},
+     {"area": math.nan, "tol": 1.0}, {"tol": math.inf}],
 )
 def test_refine_minimum_domain(kwargs):
     with pytest.raises(DomainError):

@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from envdet import specfun
+from envdet import barnes, specfun
 from envdet.specfun import (
     EULER_GAMMA,
     LOG_2PI,
@@ -13,10 +14,7 @@ from envdet.specfun import (
     ZETA_PRIME_NEG1,
     DomainError,
     QuadratureError,
-    bernoulli,
     integrate_semi_infinite,
-    log_gamma,
-    zeta_int,
 )
 
 ZETA3 = 1.2020569031595942854
@@ -39,89 +37,48 @@ def test_log_2pi_log_pi():
     assert abs(LOG_PI - math.log(math.pi)) <= 1e-15
 
 
-def test_log_gamma_special_points():
-    assert log_gamma(1.0) == 0.0
-    assert abs(log_gamma(0.5) - 0.5 * LOG_PI) <= 1e-15
-
-
-def test_log_gamma_matches_math_lgamma():
-    for x in (0.1, 0.37, 2 / 3, 1.5, 7.25):
-        assert abs(log_gamma(x) - math.lgamma(x)) <= 1e-14 * max(1.0, abs(math.lgamma(x)))
-
-
 def test_log_gamma_critical_value_relation():
     # 2 log Gamma(2/3) recovers the determinant's critical value identity
     from envdet import envelope
 
     log_det = envelope.log_det_area(envelope.AngleParam(-2.0 / 3.0), 1.0).log_det
-    lhs = 2.0 * log_gamma(2.0 / 3.0)
+    lhs = 2.0 * math.lgamma(2.0 / 3.0)
     rhs = (2.0 / 3.0) * LOG_PI + math.log(2.0 / 3.0) / 3.0 - log_det
     assert abs(lhs - rhs) <= 1e-9
 
 
-def test_log_gamma_domain():
-    for bad in (0.0, -1.0, -0.5):
-        with pytest.raises(DomainError):
-            log_gamma(bad)
-
-
-def test_log_gamma_recurrence_on_grid():
-    x = np.linspace(0.05, 10.0, 1000)
-    gap = log_gamma(x + 1.0) - log_gamma(x) - np.log(x)
-    assert float(np.max(np.abs(gap))) <= 1e-12
-
-
-def test_zeta_int_even_values():
-    assert abs(zeta_int(2) - math.pi**2 / 6.0) <= 1e-14 * (math.pi**2 / 6.0)
-    assert abs(zeta_int(4) - math.pi**4 / 90.0) <= 1e-14 * (math.pi**4 / 90.0)
-
-
-def test_zeta_int_3_against_partial_sum():
-    # brute force: 1e7 terms plus the midpoint-corrected integral tail
-    n = 10_000_000
-    k = np.arange(1, n + 1, dtype=np.float64)
-    partial = float(np.sum(1.0 / k**3))
-    tail = 1.0 / (2.0 * (n + 0.5) ** 2)
-    assert abs(zeta_int(3) - (partial + tail)) <= 1e-12
-
-
-def test_zeta_int_domain():
-    for bad in (1, 0, -3):
-        with pytest.raises(DomainError):
-            zeta_int(bad)
-    with pytest.raises(DomainError):
-        zeta_int(2.5)
+def _bernfrac(n):
+    return Fraction(*mpmath.bernfrac(n))
 
 
 def test_bernoulli_small_values():
-    assert bernoulli(2) == Fraction(1, 6)
-    assert bernoulli(4) == Fraction(-1, 30)
-    assert bernoulli(6) == Fraction(1, 42)
-    assert bernoulli(12) == Fraction(-691, 2730)
+    assert [barnes._B[n] for n in (0, 1, 2, 4, 6, 12)] == [
+        1, Fraction(-1, 2), Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-691, 2730)
+    ]
 
 
 def test_bernoulli_zeta_identity():
     # |B_2k| = 2 (2k)! zeta(2k) / (2 pi)^{2k}
     for k in range(1, 9):
-        lhs = abs(float(bernoulli(2 * k)))
-        rhs = 2.0 * math.factorial(2 * k) * zeta_int(2 * k) / (2.0 * math.pi) ** (2 * k)
+        lhs = abs(float(barnes._B[2 * k]))
+        rhs = 2.0 * math.factorial(2 * k) * float(mpmath.zeta(2 * k)) / (2.0 * math.pi) ** (2 * k)
         assert abs(lhs - rhs) <= 1e-12 * rhs
 
 
-def test_zeta_even_closed_form_via_bernoulli():
-    for k in range(1, 9):
-        closed = (
-            abs(float(bernoulli(2 * k)))
-            * (2.0 * math.pi) ** (2 * k)
-            / (2.0 * math.factorial(2 * k))
-        )
-        assert abs(zeta_int(2 * k) - closed) <= 1e-13 * closed
-
-
-def test_bernoulli_domain():
-    for bad in (3, 1, 0, 66, -2):
-        with pytest.raises(DomainError):
-            bernoulli(bad)
+def test_barnes_tables_match_mpmath():
+    # independent oracle: mpmath's exact Bernoulli numbers and 40-digit zeta
+    assert barnes._B == [_bernfrac(n) for n in range(2 * barnes._KMAX + 1)]
+    ks = range(2, barnes._KMAX + 1)
+    f0 = [float(_bernfrac(2 * k) / math.factorial(2 * k)) for k in ks]
+    assert barnes._F0 == f0
+    assert barnes._F1 == [c * (2 * k - 1) for k, c in zip(ks, f0)]
+    assert barnes._F2 == [c * (2 * k - 1) * (2 * k - 2) for k, c in zip(ks, f0)]
+    with mpmath.workdps(40):
+        for k, tail in zip(ks, barnes._TAIL, strict=True):
+            b = _bernfrac(2 * k)
+            exact = mpmath.mpf(b.numerator) / b.denominator / (2 * k * (2 * k - 1))
+            exact *= mpmath.zeta(2 * k - 1)
+            assert abs(mpmath.mpf(tail) - exact) <= 4 * math.ulp(tail)
 
 
 def _integrate(g):
@@ -147,7 +104,7 @@ def test_quadrature_pure_exponential():
 def test_quadrature_zeta_gamma_family():
     for n in range(2, 7):
         value, _ = _integrate(lambda t, n=n: t ** (n - 1) / np.expm1(t))
-        target = zeta_int(n) * math.factorial(n - 1)
+        target = float(mpmath.zeta(n)) * math.factorial(n - 1)
         assert abs(value - target) <= max(1e-12, 1e-12 * target)
 
 
