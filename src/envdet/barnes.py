@@ -217,7 +217,7 @@ def _integral(a: ArrayLike, orders: tuple):
         # node axis first, then one group per order for the quadrature
         return values.swapaxes(0, 1)
 
-    integral, errs = integrate_semi_infinite(integrand, len(orders))
+    integral, errs = integrate_semi_infinite(integrand, len(orders), arr.size)
     for k, row in zip(orders, integral):
         row += _head(arr, k)
     return integral.reshape((len(orders),) + np.shape(a)), errs

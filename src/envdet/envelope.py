@@ -123,6 +123,13 @@ class AngleParam:
     a2: Union[float, np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
+        # a float stays a float (the scalar path is pinned bit for bit); an
+        # array-like becomes a 1-D float64 array
+        if np.ndim(self.beta):
+            beta = np.asarray(self.beta, dtype=float)
+            if beta.ndim > 1:
+                raise DomainError(f"beta must be a float or a 1-D array, got shape {beta.shape}")
+            object.__setattr__(self, "beta", beta)
         _check_beta(np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "a1", self.beta + 1.0)
         object.__setattr__(self, "a2", -2.0 * self.beta - 1.0)

@@ -3,6 +3,11 @@ double-exponential quadrature rule for groups of exponentially decaying
 integrands on (0, inf), each group accepted at its own refinement level and
 no longer evaluated after that.
 
+The caller states the width of its integrands, so the first node table, the
+whole h = 1/8 grid that holds the three levels before the first acceptance,
+is one integrand call for a narrow integrand.  Each level is summed in node
+order, by one prefix sum over narrow rows.
+
 Everything here is pure but the quadrature's read of ``ENVDET_QUAD_TOL``;
 the quadrature's node tables are built once per refinement level, on first
 use.
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from typing import Callable, Tuple
 
@@ -72,6 +78,30 @@ _BLOCK_POINTS = 2**14
 _MAX_LEVELS = 10
 
 
+# A prefix sum along the node axis runs one inner loop per value of a row,
+# about 5 ns per value and row, where an in-place add costs about 0.5 us
+# per row; rows of at most this many values take the prefix sum.
+_PREFIX_SUM_VALUES = 64
+
+
+def _add_rows(total, rows: np.ndarray):
+    """``total + rows[0] + rows[1] + ...``, added in this order: the bits of
+    ``for row in rows: total += row``, signed zeros included (never a
+    pairwise ``sum``, which rounds otherwise).  Narrow rows are added by one
+    prefix sum seeded with ``total``, written into ``rows``; wide ones into
+    an array ``total`` of their own, so that no total keeps its block alive
+    (that raised a wide integrand's page faults 2.5-fold)."""
+    if not len(rows):
+        return total
+    if rows[0].size > _PREFIX_SUM_VALUES:
+        for row in rows:
+            total += row
+        return total
+    rows[0] += total
+    np.add.accumulate(rows, axis=0, out=rows)
+    return rows[-1]
+
+
 @functools.lru_cache(maxsize=64)
 def _level_nodes(
     u_lo: float, u_hi: float, h: float, odd_only: bool
@@ -94,9 +124,12 @@ def _level_nodes(
     return tables
 
 
-def integrate_semi_infinite(f: Callable, groups: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Integrate ``groups`` vectors of integrands over (0, inf) with a
-    double-exponential trapezoid rule, each group converging on its own.
+def integrate_semi_infinite(
+    f: Callable, groups: int, width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Integrate ``groups`` vectors of ``width`` integrands each over
+    (0, inf) with a double-exponential trapezoid rule, each group converging
+    on its own.
 
     The substitution t = exp(u - exp(-u)) maps the integral to the real line
     where the trapezoid rule converges geometrically for integrands that are
@@ -106,11 +139,14 @@ def integrate_semi_infinite(f: Callable, groups: int) -> Tuple[np.ndarray, np.nd
     tuple of the indices of the groups still open, and returns their
     integrands there as an ``(n, len(open), width)`` array; the rule is
     applied component wise, with the max norm over a group driving its
-    convergence.  The first call gets one node and reveals the size per node;
-    later calls get at most ``max(1, 2**14 // size)`` nodes, with the size of
-    the latest call, so a level of a narrow integrand is one call and a wide
-    one gets one node per call.  The weighted values are summed one node at a
-    time in node order, so the result does not depend on how the nodes were
+    convergence.  No group can be accepted before h = 1/8, so the first node
+    table is the whole h = 1/8 grid, whose nodes k h with k = 0 (mod 4),
+    k = 2 (mod 4) and k odd are the levels h = 1/2, 1/4 and 1/8; each later
+    level is the odd nodes of its h.  A table is evaluated in calls of at
+    most ``max(1, 2**14 // (len(open) * width))`` nodes, so a table of a
+    narrow integrand is one call and a wide one gets one node per call.
+    Each level's weighted values are added one node at a time in node
+    order, from 0.0, so the result does not depend on how the nodes were
     split into calls.
 
     A refinement is accepted when it moves a group's estimate by at most
@@ -118,12 +154,15 @@ def integrate_semi_infinite(f: Callable, groups: int) -> Tuple[np.ndarray, np.nd
     (default 1e-12), read once per call; a value that is not a finite
     positive number raises ``DomainError``.  A group is frozen at the level
     that accepts it and no longer evaluated, so its value and level are those
-    of a call on that group alone.
+    of a call on that group alone.  A ``width`` that is not a positive
+    integer, or an integrand value of another shape, raises ``ValueError``.
 
     Returns ``(values, err_est)``: the ``(groups, width)`` integrals and, per
     group, the last refinement difference, an upper estimate of the
     remaining error.
     """
+    if not isinstance(width, numbers.Integral) or width < 1:
+        raise ValueError(f"width must be a positive integer, got {width!r}")
     target = _tol()
     # Hard cutoffs chosen so the neglected tails are far below tol:
     # t_hi has exp(-t) * poly(t) < tol / 10, the t -> 0 end is damped
@@ -131,39 +170,54 @@ def integrate_semi_infinite(f: Callable, groups: int) -> Tuple[np.ndarray, np.nd
     decades = -math.log(min(target, 1e-6))
     u_hi = math.log(decades + 45.0)
     u_lo = -math.log(decades + 40.0)
-    block = 1  # nodes per call, until the first call reveals the width
 
-    def weighted_sum(h: float, odd_only: bool, open_: Tuple[int, ...]) -> np.ndarray:
-        nonlocal block
-        nodes, weights = _level_nodes(u_lo, u_hi, h, odd_only)
-        total = 0.0
-        start = 0
-        while start < nodes.size:
-            stop = start + block
-            values = f(nodes[start:stop], open_)
-            block = max(1, _BLOCK_POINTS // values[0].size)
-            # the whole block weighted by one multiply, its rows then added in
-            # node order
-            for row in values * weights[start:stop, None, None]:
-                total += row
-            del values, row  # free this block before the next one is made
-            start = stop
-        return total
+    def weighted_sums(nodes, weights, levels, open_) -> list:
+        # one sum per level (offset, step): table positions offset,
+        # offset + step, ...
+        block = max(1, _BLOCK_POINTS // (len(open_) * width))
+        # the float 0.0, not np.zeros: zeroed totals too raised a wide
+        # integrand's page faults 2.5-fold
+        totals = [0.0] * len(levels)
+        for start in range(0, nodes.size, block):
+            t = nodes[start:start + block]
+            values = f(t, open_)
+            if np.shape(values) != (t.size, len(open_), width):
+                raise ValueError(
+                    f"integrand returned shape {np.shape(values)}, "
+                    f"expected {(t.size, len(open_), width)}"
+                )
+            # the whole block weighted by one multiply
+            weighted = values * weights[start:start + block, None, None]
+            for i, (offset, step) in enumerate(levels):
+                totals[i] = _add_rows(totals[i], weighted[(offset - start) % step::step])
+            del values, weighted  # free this block before the next one is made
+        return totals
 
     h = 0.5
     open_ = tuple(range(groups))
+    # the three levels before the first acceptance, from the h = 1/8 grid;
+    # u = k h is exact, so its nodes are those of each level's own table
+    k_lo = math.ceil(u_lo / (h / 4.0))
+    first_levels = ((-k_lo) % 4, 4), ((2 - k_lo) % 4, 4), ((1 - k_lo) % 2, 2)
+    coarse, *finer = weighted_sums(
+        *_level_nodes(u_lo, u_hi, h / 4.0, False), first_levels, open_
+    )
     # one row per group, rebound and never written to, so a frozen row keeps
     # its accepted value (a (groups, width) array tripled the page faults)
-    estimate = list(weighted_sum(h, False, open_) * h)
+    estimate = list(coarse * h)
     errs = [math.inf] * groups
     eps = np.finfo(float).eps
 
     for level in range(_MAX_LEVELS):
         h /= 2.0
+        if level < len(finer):
+            new_sum = finer[level]
+        else:
+            (new_sum,) = weighted_sums(*_level_nodes(u_lo, u_hi, h, True), ((0, 1),), open_)
         still_open = []
         # the new nodes' sum first, then each open row's halved estimate
         # added to it in place (floating-point addition commutes)
-        for g, new in zip(open_, weighted_sum(h, True, open_) * h):
+        for g, new in zip(open_, new_sum * h):
             new += estimate[g] / 2.0
             errs[g] = float(np.abs(new - estimate[g]).max())
             scale = float(np.abs(new).max())

@@ -553,12 +553,48 @@ def test_wide_integrand_gets_one_node_per_call(monkeypatch):
 
 
 def test_narrow_integrand_gets_whole_levels(monkeypatch):
-    calls = _record_integrand_calls(monkeypatch)
-    barnes._integral(np.array([0.3, 0.7]), (0,))
-    # each level's nodes increase, so a new level starts below the last node
-    levels = 1 + sum(t[0] < prev[-1] for (prev, _), (t, _) in zip(calls, calls[1:]))
-    assert len(calls) <= 2 * levels
-    assert sum(t.size for t, _ in calls) == 68
+    seen = []
+
+    def quadrature(f, *args):
+        def recorded(t, open_):
+            assert not t.flags.writeable and np.all(np.diff(t) > 0.0)
+            seen.append((t.size, open_))
+            return f(t, open_)
+
+        return integrate_semi_infinite(recorded, *args)
+
+    monkeypatch.setattr(barnes, "integrate_semi_infinite", quadrature)
+    # the whole h = 1/8 grid in one call, then one call per extra level for
+    # the orders still open
+    barnes._integral(np.array([0.3, 0.7]), (0, 1, 2))
+    assert seen == [(68, (0, 1, 2))]
+    seen.clear()
+    monkeypatch.setenv("ENVDET_QUAD_TOL", "1e-14")
+    barnes._integral(np.array([0.3, 0.7]), (0, 1, 2))
+    assert seen == [(69, (0, 1, 2)), (69, (2,))]
+
+
+# width of a, orders, integrand calls at the default tol: the h = 1/8 grid
+# of 68 nodes is one call up to 2**14 // 68 = 240 values per node
+CALL_PLANS = [
+    (80, (0, 1, 2), 1),
+    (81, (0, 1, 2), 2),
+    (240, (1,), 1),
+    (241, (1,), 2),
+    (2**14 - 1, (0, 1, 2), 68),
+    (2**14 + 1, (0, 1, 2), 68),
+    (40000, (0, 1, 2), 68),
+]
+
+
+@pytest.mark.parametrize("width,orders,calls", CALL_PLANS)
+def test_call_plan_does_not_change_the_bits(width, orders, calls, monkeypatch):
+    one, one_err = barnes._integral(np.array([0.37]), orders)
+    recorded = _record_integrand_calls(monkeypatch)
+    values, errs = barnes._integral(np.full(width, 0.37), orders)
+    assert len(recorded) == calls
+    assert values.tobytes() == np.repeat(one, width, axis=1).tobytes()
+    assert errs.tobytes() == one_err.tobytes()
 
 
 # ---------------------------------------------------------------------------

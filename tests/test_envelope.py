@@ -85,6 +85,28 @@ def test_angle_param_from_fraction():
         AngleParam(-0.625, exact=Fraction(-2, 3))
 
 
+@pytest.mark.parametrize("beta", [[-0.7, -0.6], (-0.7,), np.array([-0.7, -0.6], dtype=np.float32)])
+def test_angle_param_array_like_beta_is_a_float64_array(beta):
+    p = AngleParam(beta)
+    expected = np.asarray(beta, dtype=float)
+    assert type(p.beta) is np.ndarray and p.beta.dtype == np.float64 and p.beta.ndim == 1
+    assert np.array_equal(p.beta, expected)
+    assert np.array_equal(p.a1, expected + 1.0)
+    assert np.array_equal(p.a2, -2.0 * expected - 1.0)
+    assert np.array_equal(log_det_area(p, 1.0).log_det, log_det_area(AngleParam(expected), 1.0).log_det)
+
+
+@pytest.mark.parametrize("beta", [[[-0.7, -0.6]], np.full((2, 2), -0.7), np.full((1, 1, 1), -0.7)])
+def test_angle_param_rejects_beta_of_two_or_more_dimensions(beta):
+    with pytest.raises(DomainError, match="1-D"):
+        AngleParam(beta)
+
+
+def test_angle_param_float_beta_stays_a_float():
+    p = AngleParam(-0.7)
+    assert type(p.beta) is float and type(p.a1) is float and type(p.a2) is float
+
+
 @pytest.mark.parametrize("beta", [np.array([-0.75, -0.7]), np.array([-0.75])])
 def test_angle_param_exact_needs_scalar_beta(beta):
     with pytest.raises(DomainError, match="scalar beta"):

@@ -1,8 +1,9 @@
-"""Every span the benchmark's tracer installs names a real envdet attribute.
+"""The benchmark's tracer, checked against envdet.
 
 ``perfbench/spans.py`` is loaded from its file, without writing bytecode
-next to it; a renamed or deleted public function shows up here as a missing
-name, before any benchmark run reports ``trace.absent_names``.
+next to it.  A renamed or deleted public function shows up here as a
+missing name, before any benchmark run reports ``trace.absent_names``; the
+per-layer counts of one scalar call pin the call plan the trace reports.
 """
 
 import importlib
@@ -10,14 +11,21 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from envdet import envelope
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def test_every_traced_name_is_an_envdet_attribute(monkeypatch):
+def _load_spans(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_name_is_an_envdet_attribute(monkeypatch):
+    spans = _load_spans(monkeypatch)
     assert spans.TRACED
     missing = []
     for name in spans.TRACED:
@@ -26,3 +34,25 @@ def test_every_traced_name_is_an_envdet_attribute(monkeypatch):
         if not hasattr(module, attr):
             missing.append(name)
     assert missing == []
+
+
+def test_scalar_log_det_area_is_one_kernel_call(monkeypatch):
+    spans = _load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    with tracer.tracing(0):
+        envelope.log_det_area(envelope.AngleParam(-0.7), 1.3)
+    metrics = spans.layer_metrics(tracer.take(), 0)
+    counts = {name: metrics[name][0] for name in (
+        "specfun.quad.calls",
+        "specfun.quad.nodes",
+        "barnes.kernel.calls",
+        "barnes.kernel.points",
+    )}
+    # one quadrature over a1 and a2: the 68 nodes of the h = 1/8 grid in one
+    # integrand call, and so one kernel call on 68 x 2 points
+    assert counts == {
+        "specfun.quad.calls": 1,
+        "specfun.quad.nodes": 1,
+        "barnes.kernel.calls": 1,
+        "barnes.kernel.points": 136,
+    }

@@ -3,7 +3,8 @@
 The scan hashes pin the array path only.  These ``float.hex`` strings pin
 what a float beta or a float a gives: the parts of ``log_det_area`` on the
 integral and series routes, both beta-derivatives, the series route of
-zeta_B'(0; a, 1, 1) with its certificate, and the critical area.
+zeta_B'(0; a, 1, 1) with its certificate, the integral route and its two
+a-derivatives at the ends of its range of a, and the critical area.
 """
 
 import pytest
@@ -48,6 +49,16 @@ BARNES_SERIES = {
     (1.0, 5): ("-0x1.536a22991a3d6p-3", "0x1.ba34ca1c7439ap-11"),
     (1.0, 16): ("0x1.4100781f85960p+19", "0x1.d1089b17cf477p+23"),
 }
+# a -> zeta_b_prime0 value and error estimate, d_zeta_b_prime0, d2_zeta_b_prime0;
+# at a = 1e-100 the order-0 integrand is -0.0 at the first nodes
+BARNES_INTEGRAL = {
+    1e-100: ("0x1.2325a106ae2fbp+330", "0x0.0000003480000p-1022",
+             "-0x1.4cc6ff88e98e5p+662", "0x1.7c5c3c9d34a39p+995"),
+    1e-6: ("0x1.e5d9023f8e41dp+17", "0x1.8180000000000p-112",
+           "-0x1.cf5760bf4de3cp+37", "0x1.b9e0707ff1820p+58"),
+    1e27: ("-0x1.fdf697f97e912p+91", "0x1.f840000000000p+51",
+           "-0x1.40fc3ca22d013p+2", "-0x1.bec77c508b2aep-97"),
+}
 CRITICAL_AREA = "0x1.eb75300deff52p+0"
 
 
@@ -79,6 +90,13 @@ def test_log_det_area_series_route(beta, n):
 def test_zeta_b_prime0_series(a, n):
     out = barnes.zeta_b_prime0_series(a, n)
     assert _hex(out.value, out.error_bound) == BARNES_SERIES[a, n]
+
+
+@pytest.mark.parametrize("a", sorted(BARNES_INTEGRAL))
+def test_integral_route_at_the_ends_of_its_range(a):
+    out = barnes.zeta_b_prime0(a)
+    got = _hex(out.value, out.error_bound, barnes.d_zeta_b_prime0(a), barnes.d2_zeta_b_prime0(a))
+    assert got == BARNES_INTEGRAL[a]
 
 
 def test_critical_area():

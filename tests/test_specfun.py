@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -81,10 +82,12 @@ def test_barnes_tables_match_mpmath():
             assert abs(mpmath.mpf(tail) - exact) <= 4 * math.ulp(tail)
 
 
-def _integrate(g):
-    """Integrate one group of integrands, ``g(t)`` shaped (n,) or (n, width):
-    its values and its error estimate."""
-    values, errs = integrate_semi_infinite(lambda t, open_: g(t).reshape(t.size, 1, -1), 1)
+def _integrate(g, width=1):
+    """Integrate one group of ``width`` integrands, ``g(t)`` shaped (n,) or
+    (n, width): its values and its error estimate."""
+    values, errs = integrate_semi_infinite(
+        lambda t, open_: g(t).reshape(t.size, 1, -1), 1, width
+    )
     return values[0], errs[0]
 
 
@@ -114,7 +117,7 @@ def test_quadrature_error_estimate_is_conservative():
 
 
 def test_quadrature_vector_valued():
-    value, _ = _integrate(lambda t: np.stack([np.exp(-t), t / np.expm1(t)], axis=-1))
+    value, _ = _integrate(lambda t: np.stack([np.exp(-t), t / np.expm1(t)], axis=-1), 2)
     assert isinstance(value, np.ndarray)
     assert abs(value[0] - 1.0) <= 1e-12
     assert abs(value[1] - math.pi**2 / 6.0) <= 1e-12
@@ -156,7 +159,7 @@ def _counted(*fs):
             per_group[k] += t.size
         return integrand(t, open_)
 
-    value, err = integrate_semi_infinite(g, len(fs))
+    value, err = integrate_semi_infinite(g, len(fs), _RATES.size)
     return value, err, sum(nodes), per_group
 
 
@@ -181,28 +184,51 @@ def test_grouped_quadrature_freezes_each_group_at_its_level(first):
 def test_grouped_quadrature_raises_while_a_group_is_open(monkeypatch):
     # e^{-t} t^{-0.9} is integrable, but too singular at 0 for ten refinements
     with pytest.raises(QuadratureError):
-        integrate_semi_infinite(_stacked(_fast, lambda t: _fast(t) * t[:, None] ** -0.9), 2)
+        integrate_semi_infinite(
+            _stacked(_fast, lambda t: _fast(t) * t[:, None] ** -0.9), 2, _RATES.size
+        )
     monkeypatch.setenv("ENVDET_QUAD_TOL", "1e-30")
     with pytest.raises(QuadratureError):
-        integrate_semi_infinite(_stacked(_fast, _slow), 2)
+        integrate_semi_infinite(_stacked(_fast, _slow), 2, _RATES.size)
 
 
-def test_quadrature_nodes_are_read_only_and_increasing():
-    seen = []
+def test_quadrature_nodes_are_read_only_and_increasing(monkeypatch):
+    def sizes_seen():
+        seen = []
 
+        def f(t, open_):
+            with pytest.raises(ValueError):
+                t[0] = 1.0
+            assert np.all(np.diff(t) > 0.0)
+            seen.append(t.size)
+            return (t / np.expm1(t))[:, None, None]
+
+        integrate_semi_infinite(f, 1, 1)
+        return seen
+
+    # a narrow integrand gets the whole h = 1/8 grid in one call, then one
+    # call per extra level, each in increasing order
+    assert sizes_seen() == [68]
+    monkeypatch.setenv("ENVDET_QUAD_TOL", "1e-14")
+    assert sizes_seen() == [69, 69]
+
+
+@pytest.mark.parametrize("width", [0, -1, 1.5, "3", None])
+def test_quadrature_width_must_be_a_positive_integer(width):
+    with pytest.raises(ValueError, match="width must be a positive integer"):
+        integrate_semi_infinite(lambda t, open_: np.exp(-t)[:, None, None], 1, width)
+
+
+@pytest.mark.parametrize("returned", [(1, 2), (2, 1), (1,)])
+def test_quadrature_rejects_an_integrand_of_the_wrong_shape(returned):
+    # an integrand 2 wide passed off as 1 wide, and one group too many or
+    # too few dimensions
     def f(t, open_):
-        with pytest.raises(ValueError):
-            t[0] = 1.0
-        seen.append(t.copy())
-        return np.exp(-t)[:, None, None]
+        return np.ones((t.size,) + returned)
 
-    integrate_semi_infinite(f, 1)
-    # the first call has one node; narrow integrands get a whole level per
-    # later call, each in increasing order
-    assert seen[0].size == 1
-    assert len(seen) == 4
-    assert all(np.all(np.diff(t) > 0.0) for t in seen)
-    assert sum(t.size for t in seen) == 68
+    expected = re.escape(f"shape {(68,) + returned}, expected (68, 1, 1)")
+    with pytest.raises(ValueError, match=expected):
+        integrate_semi_infinite(f, 1, 1)
 
 
 def test_quadrature_spec_validation(monkeypatch):
@@ -214,3 +240,110 @@ def test_quadrature_spec_validation(monkeypatch):
     assert specfun._tol() == 1e-6
     value, _ = _integrate(lambda t: np.exp(-t))
     assert abs(value - 1.0) <= 1e-6
+
+
+def _reference_quadrature(f, groups, width):
+    """The rule as a plain loop, one node per call: the levels h = 1/2, 1/4,
+    1/8, ... in turn, each level's weighted values added in node order from
+    0.0.  Returns ``(values, errs, nodes)`` like ``_run``."""
+    target = specfun._tol()
+    decades = -math.log(min(target, 1e-6))
+    u_hi = math.log(decades + 45.0)
+    u_lo = -math.log(decades + 40.0)
+    nodes = [0] * groups
+
+    def level_sum(h, odd_only, open_):
+        total = 0.0
+        for k in range(math.ceil(u_lo / h), math.floor(u_hi / h) + 1):
+            if odd_only and k % 2 == 0:
+                continue
+            u = k * h
+            emu = math.exp(-u)
+            t = math.exp(u - emu)
+            for g in open_:
+                nodes[g] += 1
+            total += f(np.array([t]), open_)[0] * (t * (1.0 + emu))
+        return total
+
+    h = 0.5
+    open_ = tuple(range(groups))
+    estimate = list(level_sum(h, False, open_) * h)
+    errs = [math.inf] * groups
+    eps = np.finfo(float).eps
+    for level in range(specfun._MAX_LEVELS):
+        h /= 2.0
+        still_open = []
+        for g, new in zip(open_, level_sum(h, True, open_) * h):
+            new = new + estimate[g] / 2.0
+            errs[g] = float(np.abs(new - estimate[g]).max())
+            scale = float(np.abs(new).max())
+            tol = max(target, target * scale)
+            if not (level >= 1 and errs[g] <= tol and tol >= 4.0 * eps * scale):
+                still_open.append(g)
+            estimate[g] = new
+        open_ = tuple(still_open)
+        if not open_:
+            return np.array(estimate), np.array(errs), nodes
+    raise QuadratureError(
+        f"quadrature did not reach tolerance {target:g} within "
+        f"{specfun._MAX_LEVELS} refinements (last diff {max(errs[g] for g in open_):g})"
+    )
+
+
+def _run(quadrature, fs, width):
+    """The bytes of the values and errors of the groups ``fs``, or the
+    QuadratureError message, with the nodes each group was passed on."""
+    nodes = [0] * len(fs)
+
+    def g(t, open_):
+        for k in open_:
+            nodes[k] += t.size
+        return np.stack([fs[k](t) for k in open_], axis=1)
+
+    try:
+        values, errs = quadrature(g, len(fs), width)[:2]
+    except QuadratureError as exc:
+        return str(exc), nodes
+    assert values.shape == (len(fs), width)
+    return values.tobytes(), errs.tobytes(), nodes
+
+
+def _families(width):
+    """Integrands of ``width`` rates each: (n,) nodes -> (n, width)."""
+    c = np.linspace(0.5, 2.0, width)
+
+    def at(t):
+        return t[:, None] * c
+
+    return {
+        # -0.0 at the first nodes, where exp(-1/t) underflows
+        "underflow": lambda t: -np.exp(-at(t) - 1.0 / t[:, None]),
+        "negative-zero": lambda t: -0.0 * np.exp(-at(t)),
+        # integrates to 1/c - 1/c + 1 = 1 from terms of size 30
+        "cancelling": lambda t: (
+            30.0 * (np.exp(-at(t)) - 2.0 * np.exp(-2.0 * at(t))) + np.exp(-t[:, None])
+        ),
+        "bose": lambda t: at(t) / np.expm1(at(t)),
+        # accepted at level 7
+        "slow": lambda t: np.exp(-t[:, None]) / (1.0 + 100.0 * (at(t) - 3.0) ** 2),
+        # integrable, but too singular at 0 for ten refinements
+        "singular": lambda t: np.exp(-at(t)) * t[:, None] ** -0.9,
+    }
+
+
+@pytest.mark.parametrize("tol", [None, "1e-14"])
+@pytest.mark.parametrize("width", [1, 20, 100, 3000])
+@pytest.mark.parametrize("groups", [
+    ("underflow", "negative-zero", "cancelling", "bose"),
+    ("slow", "underflow", "cancelling"),
+    ("negative-zero", "singular", "bose"),
+])
+def test_quadrature_matches_sequential_reference(groups, width, tol, monkeypatch):
+    if tol is not None:
+        monkeypatch.setenv("ENVDET_QUAD_TOL", tol)
+    families = _families(width)
+    fs = [families[name] for name in groups]
+    got = _run(integrate_semi_infinite, fs, width)
+    assert got == _run(_reference_quadrature, fs, width)
+    # only the singular group exhausts the refinements
+    assert len(got) == (2 if "singular" in groups else 3)
