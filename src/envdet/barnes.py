@@ -17,8 +17,8 @@ double-exponential quadrature, evaluated on an array of a values for a tuple
 of derivative orders at once, one quadrature group per order; scalar a is a
 one-element array and one order a one-element tuple.  Each integrand call
 evaluates the kernel once, for every order not yet accepted, on the outer
-product of a block of quadrature nodes with the a values.  The Dedekind sum
-behind the rational route is a sum of integers.
+product of a block of quadrature nodes with the a values.  The range of a
+holds at the default tolerance only.  The Dedekind sum is a sum of integers.
 """
 
 from __future__ import annotations
@@ -77,9 +77,10 @@ _CROSSOVER = 0.5
 # k = 2..16; the first omitted one sets its certificate.
 _TAIL = [float(_B[2 * k] / (2 * k * (2 * k - 1))) * float(_sp.zeta(2 * k - 1, 1))
          for k in range(2, _KMAX + 1)]
-# Range of a the integral route takes.  In a log-spaced sweep every order
-# converged without overflow up to _A_MAX; order 1 first failed at a = 4.4e27.
-# Below _A_MIN the heads overflow, order 2's from a = 1e-105 on.
+# Range of a the integral route takes at the default tolerance.  In log-spaced
+# sweeps every order converged without overflow up to _A_MAX (order 1 first
+# failed at a = 4.4e27); under ENVDET_QUAD_TOL=1e-6 orders 0 and 1 fail from
+# about 6.3e24 and 4.0e24.  Below _A_MIN the heads overflow, order 2's from 1e-105 on.
 _A_MIN = 1e-100
 _A_MAX = 1e27
 
@@ -207,7 +208,7 @@ def _integral(a: ArrayLike, orders: tuple):
     # the last bit at some nodes.
     def integrand(t: np.ndarray, open_: tuple) -> np.ndarray:
         ks = tuple(orders[g] for g in open_)
-        em = np.array([[math.expm1(x)] for x in t.tolist()])
+        em = np.array(list(map(math.expm1, t.tolist())))[:, None]
         t = t[:, None]
         values = f_kernel(t * arr, ks)
         for v, k in zip(values, ks):

@@ -69,11 +69,14 @@ BETA_CRITICAL = -2.0 / 3.0
 
 
 def _check_beta(b: np.ndarray) -> None:
-    if not (np.all(b > -1.0) and np.all(b < -0.5)):
+    if not b.size:
+        return
+    lo, hi = b.min(), b.max()  # NaN carries; rounded b + 1, -0.5 - b are monotone
+    if not (lo > -1.0 and hi < -0.5):
         raise DomainError("beta must lie in the open interval (-1, -1/2)")
     # Every term of the determinant formula is singular at the endpoints;
     # the asymptotic expansions cover the excluded slivers.
-    if np.any(b + 1.0 < _EDGE) or np.any(-0.5 - b < _EDGE):
+    if lo + 1.0 < _EDGE or -0.5 - hi < _EDGE:
         raise DomainError(
             f"beta within {_EDGE:g} of an endpoint; use the asymptotic expansions there"
         )
@@ -206,7 +209,7 @@ def _elementary(p: AngleParam, orders):
     """k-th beta-derivatives (k = 0, 1, 2) of the elementary terms of the
     unit-area log det, g log 2 - h log c - log a1 - log(a2)/2 - 2.5 log 2
     - log pi with c the scaling factor: a list with one term per order k in
-    the tuple ``orders``, from shared intermediates."""
+    the tuple ``orders``, from shared intermediates; trigamma is zeta(2, .)."""
     b, a1, a2 = p.beta, p.a1, p.a2
     x2 = 2.0 * b + 1.0
     h = (2.0 / a1 - 1.0 / x2 - 1.0) / 6.0
@@ -228,7 +231,7 @@ def _elementary(p: AngleParam, orders):
         else:
             gpp = (8.0 / a1**3 - 8.0 / x2**3) / 6.0
             hpp = (4.0 / a1**3 - 8.0 / x2**3) / 6.0
-            d2_log_c = -_sp.polygamma(1, a2 / 2.0) - _sp.polygamma(1, a1) + 2.0 * np.pi**2 / s**2
+            d2_log_c = -_sp.zeta(2.0, a2 / 2.0) - _sp.zeta(2.0, a1) + 2.0 * np.pi**2 / s**2
             terms.append(
                 gpp * _LOG2
                 - hpp * log_c

@@ -167,10 +167,8 @@ def _criterion_8() -> List[CheckResult]:
             if math.gcd(p, q) != 1:
                 continue
             lhs = barnes.dedekind_sum(q, p) + barnes.dedekind_sum(p, q)
-            rhs = (
-                Fraction(-1, 4)
-                + (Fraction(p, q) + Fraction(q, p) + Fraction(1, p * q)) / 12
-            )
+            # -1/4 + (p/q + q/p + 1/(pq)) / 12 over one denominator
+            rhs = Fraction(p * p + q * q + 1 - 3 * p * q, 12 * p * q)
             if lhs != rhs:
                 failures += 1
     return [CheckResult("dedekind_reciprocity", failures == 0, float(failures), 0.0)]

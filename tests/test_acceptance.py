@@ -2,9 +2,11 @@
 pinned tolerance and wall-clock budget.  Run with ``pytest -s`` to see one
 PASS/FAIL line per check."""
 
+from fractions import Fraction
+
 import pytest
 
-from envdet import verify
+from envdet import barnes, verify
 from envdet.cli import main
 
 CRITERION_LABELS = {
@@ -49,3 +51,13 @@ def test_critical_value_compares_with_the_quoted_reference(monkeypatch):
     monkeypatch.setattr(verify, "REFERENCE_M23", 0.1)
     checks, _ = verify.run_criterion(1)
     assert not next(c for c in checks if c.name == "critical_value").passed
+
+
+def test_dedekind_reciprocity_catches_a_wrong_dedekind_sum(monkeypatch):
+    # criterion 8 calls dedekind_sum through the module attribute, so a
+    # replaced one is what it checks
+    right = barnes.dedekind_sum
+    monkeypatch.setattr(barnes, "dedekind_sum", lambda q, p: right(q, p) + Fraction(1, p))
+    (check,), _ = verify.run_criterion(8)
+    assert check.name == "dedekind_reciprocity"
+    assert not check.passed and check.measured > 0.0

@@ -24,6 +24,7 @@ from envdet.specfun import (
     EULER_GAMMA,
     LOG_2PI,
     DomainError,
+    QuadratureError,
     integrate_semi_infinite,
 )
 from envdet.specfun import LOG_GLAISHER as LOG_A  # equals 1/12 - zeta'(-1)
@@ -294,6 +295,22 @@ def test_zeta_b_prime0_domain():
             zeta_b_prime0(bad)
     with pytest.raises(DomainError):
         d2_zeta_b_prime0([1e102])
+
+
+def test_integral_route_range_holds_at_the_default_tolerance_only(monkeypatch):
+    # the range [1e-100, 1e27] was swept at the default tolerance; under 1e-6
+    # orders 0 and 1 stop converging from a few 1e24 on, and then raise
+    # QuadratureError rather than return a value that is not finite
+    monkeypatch.setenv("ENVDET_QUAD_TOL", "1e-6")
+    with pytest.raises(QuadratureError):
+        zeta_b_prime0(1e25)
+    for a in np.geomspace(1e24, 1e27, 13).tolist():
+        for route in (lambda a: zeta_b_prime0(a).value, d_zeta_b_prime0, d2_zeta_b_prime0):
+            try:
+                value = route(a)
+            except QuadratureError:
+                continue
+            assert math.isfinite(value)
 
 
 # ---------------------------------------------------------------------------

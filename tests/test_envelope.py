@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -65,6 +66,74 @@ def test_angle_param_rejects_endpoint_slivers():
         AngleParam(-1.0 + 1e-9)
     with pytest.raises(DomainError):
         AngleParam(-0.5 - 1e-9)
+
+
+def _reference_check_beta(b):
+    """The beta check as four numpy reductions over every element: the
+    DomainError message, or None for an accepted beta."""
+    if not (np.all(b > -1.0) and np.all(b < -0.5)):
+        return "beta must lie in the open interval (-1, -1/2)"
+    if np.any(b + 1.0 < envelope._EDGE) or np.any(-0.5 - b < envelope._EDGE):
+        return f"beta within {envelope._EDGE:g} of an endpoint; use the asymptotic expansions there"
+    return None
+
+
+def _message(check, beta):
+    try:
+        check(beta)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def _edge_neighbours(x):
+    # the doubles a few ulps either side of x
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(3):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+_E = envelope._EDGE
+_SPECIAL_BETAS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    -2.2250738585072014e-308, -1.0, -0.5, -0.75, BETA_CRITICAL, math.nextafter(-1.0, 0.0),
+    math.nextafter(-0.5, -1.0),
+    *(-1.0 + _E * (1.0 + s * eps) for s in (-1.0, 1.0) for eps in (2.0**-52, 1e-12, 1e-9, 1e-3)),
+    *(-0.5 - _E * (1.0 + s * eps) for s in (-1.0, 1.0) for eps in (2.0**-52, 1e-12, 1e-9, 1e-3)),
+    *_edge_neighbours(-1.0 + _E),
+    *_edge_neighbours(-0.5 - _E),
+]
+
+
+def _beta_forms(values):
+    """A list of betas as every form AngleParam takes: each value as a float
+    and as a 0-d array, and the whole list as a list and as a 1-D array."""
+    return [*values, *(np.array(v) for v in values), list(values), np.array(values, dtype=float)]
+
+
+def _assert_check_beta_matches_reference(beta):
+    expected = _reference_check_beta(np.asarray(beta, dtype=float))
+    assert _message(envelope._check_beta, np.asarray(beta, dtype=float)) == expected
+    assert _message(AngleParam, beta) == expected
+
+
+@pytest.mark.parametrize("beta", [*_beta_forms(_SPECIAL_BETAS), [], np.array([])], ids=repr)
+def test_check_beta_matches_the_elementwise_reference(beta):
+    _assert_check_beta_matches_reference(beta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.one_of(st.sampled_from(_SPECIAL_BETAS), st.floats(), st.floats(-1.0, -0.5)),
+    max_size=6,
+))
+def test_check_beta_matches_the_elementwise_reference_property(values):
+    for beta in _beta_forms(values):
+        _assert_check_beta_matches_reference(beta)
 
 
 def test_angle_param_derived_quantities():
@@ -441,6 +510,35 @@ def test_d2_log_det_positive_on_grid():
     b = np.linspace(-0.995, -0.505, 2000)
     d2 = d2_log_det(AngleParam(b))
     assert float(np.min(d2)) > 0.0
+
+
+# d2_log_det on verify criterion 5's grid and near both endpoints, recorded
+# before its trigamma was taken from scipy's zeta(2, .) in place of
+# polygamma(1, .), which multiplies the same zeta by 1.0
+D2_CRITERION_5_SHA256 = "ee89d64ceca202bd6c47fb6d67a893b7766908dd45719347688bf9ac64a3e69c"
+# beta -> (float beta, one 8-element array of all eight betas)
+D2_NEAR_ENDPOINTS = {
+    -0.9999985: ("0x1.0ac3572eb3634p+60", "0x1.0ac3572eb3636p+60"),
+    -0.999997: ("0x1.f71fd8babcaafp+56", "0x1.f71fd8babcab1p+56"),
+    -0.999994: ("0x1.d8b9100770fe7p+53", "0x1.d8b9100770fe7p+53"),
+    -0.9999905: ("0x1.c810a383420a5p+51", "0x1.c810a383420a5p+51"),
+    -0.5000015: ("0x1.d8b903180e431p+57", "0x1.d8b903180e431p+57"),
+    -0.500003: ("0x1.ba5247541b4c1p+54", "0x1.ba5247541b4c1p+54"),
+    -0.500006: ("0x1.9bebb25e25561p+51", "0x1.9bebb25e25561p+51"),
+    -0.5000095: ("0x1.8acb3c594b00fp+49", "0x1.8acb3c594b00fp+49"),
+}
+
+
+def test_d2_log_det_on_the_criterion_5_grid_is_pinned():
+    d2 = d2_log_det(AngleParam(np.linspace(-0.999, -0.501, 10_000)))
+    assert hashlib.sha256(d2.tobytes()).hexdigest() == D2_CRITERION_5_SHA256
+
+
+def test_d2_log_det_near_the_endpoints_is_pinned():
+    betas = list(D2_NEAR_ENDPOINTS)
+    array = d2_log_det(AngleParam(np.array(betas)))
+    got = {b: (d2_log_det(AngleParam(b)).hex(), v.hex()) for b, v in zip(betas, array.tolist())}
+    assert got == D2_NEAR_ENDPOINTS
 
 
 # ---------------------------------------------------------------------------

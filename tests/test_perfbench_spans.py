@@ -11,6 +11,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from envdet import envelope
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -36,20 +38,37 @@ def test_every_traced_name_is_an_envdet_attribute(monkeypatch):
     assert missing == []
 
 
-def test_scalar_log_det_area_is_one_kernel_call(monkeypatch):
+def _call_plan(monkeypatch, call):
     spans = _load_spans(monkeypatch)
     tracer = spans.Tracer()
     with tracer.tracing(0):
-        envelope.log_det_area(envelope.AngleParam(-0.7), 1.3)
+        call()
     metrics = spans.layer_metrics(tracer.take(), 0)
-    counts = {name: metrics[name][0] for name in (
+    return {name: metrics[name][0] for name in (
         "specfun.quad.calls",
         "specfun.quad.nodes",
         "barnes.kernel.calls",
         "barnes.kernel.points",
     )}
+
+
+def test_scalar_log_det_area_is_one_kernel_call(monkeypatch):
+    counts = _call_plan(monkeypatch, lambda: envelope.log_det_area(envelope.AngleParam(-0.7), 1.3))
     # one quadrature over a1 and a2: the 68 nodes of the h = 1/8 grid in one
     # integrand call, and so one kernel call on 68 x 2 points
+    assert counts == {
+        "specfun.quad.calls": 1,
+        "specfun.quad.nodes": 1,
+        "barnes.kernel.calls": 1,
+        "barnes.kernel.points": 136,
+    }
+
+
+@pytest.mark.parametrize("name", ["d_log_det", "d2_log_det"])
+def test_scalar_derivative_is_one_kernel_call(name, monkeypatch):
+    # the same plan as log_det_area: one quadrature, one integrand call and
+    # one kernel call on the 68 x 2 points of the h = 1/8 grid
+    counts = _call_plan(monkeypatch, lambda: getattr(envelope, name)(envelope.AngleParam(-0.7)))
     assert counts == {
         "specfun.quad.calls": 1,
         "specfun.quad.nodes": 1,
