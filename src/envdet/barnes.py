@@ -24,6 +24,7 @@ holds at the default tolerance only.  The Dedekind sum is a sum of integers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -31,7 +32,8 @@ from typing import Union
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import EULER_GAMMA, LOG_2PI, ZETA_PRIME_NEG1, DomainError, integrate_semi_infinite
+from .specfun import EULER_GAMMA, LOG_2PI, ZETA_PRIME_NEG1, DomainError, _positive, _real
+from .specfun import integrate_semi_infinite
 
 __all__ = [
     "BarnesEval",
@@ -115,6 +117,7 @@ def _closed(r: np.ndarray, orders: tuple):
             yield er * (1.0 + er) / den**3 - 2.0 / r**3
 
 
+@np.errstate(over="ignore")  # r**3, r**2 overflow past 5.6e102, 1.3e154; 1/inf = 0
 def f_kernel(r: ArrayLike, derivative: Union[int, tuple] = 0) -> ArrayLike:
     """Regularized Bose kernel F(r) = 1/(e^r - 1) - 1/r + 1/2 - r/12.
 
@@ -130,7 +133,7 @@ def f_kernel(r: ArrayLike, derivative: Union[int, tuple] = 0) -> ArrayLike:
     orders = derivative if isinstance(derivative, tuple) else (derivative,)
     if not orders or not all(k in (0, 1, 2) for k in orders):
         raise DomainError("derivative must be 0, 1 or 2, or a tuple of them")
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
+    arr = np.atleast_1d(_real(r, "r", ndim=None))
     if not (arr >= 0.0).all():
         raise DomainError("f_kernel needs r >= 0")
     small = arr < _CROSSOVER
@@ -152,7 +155,8 @@ def dedekind_sum(q: int, p: int) -> Fraction:
     (jq is no multiple of p as gcd(p, q) = 1), and the j = p term is 0, so
     4 p^2 S(q, p) is the integer sum below.
     """
-    if p < 1 or q < 1:
+    integer = (int, numbers.Integral)  # int first: the ABC check alone takes about 1 us
+    if not (isinstance(p, integer) and isinstance(q, integer) and p >= 1 and q >= 1):
         raise DomainError("dedekind_sum needs positive integers")
     if math.gcd(p, q) != 1:
         raise DomainError(f"dedekind_sum needs gcd(p, q) = 1, got ({q}, {p})")
@@ -198,7 +202,7 @@ def _integral(a: ArrayLike, orders: tuple):
     The integrands F(at)/(t(e^t-1)), F'(at)/(e^t-1) and t F''(at)/(e^t-1) are
     smooth at t = 0 and decay like e^{-t}.
     """
-    arr = np.asarray(a, dtype=float).ravel()
+    arr = np.asarray(_real(a, "a", ndim=None)).ravel()
     if arr.size == 0 or not ((arr >= _A_MIN) & (arr <= _A_MAX)).all():
         raise DomainError(f"the integral route needs {_A_MIN:g} <= a <= {_A_MAX:g}, got {a!r}")
 
@@ -229,9 +233,7 @@ def zeta_b_prime0(a: float) -> BarnesEval:
 
         log A / a - log(2 pi)/4 + gamma a / 12 + int_0^inf F(at)/(t(e^t-1)) dt.
     """
-    if np.ndim(a) != 0:
-        raise DomainError("zeta_b_prime0 is scalar; use zeta_b_prime0_values for grids")
-    (value,), (err,) = _integral(a, (0,))
+    (value,), (err,) = _integral(_real(a, "a"), (0,))
     return BarnesEval(value=float(value), error_bound=float(err), route="integral")
 
 
@@ -243,19 +245,17 @@ def zeta_b_prime0_values(a: np.ndarray) -> np.ndarray:
 def series_error_bound(a: float, n: int) -> float:
     """Certified remainder of the series route: the first omitted term
     |B_{2N} zeta(2N-1)| / (2N(2N-1)) * a^{2N-1}.  The one check of the
-    route's arguments: ``DomainError`` unless ``a`` is a finite scalar > 0
-    and N = ``n`` an integer in [2, 16], and where the remainder overflows."""
-    if int(n) != n or not 2 <= n <= _KMAX:
+    route's arguments: ``DomainError`` unless ``a`` is a finite real > 0
+    and N = ``n`` an integer in [2, 16], and where the remainder or head overflows."""
+    av, nv = _positive(a, "a"), _real(n, "n")
+    if not (nv.is_integer() and 2 <= nv <= _KMAX):
         raise DomainError(f"series order n must be an integer in [2, {_KMAX}], got {n!r}")
-    if np.ndim(a) != 0 or not 0.0 < a < math.inf:
-        raise DomainError(f"the series route needs a finite scalar a > 0, got {a!r}")
-    n = int(n)
     try:
-        bound = abs(_TAIL[n - 2]) * float(a) ** (2 * n - 1)
+        bound = abs(_TAIL[int(nv) - 2]) * av ** (2 * nv - 1)
     except OverflowError:
         bound = math.inf
-    if math.isinf(bound):
-        raise DomainError(f"the series remainder overflows for n = {n} at a = {a!r}")
+    if math.isinf(bound) or math.isinf(_LOG_A / av):  # the remainder or the head
+        raise DomainError(f"the series route overflows for n = {n} at a = {a!r}")
     return bound
 
 
@@ -266,26 +266,25 @@ def zeta_b_prime0_series(a: float, n: int = 4) -> BarnesEval:
     certifies the remainder by the first omitted term (the tail terms
     alternate and envelop the function for every a > 0).
     """
-    # checks a and n; the remainder holds the highest power of a, so it
-    # overflows first
+    # checks a and n; the remainder holds a's highest power, so it overflows first
     bound = series_error_bound(a, n)
-    av = float(a)
-    value = _head(av, 0)
-    for k in range(2, int(n)):
-        value += _TAIL[k - 2] * av ** (2 * k - 1)
+    a, n = _real(a, "a"), int(_real(n, "n"))
+    value = _head(a, 0)
+    for k in range(2, n):
+        value += _TAIL[k - 2] * a ** (2 * k - 1)
     return BarnesEval(value=value, error_bound=bound, route="series")
 
 
 def zeta_b_prime0_rational(r: Fraction) -> BarnesEval:
-    """Exact closed form of zeta_B'(0; p/q, 1, 1) for a positive rational.
+    """Exact closed form of zeta_B'(0; p/q, 1, 1) for a positive rational, p + q <= 10**6.
 
     Combines zeta'(-1), the Dedekind sum S(q, p) and two sawtooth-weighted
     log-gamma sums; the only inexactness is double-precision log-gamma.
     """
-    r = Fraction(r)
-    if r <= 0:
-        raise DomainError(f"zeta_b_prime0_rational needs a positive rational, got {r}")
-    p, q = r.numerator, r.denominator
+    x = _positive(r, "a")
+    p, q = Fraction(r if isinstance(r, Fraction) else x).as_integer_ratio()
+    if p + q > 10**6:  # beyond, the bound 1e-14 (p + q) passes 1e-8 and a call 0.4 s
+        raise DomainError(f"the rational route needs p + q <= 10**6, got {x!r}")
     value = (ZETA_PRIME_NEG1 - math.log(q) / 12.0) / (p * q)
     value += (float(dedekind_sum(q, p)) + 0.25) * math.log(q / p)
     # ((kq/p)) + 1/2 = (kq mod p) / p, never 0 as gcd(p, q) = 1, so every

@@ -29,6 +29,7 @@ from .specfun import (
     ZETA_PRIME_NEG1,
     DomainError,
 )
+from .specfun import _positive, _real
 
 __all__ = [
     "AngleParam",
@@ -68,10 +69,10 @@ _MAX_SCAN_COUNT = 10**6
 BETA_CRITICAL = -2.0 / 3.0
 
 
-def _check_beta(b: np.ndarray) -> None:
-    if not b.size:
-        return
-    lo, hi = b.min(), b.max()  # NaN carries; rounded b + 1, -0.5 - b are monotone
+def _check_beta(b) -> None:
+    # a float or an array, -0.75 standing in for an empty one; NaN carries, and
+    # rounded b + 1, -0.5 - b are monotone
+    lo, hi = (b.min(initial=-0.75), b.max(initial=-0.75)) if isinstance(b, np.ndarray) else (b, b)
     if not (lo > -1.0 and hi < -0.5):
         raise DomainError("beta must lie in the open interval (-1, -1/2)")
     # Every term of the determinant formula is singular at the endpoints;
@@ -80,11 +81,6 @@ def _check_beta(b: np.ndarray) -> None:
         raise DomainError(
             f"beta within {_EDGE:g} of an endpoint; use the asymptotic expansions there"
         )
-
-
-def _check_area(area: float) -> None:
-    if not (math.isfinite(area) and area > 0.0):
-        raise DomainError(f"area must be finite and positive, got {area!r}")
 
 
 def _check_scalar(p: AngleParam, what: str) -> None:
@@ -112,12 +108,12 @@ class AngleParam:
     ``exact`` optionally carries beta as an exact rational, which unlocks the
     closed-form Barnes route.
 
-    ``beta`` is a float or a 1-D ndarray of grid points.  The determinant,
-    its derivatives, zeta0 and its derivatives, the endpoint expansions and
-    the convexity bound map a float beta to a float and an array beta to an
-    array, element by element; the series and rational routes, the scaling
-    factor and the geometry take a float beta only (an array raises
-    ``DomainError``).
+    ``beta`` is a real scalar, kept as a float, or a 1-D real array-like of
+    grid points, kept as a float64 array.  The determinant, its derivatives,
+    zeta0 and its derivatives, the endpoint expansions and the convexity
+    bound map a float beta to a float and an array beta to an array, element
+    by element; the series and rational routes, the scaling factor and the
+    geometry take a float beta only (an array raises ``DomainError``).
     """
 
     beta: Union[float, np.ndarray]
@@ -126,26 +122,20 @@ class AngleParam:
     a2: Union[float, np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
-        # a float stays a float (the scalar path is pinned bit for bit); an
-        # array-like becomes a 1-D float64 array
-        if np.ndim(self.beta):
-            beta = np.asarray(self.beta, dtype=float)
-            if beta.ndim > 1:
-                raise DomainError(f"beta must be a float or a 1-D array, got shape {beta.shape}")
-            object.__setattr__(self, "beta", beta)
-        _check_beta(np.asarray(self.beta, dtype=float))
-        object.__setattr__(self, "a1", self.beta + 1.0)
-        object.__setattr__(self, "a2", -2.0 * self.beta - 1.0)
+        beta = _real(self.beta, "beta", ndim=1)
+        _check_beta(beta)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "a1", beta + 1.0)
+        object.__setattr__(self, "a2", -2.0 * beta - 1.0)
         if self.exact is not None:
-            ex = Fraction(self.exact)
-            if np.ndim(self.beta) or float(ex) != self.beta:
+            if isinstance(beta, np.ndarray) or _real(self.exact, "exact") != beta:
                 raise DomainError("exact fraction does not match a scalar beta")
-            object.__setattr__(self, "exact", ex)
+            exact = self.exact if isinstance(self.exact, Fraction) else beta
+            object.__setattr__(self, "exact", Fraction(exact))
 
     @classmethod
     def from_fraction(cls, beta: Fraction) -> "AngleParam":
-        beta = Fraction(beta)
-        return cls(beta=float(beta), exact=beta)
+        return cls(beta=beta, exact=beta)
 
 
 @dataclass(frozen=True)
@@ -322,7 +312,7 @@ def log_det_area(
     and gives the exact closed-form evaluation; ``'series'`` uses the
     certified truncation of order ``series_terms``.
     """
-    _check_area(area)
+    area = _positive(area, "area")
     if route == "integral":
         (zb1, zb2), = _integral_pair(p, (0,))
     elif route == "series":
@@ -435,7 +425,7 @@ def critical_area() -> float:
 def geometry(p: AngleParam, area: float = 1.0) -> EnvelopeGeometry:
     """Side length |AB| = |BC| and the three angles at the given area."""
     _check_scalar(p, "geometry")
-    _check_area(area)
+    area = _positive(area, "area")
     # area / s overflows near the largest double, and then the two roots are
     # taken apart: |AB| is below 1e157 for any finite area
     s = math.sin(math.pi * p.a2)
@@ -500,16 +490,16 @@ def scan(
     rational beta with denominator <= 12 inside the range, whose log det is
     computed through the exact closed-form Barnes route.
     """
-    if int(count) != count or not 2 <= count <= _MAX_SCAN_COUNT:
-        raise DomainError(
-            f"count must be an integer in [2, {_MAX_SCAN_COUNT}], got {count!r}"
-        )
+    n = _real(count, "count")
+    if not (n.is_integer() and 2 <= n <= _MAX_SCAN_COUNT):
+        raise DomainError(f"count must be an integer in [2, {_MAX_SCAN_COUNT}], got {count!r}")
+    beta_min, beta_max = _real(beta_min, "beta_min"), _real(beta_max, "beta_max")
     if not (beta_min < beta_max):
         raise DomainError("need beta_min < beta_max")
-    _check_area(area)
+    area = _positive(area, "area")
     _check_beta(np.asarray([beta_min, beta_max]))
 
-    b = np.linspace(beta_min, beta_max, int(count))
+    b = np.linspace(beta_min, beta_max, int(n))
     if np.any(b[1:] <= b[:-1]):
         raise DomainError(f"count {count} exceeds the doubles in [{beta_min!r}, {beta_max!r}]")
     fracs = _exact_betas(beta_min, beta_max) if include_exact_points else []
@@ -539,14 +529,11 @@ def refine_minimum(
     smaller ``tol`` narrows the bracket on rounding noise: it can end a few
     ulps wide about a point some 1e-9 from the true minimizer (at unit area,
     -0.66666666850 against -2/3)."""
-    if not (math.isfinite(tol) and tol > 0.0 and beta_min < beta_max):
-        raise DomainError(
-            f"refine_minimum needs a finite tol > 0 and beta_min < beta_max, got "
-            f"tol={tol!r}, [{beta_min!r}, {beta_max!r}]"
-        )
-    _check_area(area)
-    _check_beta(np.asarray([beta_min, beta_max]))
-    lo, hi = float(beta_min), float(beta_max)
+    tol, lo, hi = _positive(tol, "tol"), _real(beta_min, "beta_min"), _real(beta_max, "beta_max")
+    if not lo < hi:
+        raise DomainError(f"refine_minimum needs beta_min < beta_max, got [{lo!r}, {hi!r}]")
+    area = _positive(area, "area")
+    _check_beta(np.asarray([lo, hi]))
     count = 65
     while hi - lo > tol:
         b = np.linspace(lo, hi, count)

@@ -359,6 +359,81 @@ def test_rational_domain():
         zeta_b_prime0_rational(Fraction(-1, 3))
 
 
+@pytest.mark.parametrize("r", [5e-324, 1e-300, 0.1, Fraction(1, 10**6), Fraction(10**6, 3)])
+def test_rational_route_refuses_p_plus_q_beyond_a_million(r):
+    # a float counts at its exact value, 0.1 as 3602879701896397 / 2**55,
+    # and the route's running time and rounding bound grow with p + q
+    with pytest.raises(DomainError, match="p \\+ q"):
+        zeta_b_prime0_rational(r)
+
+
+def test_rational_route_takes_a_float_or_int_at_its_exact_value():
+    assert zeta_b_prime0_rational(0.375) == zeta_b_prime0_rational(Fraction(3, 8))
+    assert zeta_b_prime0_rational(np.int64(3)) == zeta_b_prime0_rational(Fraction(3))
+
+
+# Arguments that are not real numbers, or not integers where one is needed.
+# Before every numeric argument went through one gate, most of these calls
+# raised a TypeError, ValueError or OverflowError, or parsed a string as a
+# number.
+NOT_REAL = {
+    'zeta_b_prime0_series("0.5")': lambda: zeta_b_prime0_series("0.5"),
+    'zeta_b_prime0_series(0.5, "x")': lambda: zeta_b_prime0_series(0.5, "x"),
+    "zeta_b_prime0_series(0.5, None)": lambda: zeta_b_prime0_series(0.5, None),
+    "series_error_bound(0.5j, 4)": lambda: series_error_bound(0.5j, 4),
+    "zeta_b_prime0_rational(nan)": lambda: zeta_b_prime0_rational(math.nan),
+    "zeta_b_prime0_rational(inf)": lambda: zeta_b_prime0_rational(math.inf),
+    'zeta_b_prime0_rational("1/3")': lambda: zeta_b_prime0_rational("1/3"),
+    "zeta_b_prime0_rational(np.array(0.5))": lambda: zeta_b_prime0_rational(np.array([0.5])),
+    "dedekind_sum(1.5, 2)": lambda: dedekind_sum(1.5, 2),
+    "dedekind_sum(1, None)": lambda: dedekind_sum(1, None),
+    'zeta_b_prime0("0.5")': lambda: zeta_b_prime0("0.5"),
+    "zeta_b_prime0(b'0.5')": lambda: zeta_b_prime0(b"0.5"),
+    'd_zeta_b_prime0("0.5")': lambda: d_zeta_b_prime0("0.5"),
+    'd2_zeta_b_prime0(["0.5"])': lambda: d2_zeta_b_prime0(["0.5"]),
+    "d_zeta_b_prime0(0.5j)": lambda: d_zeta_b_prime0(0.5j),
+    'f_kernel("1")': lambda: f_kernel("1"),
+    "f_kernel(None)": lambda: f_kernel(None),
+    "f_kernel(object array)": lambda: f_kernel(np.array([1.0, None])),
+}
+
+
+@pytest.mark.parametrize("call", list(NOT_REAL.values()), ids=list(NOT_REAL))
+def test_an_argument_that_is_not_real_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "a", [np.float64(0.3), np.array(0.3), Fraction(3, 10), np.float32(0.25), 2], ids=repr
+)
+def test_every_real_scalar_gives_the_bits_of_its_float(a):
+    x = float(a)
+    assert zeta_b_prime0(a) == zeta_b_prime0(x)
+    assert zeta_b_prime0_series(a, 5) == zeta_b_prime0_series(x, 5)
+    assert series_error_bound(a, np.int64(5)) == series_error_bound(x, 5)
+    for route in (d_zeta_b_prime0, d2_zeta_b_prime0, f_kernel):
+        assert type(route(a)) is float and route(a).hex() == route(x).hex()
+
+
+def test_series_head_overflow_is_a_domain_error():
+    # log A / a overflows below about 1.4e-309; above it the value is finite
+    with pytest.raises(DomainError, match="overflows"):
+        zeta_b_prime0_series(1e-309, 2)
+    assert math.isfinite(zeta_b_prime0_series(2e-309, 2).value)
+
+
+def test_f_kernel_reaches_its_limits_without_overflow_warnings():
+    # past r = 5.6e102, r**3 and then r**2 overflow on the way to 1/inf = 0
+    # (warnings are errors in this suite)
+    r = np.array([1e102, 1e103, 1e155, 1.7976931348623157e308])
+    got = f_kernel(r, (0, 1, 2))
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got[1], np.full(4, -1.0 / 12.0))
+    assert np.array_equal(got[2][1:], np.zeros(3))
+    assert np.allclose(got[0], -r / 12.0, rtol=1e-15, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # series route
 # ---------------------------------------------------------------------------

@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
 import importlib
 import inspect
+import io
 import json
 import math
 import pkgutil
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import envdet
 from envdet import barnes, envelope
@@ -535,6 +541,83 @@ def test_edge_inputs_exit_cleanly_with_finite_output(command, fmt, tmp_path, cap
             assert err.startswith("error: ") and not stdout, argv
             continue
         texts = [stdout]
+        if command == "scan":
+            texts.append(out.read_text(encoding="ascii"))
+        if fmt == "json":
+            json.loads(texts.pop(), parse_constant=_reject_constant)
+        for text in texts:
+            assert not _NON_FINITE.search(text), (argv, text)
+
+
+def _mix(*strategies):
+    # st.one_of would flatten nested choices and weight each leaf alike
+    return st.sampled_from(strategies).flatmap(lambda strategy: strategy)
+
+
+_E = envelope._EDGE
+_DOUBLES = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+))
+_EDGE_BETAS = [-1.0 + _E * (1.0 + s * eps) for s in (-1.0, 1.0) for eps in (2.0**-52, 1e-9)]
+_EDGE_BETAS += [-0.5 - _E * (1.0 + s * eps) for s in (-1.0, 1.0) for eps in (2.0**-52, 1e-9)]
+_BETA_ARG = _mix(st.floats(-0.999, -0.501), st.sampled_from(_EDGE_BETAS), _DOUBLES).map(repr)
+# (--from, --to): an increasing pair of betas half the time
+_RANGE_ARG = _mix(st.tuples(st.floats(-0.999, -0.75), st.floats(-0.74, -0.501)).map(
+    lambda pair: tuple(map(repr, pair))), st.tuples(_BETA_ARG, _BETA_ARG))
+_AREA_ARG = _mix(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), _DOUBLES).map(repr)
+# a count above 64 only where the count check refuses the scan before it is
+# evaluated, so that no example evaluates a large grid
+_COUNT_ARG = _mix(st.integers(2, 64), st.integers(-3, 64), st.integers(10**6 + 1, 10**30)).map(str)
+# text that float() refuses, and for --count text that int() refuses too
+_MALFORMED = st.sampled_from(["", "abc", "1e", "0x1p-3", "1.5.2", "1.5", "nan", "inf"])
+
+
+def _or_malformed(strategy):
+    return _mix(strategy, strategy, strategy, _MALFORMED)
+
+
+def _run_in_process(argv):
+    """``main(argv)``'s exit code, returned or raised by argparse, and its
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["eval", "scan", "critical"])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_doubles_exit_cleanly_with_finite_output(command, data):
+    # a temporary directory of its own, as hypothesis refuses function-scoped
+    # fixtures such as tmp_path and capsys
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "table"
+        if command == "eval":
+            fmt = data.draw(st.sampled_from(["text", "json"]))
+            argv = ["eval", f"--beta={data.draw(_or_malformed(_BETA_ARG))}",
+                    f"--area={data.draw(_or_malformed(_AREA_ARG))}"]
+        elif command == "critical":
+            fmt = data.draw(st.sampled_from(["text", "json"]))
+            argv = ["critical", f"--area={data.draw(_or_malformed(_AREA_ARG))}"]
+        else:
+            fmt = data.draw(st.sampled_from(["csv", "json"]))
+            beta_from, beta_to = data.draw(_RANGE_ARG)
+            argv = ["scan", f"--from={beta_from}", f"--to={beta_to}",
+                    f"--count={data.draw(_or_malformed(_COUNT_ARG))}",
+                    f"--area={data.draw(_AREA_ARG)}", f"--out={out}"]
+            argv += ["--exact-points"] * data.draw(st.booleans())
+        code, stdout, err = _run_in_process([*argv, f"--format={fmt}"])
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err, argv
+        if code:
+            assert not stdout and err.startswith(("error: ", "usage: ")), (argv, err)
+            return
+        texts = [stdout.replace(str(out), "")]
         if command == "scan":
             texts.append(out.read_text(encoding="ascii"))
         if fmt == "json":

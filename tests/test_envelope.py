@@ -182,6 +182,57 @@ def test_angle_param_exact_needs_scalar_beta(beta):
         AngleParam(beta, exact=Fraction(-3, 4))
 
 
+# Arguments that are not real numbers.  Before every numeric argument went
+# through one gate, most of these calls raised a TypeError, ValueError or
+# OverflowError, or parsed a string as a number.
+_P = AngleParam(-0.7)
+NOT_REAL = {
+    'AngleParam("-0.7")': lambda: AngleParam("-0.7"),
+    'AngleParam(b"-0.7")': lambda: AngleParam(b"-0.7"),
+    "AngleParam(-0.7+0j)": lambda: AngleParam(-0.7 + 0j),
+    'AngleParam(["-0.7"])': lambda: AngleParam(["-0.7"]),
+    "AngleParam(None)": lambda: AngleParam(None),
+    "AngleParam(ragged)": lambda: AngleParam([[-0.7], [-0.7, -0.6]]),
+    "AngleParam(fraction list)": lambda: AngleParam([Fraction(-2, 3)]),
+    'AngleParam(exact="x")': lambda: AngleParam(-0.75, exact="x"),
+    'from_fraction("-2/3")': lambda: AngleParam.from_fraction("-2/3"),
+    "from_fraction(nan)": lambda: AngleParam.from_fraction(math.nan),
+    'log_det_area(p, "1")': lambda: log_det_area(_P, "1"),
+    "log_det_area(p, [1.0, 2.0])": lambda: log_det_area(_P, np.array([1.0, 2.0])),
+    "log_det_area(p, 10**400)": lambda: log_det_area(_P, 10**400),
+    'geometry(p, "2")': lambda: geometry(_P, "2"),
+    "scan(count=nan)": lambda: scan(-0.9, -0.6, math.nan),
+    "scan(count=inf)": lambda: scan(-0.9, -0.6, math.inf),
+    "scan(count=10**400)": lambda: scan(-0.9, -0.6, 10**400),
+    'scan(beta_min="-0.9")': lambda: scan("-0.9", -0.6, 11),
+    'refine_minimum(tol="1e-3")': lambda: refine_minimum(tol="1e-3"),
+    "refine_minimum(beta_max=None)": lambda: refine_minimum(beta_max=None),
+}
+
+
+@pytest.mark.parametrize("call", list(NOT_REAL.values()), ids=list(NOT_REAL))
+def test_an_argument_that_is_not_real_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "beta, area",
+    [(np.float64(-0.7), 1.3), (np.array(-0.7), 1.3), (Fraction(-2, 3), 3.0),
+     (-0.7, 3), (-0.7, np.array(2.5)), (-0.7, np.float64(2.5)), (-0.7, Fraction(5, 2))],
+    ids=repr,
+)
+def test_every_real_scalar_gives_the_bits_of_its_float(beta, area):
+    p, ref = AngleParam(beta), AngleParam(float(beta))
+    assert type(p.beta) is float and p == ref
+    got, expected = log_det_area(p, area), log_det_area(ref, float(area))
+    assert type(got.area) is float
+    for name in ("log_det", "elementary_part", "barnes_part", "area_term", "area"):
+        assert getattr(got, name).hex() == getattr(expected, name).hex(), name
+    assert geometry(p, area) == geometry(ref, float(area))
+    assert d2_log_det(p).hex() == d2_log_det(ref).hex()
+
+
 # ---------------------------------------------------------------------------
 # scaling factor
 # ---------------------------------------------------------------------------
