@@ -17,8 +17,8 @@ double-exponential quadrature, evaluated on an array of a values for a tuple
 of derivative orders at once, one quadrature group per order; scalar a is a
 one-element array and one order a one-element tuple.  Each integrand call
 evaluates the kernel once, for every order not yet accepted, on the outer
-product of a block of quadrature nodes with the a values.  The range of a
-holds at the default tolerance only.  The Dedekind sum is a sum of integers.
+product of a block of quadrature nodes with the a values.  The Dedekind sum
+is a sum of integers.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from typing import Union
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import EULER_GAMMA, LOG_2PI, ZETA_PRIME_NEG1, DomainError, _positive, _real
+from .specfun import EULER_GAMMA, LOG_2PI, ZETA_PRIME_NEG1, DomainError
+from .specfun import _choice, _positive, _real
 from .specfun import integrate_semi_infinite
 
 __all__ = [
@@ -79,10 +80,9 @@ _CROSSOVER = 0.5
 # k = 2..16; the first omitted one sets its certificate.
 _TAIL = [float(_B[2 * k] / (2 * k * (2 * k - 1))) * float(_sp.zeta(2 * k - 1, 1))
          for k in range(2, _KMAX + 1)]
-# Range of a the integral route takes at the default tolerance.  In log-spaced
-# sweeps every order converged without overflow up to _A_MAX (order 1 first
-# failed at a = 4.4e27); under ENVDET_QUAD_TOL=1e-6 orders 0 and 1 fail from
-# about 6.3e24 and 4.0e24.  Below _A_MIN the heads overflow, order 2's from 1e-105 on.
+# Range of a the integral route takes.  In log-spaced sweeps every order
+# converged without overflow up to _A_MAX (order 1 first failed at
+# a = 4.4e27).  Below _A_MIN the heads overflow, order 2's from 1e-105 on.
 _A_MIN = 1e-100
 _A_MAX = 1e27
 
@@ -130,9 +130,9 @@ def f_kernel(r: ArrayLike, derivative: Union[int, tuple] = 0) -> ArrayLike:
     raises ``DomainError``; +inf gives the closed form's limit.  A scalar r
     and one order give a float.
     """
-    orders = derivative if isinstance(derivative, tuple) else (derivative,)
-    if not orders or not all(k in (0, 1, 2) for k in orders):
-        raise DomainError("derivative must be 0, 1 or 2, or a tuple of them")
+    # an empty tuple is checked as one order, and refused
+    orders = derivative if isinstance(derivative, tuple) and derivative else (derivative,)
+    orders = tuple(_choice(k, (0, 1, 2), "derivative") for k in orders)
     arr = np.atleast_1d(_real(r, "r", ndim=None))
     if not (arr >= 0.0).all():
         raise DomainError("f_kernel needs r >= 0")
@@ -158,6 +158,8 @@ def dedekind_sum(q: int, p: int) -> Fraction:
     integer = (int, numbers.Integral)  # int first: the ABC check alone takes about 1 us
     if not (isinstance(p, integer) and isinstance(q, integer) and p >= 1 and q >= 1):
         raise DomainError("dedekind_sum needs positive integers")
+    if p > 10**6:  # the rational route's cap; about 0.2 us a term
+        raise DomainError(f"dedekind_sum needs p <= 10**6, got {p}")
     if math.gcd(p, q) != 1:
         raise DomainError(f"dedekind_sum needs gcd(p, q) = 1, got ({q}, {p})")
     total = sum((2 * j - p) * (2 * (j * q % p) - p) for j in range(1, p))
@@ -178,10 +180,9 @@ class BarnesEval:
     route: str
 
     def __post_init__(self) -> None:
-        if self.error_bound < 0.0:
-            raise DomainError("error_bound must be nonnegative")
-        if self.route not in ("integral", "series", "rational"):
-            raise DomainError(f"unknown route {self.route!r}")
+        if not _real(self.error_bound, "error_bound") >= 0.0:
+            raise DomainError(f"error_bound must be nonnegative, got {self.error_bound!r}")
+        _choice(self.route, ("integral", "series", "rational"), "route")
 
 
 def _head(a: ArrayLike, order: int) -> ArrayLike:

@@ -29,7 +29,7 @@ from .specfun import (
     ZETA_PRIME_NEG1,
     DomainError,
 )
-from .specfun import _positive, _real
+from .specfun import _choice, _positive, _real
 
 __all__ = [
     "AngleParam",
@@ -313,18 +313,17 @@ def log_det_area(
     certified truncation of order ``series_terms``.
     """
     area = _positive(area, "area")
+    route = _choice(route, ("integral", "series", "rational"), "route")
     if route == "integral":
         (zb1, zb2), = _integral_pair(p, (0,))
     elif route == "series":
         zb1 = barnes.zeta_b_prime0_series(p.a1, series_terms).value
         zb2 = barnes.zeta_b_prime0_series(p.a2, series_terms).value
-    elif route == "rational":
+    else:
         if p.exact is None:
             raise DomainError("route='rational' needs AngleParam.from_fraction")
         zb1 = barnes.zeta_b_prime0_rational(p.exact + 1).value
         zb2 = barnes.zeta_b_prime0_rational(-2 * p.exact - 1).value
-    else:
-        raise DomainError(f"unknown route {route!r}")
     elementary, = _elementary(p, (0,))
     log_det = _chain(0, elementary, zb1, zb2)
     area_term = -zeta0(p) * math.log(area)
@@ -498,6 +497,7 @@ def scan(
         raise DomainError("need beta_min < beta_max")
     area = _positive(area, "area")
     _check_beta(np.asarray([beta_min, beta_max]))
+    include_exact_points = _choice(include_exact_points, (False, True), "include_exact_points")
 
     b = np.linspace(beta_min, beta_max, int(n))
     if np.any(b[1:] <= b[:-1]):

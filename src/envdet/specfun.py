@@ -1,16 +1,16 @@
 """Foundation layer: mathematical constants, the two exception types, the
-one gate of every numeric argument, and a double-exponential quadrature rule
-for groups of exponentially decaying integrands on (0, inf), each group
-accepted at its own refinement level and no longer evaluated after that.
+one gate of every numeric argument and the one of every selector, and a
+double-exponential quadrature rule for groups of exponentially decaying
+integrands on (0, inf), each group accepted at its own refinement level and
+no longer evaluated after that.
 
 The caller states the width of its integrands, so the first node table, the
 whole h = 1/8 grid that holds the three levels before the first acceptance,
 is one integrand call for a narrow integrand.  Each level is summed in node
 order, by one prefix sum over narrow rows.
 
-Everything here is pure but the quadrature's read of ``ENVDET_QUAD_TOL``;
-the quadrature's node tables are built once per refinement level, on first
-use.
+Everything here is pure; the quadrature's node tables are built once per
+refinement level, on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import os
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -60,6 +59,20 @@ def _real(value, what: str, *, ndim: Optional[int] = 0):
     raise DomainError(f"{what} must be a real number{shape}, got {value!r}")
 
 
+_KINDS = {bool: (bool, np.bool_), int: (int, np.integer), str: (str,)}
+
+
+def _choice(value, choices: tuple, what: str):
+    """The one of ``choices`` (all bools, ints or strs) that ``value`` equals,
+    if ``value`` is of their kind, numpy's included, and no bool among ints;
+    anything else, a float or an array included, raises ``DomainError``."""
+    kinds = _KINDS[type(choices[0])]
+    if (isinstance(value, kinds) and not (isinstance(value, bool) and int in kinds)
+            and value in choices):
+        return choices[choices.index(value)]
+    raise DomainError(f"{what} must be one of {', '.join(map(repr, choices))}, got {value!r}")
+
+
 def _positive(value, what: str) -> float:
     x = _real(value, what)
     if not 0.0 < x < math.inf:
@@ -78,21 +91,15 @@ LOG_2PI = 1.83787706640934548356065947281
 LOG_PI = 1.14472988584940017414342735135
 
 
-def _tol() -> float:
-    """``ENVDET_QUAD_TOL``, else 1e-12; read per call, so that a bad value
-    fails the quadrature that reads it, not ``import envdet``."""
-    raw = os.environ.get("ENVDET_QUAD_TOL")
-    if raw is None:
-        return 1e-12
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise DomainError(f"ENVDET_QUAD_TOL={raw!r}: {exc}") from exc
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(
-            f"ENVDET_QUAD_TOL={raw!r}: quadrature tol must be finite and positive, got {tol!r}"
-        )
-    return tol
+# A refinement is accepted when it moves an estimate by at most
+# max(_TOL, _TOL * |estimate|).
+_TOL = 1e-12
+# Hard cutoffs of the node range, chosen so the neglected tails are far below
+# _TOL: t_hi has exp(-t) * poly(t) < _TOL / 10, the t -> 0 end is damped
+# double-exponentially by the map itself.
+_DECADES = -math.log(min(_TOL, 1e-6))
+_U_HI = math.log(_DECADES + 45.0)
+_U_LO = -math.log(_DECADES + 40.0)
 
 
 # Nodes per integrand call are capped so that no (nodes x width) temporary
@@ -126,15 +133,13 @@ def _add_rows(total, rows: np.ndarray):
     return rows[-1]
 
 
-@functools.lru_cache(maxsize=64)
-def _level_nodes(
-    u_lo: float, u_hi: float, h: float, odd_only: bool
-) -> Tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _level_nodes(h: float, odd_only: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes t = exp(u - exp(-u)) and weights t (1 + exp(-u)) at u = k h for
-    every (odd, with ``odd_only``) k with u_lo <= k h <= u_hi, in increasing
+    every (odd, with ``odd_only``) k with _U_LO <= k h <= _U_HI, in increasing
     order; both arrays are read-only because the cache shares them."""
     nodes, weights = [], []
-    for k in range(math.ceil(u_lo / h), math.floor(u_hi / h) + 1):
+    for k in range(math.ceil(_U_LO / h), math.floor(_U_HI / h) + 1):
         if odd_only and k % 2 == 0:
             continue
         u = k * h
@@ -174,12 +179,11 @@ def integrate_semi_infinite(
     split into calls.
 
     A refinement is accepted when it moves a group's estimate by at most
-    ``max(tol, tol * |estimate|)``, with ``tol`` from ``ENVDET_QUAD_TOL``
-    (default 1e-12), read once per call; a value that is not a finite
-    positive number raises ``DomainError``.  A group is frozen at the level
-    that accepts it and no longer evaluated, so its value and level are those
-    of a call on that group alone.  A ``width`` that is not a positive
-    integer, or an integrand value of another shape, raises ``ValueError``.
+    ``max(tol, tol * |estimate|)``, with ``tol`` = 1e-12.  A group is frozen
+    at the level that accepts it and no longer evaluated, so its value and
+    level are those of a call on that group alone.  A ``width`` that is not
+    a positive integer, or an integrand value of another shape, raises
+    ``ValueError``.
 
     Returns ``(values, err_est)``: the ``(groups, width)`` integrals and, per
     group, the last refinement difference, an upper estimate of the
@@ -187,13 +191,6 @@ def integrate_semi_infinite(
     """
     if not isinstance(width, numbers.Integral) or width < 1:
         raise ValueError(f"width must be a positive integer, got {width!r}")
-    target = _tol()
-    # Hard cutoffs chosen so the neglected tails are far below tol:
-    # t_hi has exp(-t) * poly(t) < tol / 10, the t -> 0 end is damped
-    # double-exponentially by the map itself.
-    decades = -math.log(min(target, 1e-6))
-    u_hi = math.log(decades + 45.0)
-    u_lo = -math.log(decades + 40.0)
 
     def weighted_sums(nodes, weights, levels, open_) -> list:
         # one sum per level (offset, step): table positions offset,
@@ -221,40 +218,34 @@ def integrate_semi_infinite(
     open_ = tuple(range(groups))
     # the three levels before the first acceptance, from the h = 1/8 grid;
     # u = k h is exact, so its nodes are those of each level's own table
-    k_lo = math.ceil(u_lo / (h / 4.0))
+    k_lo = math.ceil(_U_LO / (h / 4.0))
     first_levels = ((-k_lo) % 4, 4), ((2 - k_lo) % 4, 4), ((1 - k_lo) % 2, 2)
-    coarse, *finer = weighted_sums(
-        *_level_nodes(u_lo, u_hi, h / 4.0, False), first_levels, open_
-    )
+    coarse, *finer = weighted_sums(*_level_nodes(h / 4.0, False), first_levels, open_)
     # one row per group, rebound and never written to, so a frozen row keeps
     # its accepted value (a (groups, width) array tripled the page faults)
     estimate = list(coarse * h)
     errs = [math.inf] * groups
-    eps = np.finfo(float).eps
 
     for level in range(_MAX_LEVELS):
         h /= 2.0
         if level < len(finer):
             new_sum = finer[level]
         else:
-            (new_sum,) = weighted_sums(*_level_nodes(u_lo, u_hi, h, True), ((0, 1),), open_)
+            (new_sum,) = weighted_sums(*_level_nodes(h, True), ((0, 1),), open_)
         still_open = []
         # the new nodes' sum first, then each open row's halved estimate
         # added to it in place (floating-point addition commutes)
         for g, new in zip(open_, new_sum * h):
             new += estimate[g] / 2.0
             errs[g] = float(np.abs(new - estimate[g]).max())
-            scale = float(np.abs(new).max())
-            tol = max(target, target * scale)
-            # refuse to certify accuracy below what doubles can represent,
-            # even if two refinements happen to agree bitwise
-            if not (level >= 1 and errs[g] <= tol and tol >= 4.0 * eps * scale):
+            tol = max(_TOL, _TOL * float(np.abs(new).max()))
+            if not (level >= 1 and errs[g] <= tol):
                 still_open.append(g)
             estimate[g] = new
         open_ = tuple(still_open)
         if not open_:
             return np.array(estimate), np.array(errs)
     raise QuadratureError(
-        f"quadrature did not reach tolerance {target:g} within "
+        f"quadrature did not reach tolerance {_TOL:g} within "
         f"{_MAX_LEVELS} refinements (last diff {max(errs[g] for g in open_):g})"
     )

@@ -17,6 +17,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from . import barnes, envelope
+from .specfun import _choice
 
 __all__ = ["CheckResult", "run_criterion", "run_suite", "CRITERIA"]
 
@@ -217,8 +218,7 @@ def run_criterion(number: int) -> Tuple[List[CheckResult], float]:
 
 def run_suite(suite: str = "fast") -> List[CheckResult]:
     """Run the verification suite; ``fast`` skips the dense convexity grid."""
-    if suite not in ("fast", "full"):
-        raise ValueError(f"suite must be 'fast' or 'full', got {suite!r}")
+    suite = _choice(suite, ("fast", "full"), "suite")
     results: List[CheckResult] = []
     for number, (_runner, budget) in CRITERIA.items():
         if suite == "fast" and number == 5:

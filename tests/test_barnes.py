@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -24,7 +25,6 @@ from envdet.specfun import (
     EULER_GAMMA,
     LOG_2PI,
     DomainError,
-    QuadratureError,
     integrate_semi_infinite,
 )
 from envdet.specfun import LOG_GLAISHER as LOG_A  # equals 1/12 - zeta'(-1)
@@ -101,6 +101,17 @@ def test_dedekind_requires_coprime():
         dedekind_sum(2, 4)
     with pytest.raises(DomainError):
         dedekind_sum(0, 3)
+
+
+def test_dedekind_refuses_p_beyond_the_rational_route_cap():
+    # a sum of p - 1 terms: at p = 10**12 it would run for hours
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"p <= 10\*\*6"):
+        dedekind_sum(1, 10**12)
+    assert time.perf_counter() - start < 1.0
+    # the cap itself is summed: S(1, p) = (p - 1)(p - 2) / 12p
+    p = 10**6
+    assert dedekind_sum(1, p) == Fraction((p - 1) * (p - 2), 12 * p)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +202,7 @@ def _grid_level_products(level):
     """t[:, None] * a for each one-node block of quadrature level ``level``
     (0 is the h = 1/2 base level) and the 40000 values of a that a
     20000-point scan passes to the integral route."""
-    decades = -math.log(1e-12)
-    u_lo, u_hi = -math.log(decades + 40.0), math.log(decades + 45.0)
-    nodes, _ = specfun._level_nodes(u_lo, u_hi, 0.5 / 2**level, level > 0)
+    nodes, _ = specfun._level_nodes(0.5 / 2**level, level > 0)
     b = np.linspace(-0.9999, -0.5001, 20000)
     a = np.concatenate([b + 1.0, -2.0 * b - 1.0])
     return [block * a for block in nodes[:, None, None]]
@@ -295,22 +304,6 @@ def test_zeta_b_prime0_domain():
             zeta_b_prime0(bad)
     with pytest.raises(DomainError):
         d2_zeta_b_prime0([1e102])
-
-
-def test_integral_route_range_holds_at_the_default_tolerance_only(monkeypatch):
-    # the range [1e-100, 1e27] was swept at the default tolerance; under 1e-6
-    # orders 0 and 1 stop converging from a few 1e24 on, and then raise
-    # QuadratureError rather than return a value that is not finite
-    monkeypatch.setenv("ENVDET_QUAD_TOL", "1e-6")
-    with pytest.raises(QuadratureError):
-        zeta_b_prime0(1e25)
-    for a in np.geomspace(1e24, 1e27, 13).tolist():
-        for route in (lambda a: zeta_b_prime0(a).value, d_zeta_b_prime0, d2_zeta_b_prime0):
-            try:
-                value = route(a)
-            except QuadratureError:
-                continue
-            assert math.isfinite(value)
 
 
 # ---------------------------------------------------------------------------
@@ -582,19 +575,16 @@ def test_blocked_quadrature_matches_node_loop(width, order):
     assert err == expected_err
 
 
-# at the default tolerance (id: the width alone) order 2 takes a level more
-# than orders 0 and 1 on the wider grids, so it runs on after theirs is frozen
-@pytest.mark.parametrize(
-    "width, tol",
-    [pytest.param(width, tol, id=f"{width}-{tol}" if tol else str(width))
-     for tol in (None, "1e-6", "1e-9", "1e-14")
-     for width in (1, 2, 45, 2**14 - 1, 2**14 + 1, 40000)],
-)
-def test_fused_orders_match_one_order_calls(width, tol, monkeypatch):
-    if tol is not None:
-        monkeypatch.setenv("ENVDET_QUAD_TOL", tol)
-    rng = np.random.default_rng(width)
-    a = 10.0 ** rng.uniform(-6.0, 0.5, width)
+def _fused_grid(width):
+    """``width`` values of a, log-spaced at random over [1e-6, 10**0.5]; from
+    width 45 on, order 2 takes a level more than orders 0 and 1."""
+    return 10.0 ** np.random.default_rng(width).uniform(-6.0, 0.5, width)
+
+
+# order 2 runs on after orders 0 and 1 are frozen on the wider grids
+@pytest.mark.parametrize("width", [1, 2, 45, 2**14 - 1, 2**14 + 1, 40000])
+def test_fused_orders_match_one_order_calls(width):
+    a = _fused_grid(width)
     values, errs = barnes._integral(a, (0, 1, 2))
     assert values.shape == (3, width) and errs.shape == (3,)
     for k in (0, 1, 2):
@@ -604,7 +594,6 @@ def test_fused_orders_match_one_order_calls(width, tol, monkeypatch):
 
 
 def test_a_frozen_order_is_no_longer_evaluated(monkeypatch):
-    monkeypatch.setenv("ENVDET_QUAD_TOL", "1e-14")
     calls = []
     kernel = barnes.f_kernel
 
@@ -613,11 +602,13 @@ def test_a_frozen_order_is_no_longer_evaluated(monkeypatch):
         return kernel(r, derivative)
 
     monkeypatch.setattr(barnes, "f_kernel", counted_kernel)
-    # the 40000 values of a of a 20000-row scan: order 0 is accepted a level
-    # before orders 1 and 2
-    b = np.linspace(-0.9999, -0.5001, 20000)
-    barnes._integral(np.concatenate([b + 1.0, -2.0 * b - 1.0]), (0, 1, 2))
-    assert calls == [(0, 1, 2)] * 69 + [(1, 2)] * 69
+    # orders 0 and 1 are accepted a level before order 2; the h = 1/8 grid
+    # and the next level have 68 nodes each, in one call when narrow and in
+    # one call per node when wide
+    for width, level_calls in ((45, 1), (40000, 68)):
+        calls.clear()
+        barnes._integral(_fused_grid(width), (0, 1, 2))
+        assert calls == [(0, 1, 2)] * level_calls + [(2,)] * level_calls
 
 
 def _record_integrand_calls(monkeypatch):
@@ -661,9 +652,8 @@ def test_narrow_integrand_gets_whole_levels(monkeypatch):
     barnes._integral(np.array([0.3, 0.7]), (0, 1, 2))
     assert seen == [(68, (0, 1, 2))]
     seen.clear()
-    monkeypatch.setenv("ENVDET_QUAD_TOL", "1e-14")
-    barnes._integral(np.array([0.3, 0.7]), (0, 1, 2))
-    assert seen == [(69, (0, 1, 2)), (69, (2,))]
+    barnes._integral(_fused_grid(45), (0, 1, 2))
+    assert seen == [(68, (0, 1, 2)), (68, (2,))]
 
 
 # width of a, orders, integrand calls at the default tol: the h = 1/8 grid

@@ -7,7 +7,10 @@ property-based testing", JOSS 2019).
 The arguments are strings, bytes, bools, None, complex numbers, lists, 0-d
 and 2-D arrays, fractions, ints beyond the doubles, NaN, +-inf, +-0,
 subnormals and the largest doubles, next to numbers inside each domain.  A
-function that takes an ``AngleParam`` gets one built from a drawn beta.
+function that takes an ``AngleParam`` gets one built from a drawn beta.  The
+selectors ``derivative``, ``route`` and ``include_exact_points`` are drawn
+from their valid values and from arrays, lists, strings, bools, ints and
+floats.
 """
 
 import dataclasses
@@ -20,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import envdet
-from envdet import barnes, envelope
+from envdet import barnes, envelope, verify
 from envdet.specfun import DomainError, QuadratureError
 
 _EDGE = envelope._EDGE
@@ -72,9 +75,33 @@ _R = _arguments(st.one_of(st.floats(0.0, 1e3), st.fractions(min_value=0, max_val
 _INT = _arguments(st.integers(1, 60))
 
 
+def _selector(valid):
+    """One of the ``valid`` values of a selector two times in three, else a
+    value of another kind: a 0-d or 1-D array or a list of valid values, a
+    tuple of them, a string, a bool, an int or a float."""
+    choice = st.sampled_from(valid)
+    other = st.one_of(
+        choice.map(np.array),
+        st.lists(choice, min_size=1, max_size=2).map(np.array),
+        st.lists(choice, max_size=2),
+        st.tuples(choice, choice),
+        st.text(max_size=3),
+        st.booleans(),
+        st.integers(-1, 3),
+        st.sampled_from([0.0, 1.0, 2.0, math.nan]),
+        st.floats(),
+    )
+    return st.sampled_from([choice, choice, other]).flatmap(lambda strategy: strategy)
+
+
+_DERIVATIVE = _selector([0, 1, 2, (0, 1, 2), (2, 0)])
+_ROUTE = _selector(["integral", "series", "rational"])
+_EXACT_POINTS = _selector([False, True])
+
+
 def _kernel(draw):
     r = draw(_R)
-    values = barnes.f_kernel(r, draw(st.sampled_from([0, 1, 2, (0, 1, 2)])))
+    values = barnes.f_kernel(r, draw(_DERIVATIVE))
     # F(+inf) = -inf is F's limit there
     return np.where(np.isposinf(np.asarray(r, dtype=float)), 0.0, values)
 
@@ -94,12 +121,11 @@ CALLS = {
        for name in _ON_ANGLE},
     "AngleParam": lambda draw: envelope.AngleParam(draw(_BETA), exact=draw(st.none() | _BETA)),
     "log_det_area": lambda draw: envelope.log_det_area(
-        _angle(draw), draw(_AREA), route=draw(st.sampled_from(["integral", "series", "rational"])),
-        series_terms=draw(_N)),
+        _angle(draw), draw(_AREA), route=draw(_ROUTE), series_terms=draw(_N)),
     "critical_area": lambda draw: envelope.critical_area(),
     "geometry": lambda draw: envelope.geometry(_angle(draw), draw(_AREA)),
     "scan": lambda draw: envelope.scan(*draw(_RANGE), draw(_COUNT), draw(_AREA),
-                                       include_exact_points=draw(st.booleans())),
+                                       include_exact_points=draw(_EXACT_POINTS)),
     "reduced_fractions": lambda draw: list(envelope.reduced_fractions()),
     "refine_minimum": lambda draw: envelope.refine_minimum(*draw(_RANGE), draw(_AREA), draw(_TOL)),
     "dedekind_sum": lambda draw: barnes.dedekind_sum(draw(_INT), draw(_INT)),
@@ -143,3 +169,39 @@ def test_a_call_returns_finite_values_or_raises_domain_or_quadrature_error(name,
     except (DomainError, QuadratureError):
         return
     _assert_finite(result)
+
+
+_SELECTOR_CALLS = {
+    "f_kernel(1.0, np.array([0, 1]))": lambda: barnes.f_kernel(1.0, np.array([0, 1])),
+    "f_kernel(1.0, np.array(1))": lambda: barnes.f_kernel(1.0, np.array(1)),
+    "f_kernel(1.0, True)": lambda: barnes.f_kernel(1.0, True),
+    "f_kernel(1.0, 1.0)": lambda: barnes.f_kernel(1.0, 1.0),
+    "f_kernel(1.0, (0, True))": lambda: barnes.f_kernel(1.0, (0, True)),
+    "f_kernel(1.0, ())": lambda: barnes.f_kernel(1.0, ()),
+    "scan(include_exact_points=np.array([1, 0]))": lambda: envelope.scan(
+        -0.9, -0.6, 5, include_exact_points=np.array([1, 0])),
+    "scan(include_exact_points=1)": lambda: envelope.scan(-0.9, -0.6, 5, include_exact_points=1),
+    "log_det_area(route=np.array(['a', 'b']))": lambda: envelope.log_det_area(
+        envelope.AngleParam(-0.7), 1.0, route=np.array(["a", "b"])),
+    "BarnesEval(0.0, 'x', 'integral')": lambda: barnes.BarnesEval(0.0, "x", "integral"),
+    "BarnesEval(0.0, nan, 'integral')": lambda: barnes.BarnesEval(0.0, math.nan, "integral"),
+    "BarnesEval(0.0, 0.0, ['series'])": lambda: barnes.BarnesEval(0.0, 0.0, ["series"]),
+    "run_suite(['fast'])": lambda: verify.run_suite(["fast"]),
+    "run_suite('bogus')": lambda: verify.run_suite("bogus"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SELECTOR_CALLS))
+def test_a_selector_outside_its_values_raises_domain_error(name):
+    with pytest.raises(DomainError):
+        _SELECTOR_CALLS[name]()
+
+
+def test_a_selector_of_numpy_kind_is_taken_at_its_value():
+    assert barnes.f_kernel(0.7, np.int64(1)) == barnes.f_kernel(0.7, 1)
+    assert np.array_equal(barnes.f_kernel(0.7, (np.int32(2), 0)), barnes.f_kernel(0.7, (2, 0)))
+    p = envelope.AngleParam(-0.7)
+    assert (envelope.log_det_area(p, 1.0, route=np.str_("series"))
+            == envelope.log_det_area(p, 1.0, route="series"))
+    exact = envelope.scan(-0.9, -0.6, 3, include_exact_points=np.True_)
+    assert exact.beta.tobytes() == envelope.scan(-0.9, -0.6, 3, include_exact_points=True).beta.tobytes()
