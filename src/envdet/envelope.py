@@ -186,12 +186,15 @@ class ScanTable:
 # --------------------------------------------------------------------------
 
 
-def _log_c(p: AngleParam):
+def _log_c(p: AngleParam, sine=None):
+    """log c, with ``sine`` the caller's sin(pi a2) if it has one."""
+    if sine is None:
+        sine = np.sin(np.pi * p.a2)
     return (
         _LOG2
         - _sp.gammaln(p.a2 / 2.0)
         - _sp.gammaln(p.a1)
-        + 0.5 * (LOG_PI - np.log(np.sin(np.pi * p.a2)))
+        + 0.5 * (LOG_PI - np.log(sine))
     )
 
 
@@ -203,10 +206,10 @@ def _elementary(p: AngleParam, orders):
     b, a1, a2 = p.beta, p.a1, p.a2
     x2 = 2.0 * b + 1.0
     h = (2.0 / a1 - 1.0 / x2 - 1.0) / 6.0
-    log_c = _log_c(p)
+    s = np.sin(np.pi * a2)
+    log_c = _log_c(p, s)
     if max(orders) > 0:
         hp = (-2.0 / a1**2 + 2.0 / x2**2) / 6.0
-        s = np.sin(np.pi * a2)
         d_log_c = _sp.psi(a2 / 2.0) - _sp.psi(a1) + np.pi * np.cos(np.pi * a2) / s
     terms = []
     for k in orders:
@@ -219,8 +222,11 @@ def _elementary(p: AngleParam, orders):
             gp = (2.0 - 4.0 / a1**2 + 2.0 / x2**2) / 6.0
             terms.append(gp * _LOG2 - hp * log_c - h * d_log_c - 1.0 / a1 + 1.0 / a2)
         else:
-            gpp = (8.0 / a1**3 - 8.0 / x2**3) / 6.0
-            hpp = (4.0 / a1**3 - 8.0 / x2**3) / 6.0
+            # each cube once: x2 < 0, and a pow of a negative base costs
+            # about 40 times one of a positive base
+            a1_3, x2_3 = a1**3, x2**3
+            gpp = (8.0 / a1_3 - 8.0 / x2_3) / 6.0
+            hpp = (4.0 / a1_3 - 8.0 / x2_3) / 6.0
             d2_log_c = -_sp.zeta(2.0, a2 / 2.0) - _sp.zeta(2.0, a1) + 2.0 * np.pi**2 / s**2
             terms.append(
                 gpp * _LOG2
@@ -380,23 +386,26 @@ def convexity_lower_bound(p: AngleParam) -> float:
     a1, a2 = p.a1, p.a2
     x2 = 2.0 * p.beta + 1.0
     half = x2 / 2.0  # beta + 1/2
+    # each cube and the sine once: x2 and half are negative, and a pow of a
+    # negative base costs about 40 times one of a positive base
+    a1_3, x2_3, half_3 = a1**3, x2**3, half**3
+    s = np.sin(np.pi * a2)
 
     P = (2.0 / a1 - 1.0 / x2 - 1.0) / 12.0
     Pp = (-2.0 / a1**2 + 2.0 / x2**2) / 12.0
-    Ppp = (4.0 / a1**3 - 8.0 / x2**3) / 12.0
+    Ppp = (4.0 / a1_3 - 8.0 / x2_3) / 12.0
 
     series_q = 2.0 * (
-        _ZETA2 / 2.0 * (a1**2 + half**2) + _ZETA3 / 3.0 * (-(a1**3) + half**3)
+        _ZETA2 / 2.0 * (a1**2 + half**2) + _ZETA3 / 3.0 * (-a1_3 + half_3)
     )
     Q = (
-        np.log(np.sin(np.pi * a2))
+        np.log(s)
         - LOG_PI
         - 2.0 * np.log(a1)
         - 2.0 * np.log(a2)
         - EULER_GAMMA
         + series_q
     )
-    s = np.sin(np.pi * a2)
     Qp = (
         -2.0 * np.pi * np.cos(np.pi * a2) / s
         - 2.0 / a1
@@ -410,9 +419,9 @@ def convexity_lower_bound(p: AngleParam) -> float:
         + 4.0 * _ZETA2
         - 2.0 * _ZETA3
     )
-    Rpp = (8.0 / a1**3 - 8.0 / x2**3) * _LOG2 / 6.0 + 1.0 / a1**2 + 2.0 / x2**2
+    Rpp = (8.0 / a1_3 - 8.0 / x2_3) * _LOG2 / 6.0 + 1.0 / a1**2 + 2.0 / x2**2
     Gpp = Ppp * Q + 2.0 * Pp * Qp + P * Qpp + Rpp
-    return _out(Gpp - 0.2 - LOG_GLAISHER * (8.0 / a1**3 - 2.0 / half**3))
+    return _out(Gpp - 0.2 - LOG_GLAISHER * (8.0 / a1_3 - 2.0 / half_3))
 
 
 def critical_area() -> float:

@@ -163,8 +163,9 @@ def _criterion_7() -> List[CheckResult]:
 
 def _criterion_8() -> List[CheckResult]:
     failures = 0
+    # the law is symmetric in p and q: each unordered coprime pair once
     for p in range(1, 31):
-        for q in range(1, 31):
+        for q in range(1, p + 1):
             if math.gcd(p, q) != 1:
                 continue
             lhs = barnes.dedekind_sum(q, p) + barnes.dedekind_sum(p, q)

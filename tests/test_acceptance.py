@@ -2,6 +2,7 @@
 pinned tolerance and wall-clock budget.  Run with ``pytest -s`` to see one
 PASS/FAIL line per check."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -61,3 +62,20 @@ def test_dedekind_reciprocity_catches_a_wrong_dedekind_sum(monkeypatch):
     (check,), _ = verify.run_criterion(8)
     assert check.name == "dedekind_reciprocity"
     assert not check.passed and check.measured > 0.0
+
+
+def test_dedekind_reciprocity_takes_each_unordered_pair_once(monkeypatch):
+    calls = []
+    right = barnes.dedekind_sum
+
+    def counted(q, p):
+        calls.append((q, p))
+        return right(q, p)
+
+    monkeypatch.setattr(barnes, "dedekind_sum", counted)
+    (check,), _ = verify.run_criterion(8)
+    assert check.passed
+    pairs = [(q, p) for p in range(1, 31) for q in range(1, p + 1) if math.gcd(p, q) == 1]
+    # S(q, p) and S(p, q), two calls per unordered coprime pair
+    assert sorted(calls) == sorted(pairs + [(p, q) for q, p in pairs])
+    assert len(calls) == 2 * len(pairs) == 556

@@ -139,7 +139,8 @@ def test_f_kernel_branch_agreement_near_crossover():
     # evaluate both branches on each side of the crossover and compare
     r = np.linspace(0.45, 0.55, 21)
     for d in (0, 1, 2):
-        (series,), (closed,) = barnes._series(r, (d,)), barnes._closed(r, (d,))
+        (series,) = barnes._series(r, (d,), np.empty((1, r.size)))
+        (closed,) = barnes._closed(r, (d,), np.empty((1, r.size)))
         assert np.max(np.abs(series - closed)) <= 1e-13
 
 
@@ -220,6 +221,11 @@ KERNEL_CASES = {
     "grid-level-0": lambda: _grid_level_products(0),
     "grid-level-1": lambda: _grid_level_products(1),
     "grid-level-2": lambda: _grid_level_products(2),
+    # single non-decreasing rows, which f_kernel splits at one index
+    "sorted-grid-level-0": lambda: [np.sort(r) for r in _grid_level_products(0)],
+    "sorted-grid-level-2": lambda: [np.sort(r) for r in _grid_level_products(2)],
+    "sorted-edges": lambda: [np.array([0.0, 1e-300, np.nextafter(0.5, 0.0), 0.5, 700.0, 1e10,
+                                       math.inf])],
 }
 
 
@@ -241,6 +247,44 @@ def test_fused_kernel_matches_one_order_calls(case):
         for k in (0, 1, 2):
             assert np.array_equal(got[k], f_kernel(r, k))
         assert np.array_equal(f_kernel(r, (2, 0)), got[[2, 0]])
+
+
+def test_only_a_sorted_single_row_is_written_in_place(monkeypatch):
+    written = []
+    series = barnes._series
+
+    def recorded(r, orders, out):
+        written.append(out)
+        return series(r, orders, out)
+
+    monkeypatch.setattr(barnes, "_series", recorded)
+    r = np.linspace(0.0, 1.0, 11)
+    # in place: a 1-D row, a (1, n) row and a (1, 1, n) row, non-decreasing from >= 0
+    for row in (r, r[None, :], r[None, None, :], np.array([-0.0, 0.0, 0.7])):
+        written.clear()
+        assert np.shares_memory(f_kernel(row, (0, 2)), written[0])
+    # by mask: two rows, an unsorted row
+    for other in (np.stack([r, r]), r[::-1].copy(), np.array([0.3, 0.2])):
+        written.clear()
+        assert not np.shares_memory(f_kernel(other, (0, 2)), written[0])
+
+
+@pytest.mark.parametrize(
+    "r", [[math.nan], [0.1, math.nan], [0.1, 0.2, math.nan], [-1e-300, 0.1], [-math.inf, 1.0]],
+    ids=["nan", "nan-last-of-two", "nan-last-of-three", "tiny-negative-first", "-inf-first"],
+)
+@pytest.mark.parametrize("shape", [(-1,), (1, -1)], ids=["1-d", "row"])
+def test_a_sorted_looking_row_with_nan_or_a_negative_start_raises(r, shape):
+    with pytest.raises(DomainError):
+        f_kernel(np.reshape(r, shape), (0, 1, 2))
+
+
+def test_a_row_starting_at_negative_zero_keeps_its_bits():
+    r = np.array([-0.0, 0.0, 1e-300, 0.3, 0.5, 2.0])
+    for d in (0, 1, 2):
+        assert f_kernel(r, d).tobytes() == _masked_kernel(r, d).tobytes()
+        # the same values, unsorted, take the mask path
+        assert f_kernel(r[::-1].copy(), d)[::-1].tobytes() == f_kernel(r, d).tobytes()
 
 
 @pytest.mark.parametrize("orders", [(), (0, 3), (-1,), [0, 1]])
@@ -591,6 +635,32 @@ def test_fused_orders_match_one_order_calls(width):
         (value,), (err,) = barnes._integral(a, (k,))
         assert np.array_equal(values[k], value)
         assert errs[k] == err
+
+
+@pytest.mark.parametrize("orders", [(0,), (2,), (0, 1, 2)])
+def test_integral_of_shuffled_a_is_the_sorted_call_permuted(orders):
+    # one node per block at this width, so a is sorted inside and put back
+    b = np.linspace(-0.9999, -0.5001, 20000)
+    a = np.concatenate([b + 1.0, -2.0 * b - 1.0])
+    perm = np.random.default_rng(18).permutation(a.size)
+    values, errs = barnes._integral(a, orders)
+    shuffled, shuffled_errs = barnes._integral(a[perm], orders)
+    assert shuffled.tobytes() == values[:, perm].tobytes()
+    assert shuffled_errs.tobytes() == errs.tobytes()
+
+
+def test_a_wide_integral_gives_the_kernel_sorted_rows(monkeypatch):
+    rows = []
+    kernel = barnes.f_kernel
+
+    def recorded(r, derivative=0):
+        rows.append(r.shape[0] == 1 and bool(np.all(np.diff(r[0]) >= 0.0)))
+        return kernel(r, derivative)
+
+    monkeypatch.setattr(barnes, "f_kernel", recorded)
+    # unsorted a: one node per block, each row t a sorted
+    barnes._integral(_fused_grid(40000), (0, 1, 2))
+    assert len(rows) == 136 and all(rows)
 
 
 def test_a_frozen_order_is_no_longer_evaluated(monkeypatch):

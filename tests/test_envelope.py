@@ -585,6 +585,21 @@ def test_d2_log_det_on_the_criterion_5_grid_is_pinned():
     assert hashlib.sha256(d2.tobytes()).hexdigest() == D2_CRITERION_5_SHA256
 
 
+# convexity_lower_bound and the three orders of _elementary, stacked, on
+# verify criterion 5's grid, recorded before each cube and sine of theirs
+# was computed once
+CONVEXITY_CRITERION_5_SHA256 = "1cef25bbe10f2eb7ce8b7992dc3b1f2ef1877507ac860ba08afa4ae8920c3d11"
+ELEMENTARY_CRITERION_5_SHA256 = "324f2909d096c94c3aca274af84e1505a2a00a5a38c4341c38d01fffd773467a"
+
+
+def test_elementary_terms_on_the_criterion_5_grid_are_pinned():
+    p = AngleParam(np.linspace(-0.999, -0.501, 10_000))
+    bound = convexity_lower_bound(p)
+    assert hashlib.sha256(bound.tobytes()).hexdigest() == CONVEXITY_CRITERION_5_SHA256
+    terms = np.stack(envelope._elementary(p, (0, 1, 2)))
+    assert hashlib.sha256(terms.tobytes()).hexdigest() == ELEMENTARY_CRITERION_5_SHA256
+
+
 def test_d2_log_det_near_the_endpoints_is_pinned():
     betas = list(D2_NEAR_ENDPOINTS)
     array = d2_log_det(AngleParam(np.array(betas)))

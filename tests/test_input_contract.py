@@ -6,7 +6,8 @@ property-based testing", JOSS 2019).
 
 The arguments are strings, bytes, bools, None, complex numbers, lists, 0-d
 and 2-D arrays, fractions, ints beyond the doubles, NaN, +-inf, +-0,
-subnormals and the largest doubles, next to numbers inside each domain.  A
+subnormals and the largest doubles, next to numbers inside each domain;
+``f_kernel`` also gets sorted rows, with and without NaN and negatives.  A
 function that takes an ``AngleParam`` gets one built from a drawn beta.  The
 selectors ``derivative``, ``route`` and ``include_exact_points`` are drawn
 from their valid values and from arrays, lists, strings, bools, ints and
@@ -73,6 +74,11 @@ _N = _arguments(st.integers(2, 16))
 _R = _arguments(st.one_of(st.floats(0.0, 1e3), st.fractions(min_value=0, max_value=5,
                                                             max_denominator=40)))
 _INT = _arguments(st.integers(1, 60))
+# sorted rows, 1-D or (1, n), which f_kernel splits at one index when they
+# start at 0 or above; np.sort puts NaN last and -inf and negatives first
+_SORTED_ROW = st.lists(
+    st.one_of(st.floats(0.0, 1e3), st.floats(), st.sampled_from(_SPECIAL)), min_size=1, max_size=6,
+).map(np.sort).flatmap(lambda r: st.sampled_from([r, r[None, :]]))
 
 
 def _selector(valid):
@@ -100,7 +106,7 @@ _EXACT_POINTS = _selector([False, True])
 
 
 def _kernel(draw):
-    r = draw(_R)
+    r = draw(st.one_of(_R, _SORTED_ROW))
     values = barnes.f_kernel(r, draw(_DERIVATIVE))
     # F(+inf) = -inf is F's limit there
     return np.where(np.isposinf(np.asarray(r, dtype=float)), 0.0, values)
