@@ -35,9 +35,8 @@ from typing import Union
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import EULER_GAMMA, LOG_2PI, ZETA_PRIME_NEG1, DomainError
-from .specfun import _choice, _positive, _real
-from .specfun import _BLOCK_POINTS, integrate_semi_infinite
+from .specfun import EULER_GAMMA, LOG_2PI, ZETA_PRIME_NEG1, DomainError, integrate_semi_infinite
+from .specfun import _block_nodes, _choice, _positive, _real
 
 __all__ = [
     "BarnesEval",
@@ -48,7 +47,6 @@ __all__ = [
     "zeta_b_prime0_rational",
     "d_zeta_b_prime0",
     "d2_zeta_b_prime0",
-    "series_error_bound",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -88,6 +86,11 @@ _TAIL = [float(_B[2 * k] / (2 * k * (2 * k - 1))) * float(_sp.zeta(2 * k - 1, 1)
 # a = 4.4e27).  Below _A_MIN the heads overflow, order 2's from 1e-105 on.
 _A_MIN = 1e-100
 _A_MAX = 1e27
+# Largest p + q of the rational route, so largest p of a Dedekind sum: beyond,
+# its bound 1e-14 (p + q) passes 1e-8 and a call 0.4 s (a Dedekind term 0.2 us).
+_PQ_MAX = 10**6
+_PQ_MAX_TEXT = f"10**{round(math.log10(_PQ_MAX))}"  # as the messages write it
+_ROUTES = ("integral", "series", "rational")  # BarnesEval.route, log_det_area's route
 
 
 def _series(r: np.ndarray, orders: tuple, out: np.ndarray) -> np.ndarray:
@@ -198,8 +201,8 @@ def dedekind_sum(q: int, p: int) -> Fraction:
     integer = (int, numbers.Integral)  # int first: the ABC check alone takes about 1 us
     if not (isinstance(p, integer) and isinstance(q, integer) and p >= 1 and q >= 1):
         raise DomainError("dedekind_sum needs positive integers")
-    if p > 10**6:  # the rational route's cap; about 0.2 us a term
-        raise DomainError(f"dedekind_sum needs p <= 10**6, got {p}")
+    if p > _PQ_MAX:
+        raise DomainError(f"dedekind_sum needs p <= {_PQ_MAX_TEXT}, got {p}")
     if math.gcd(p, q) != 1:
         raise DomainError(f"dedekind_sum needs gcd(p, q) = 1, got ({q}, {p})")
     total = sum((2 * j - p) * (2 * (j * q % p) - p) for j in range(1, p))
@@ -222,7 +225,7 @@ class BarnesEval:
     def __post_init__(self) -> None:
         if not _real(self.error_bound, "error_bound") >= 0.0:
             raise DomainError(f"error_bound must be nonnegative, got {self.error_bound!r}")
-        _choice(self.route, ("integral", "series", "rational"), "route")
+        _choice(self.route, _ROUTES, "route")
 
 
 def _head(a: ArrayLike, order: int) -> ArrayLike:
@@ -252,7 +255,7 @@ def _integral(a: ArrayLike, orders: tuple):
     # one index; each value is computed on its own, so sorting and putting
     # back changes no bit, and the errors are maxima over all of a.
     perm = None
-    if _BLOCK_POINTS // (len(orders) * arr.size) <= 1:
+    if _block_nodes(len(orders), arr.size) == 1:
         perm = np.argsort(arr, kind="stable")
         arr = arr[perm]
 
@@ -294,49 +297,41 @@ def zeta_b_prime0_values(a: np.ndarray) -> np.ndarray:
     return _integral(np.atleast_1d(a), (0,))[0][0]
 
 
-def series_error_bound(a: float, n: int) -> float:
-    """Certified remainder of the series route: the first omitted term
-    |B_{2N} zeta(2N-1)| / (2N(2N-1)) * a^{2N-1}.  The one check of the
-    route's arguments: ``DomainError`` unless ``a`` is a finite real > 0
-    and N = ``n`` an integer in [2, 16], and where the remainder or head overflows."""
-    av, nv = _positive(a, "a"), _real(n, "n")
-    if not (nv.is_integer() and 2 <= nv <= _KMAX):
-        raise DomainError(f"series order n must be an integer in [2, {_KMAX}], got {n!r}")
-    try:
-        bound = abs(_TAIL[int(nv) - 2]) * av ** (2 * nv - 1)
-    except OverflowError:
-        bound = math.inf
-    if math.isinf(bound) or math.isinf(_LOG_A / av):  # the remainder or the head
-        raise DomainError(f"the series route overflows for n = {n} at a = {a!r}")
-    return bound
-
-
 def zeta_b_prime0_series(a: float, n: int = 4) -> BarnesEval:
     """Truncated small-a expansion of zeta_B'(0; a, 1, 1) with N = ``n``.
 
     Keeps the elementary terms plus the Bernoulli tail through k = n - 1 and
-    certifies the remainder by the first omitted term (the tail terms
-    alternate and envelop the function for every a > 0).
+    certifies the remainder by the first omitted term, |B_{2N} zeta(2N-1)| /
+    (2N(2N-1)) a^{2N-1}: the tail terms alternate and envelop the function
+    for every a > 0.  ``DomainError`` unless ``a`` is a finite real > 0 and N
+    an integer in [2, 16], and where the remainder or the head overflows.
     """
-    # checks a and n; the remainder holds a's highest power, so it overflows first
-    bound = series_error_bound(a, n)
-    a, n = _real(a, "a"), int(_real(n, "n"))
-    value = _head(a, 0)
-    for k in range(2, n):
-        value += _TAIL[k - 2] * a ** (2 * k - 1)
+    x, nv = _positive(a, "a"), _real(n, "n")
+    if not (nv.is_integer() and 2 <= nv <= _KMAX):
+        raise DomainError(f"series order n must be an integer in [2, {_KMAX}], got {n!r}")
+    try:  # the remainder holds a's highest power, so it overflows before the tail
+        bound = abs(_TAIL[int(nv) - 2]) * x ** (2 * nv - 1)
+    except OverflowError:
+        bound = math.inf
+    if math.isinf(bound) or math.isinf(_LOG_A / x):  # the remainder or the head
+        raise DomainError(f"the series route overflows for n = {n} at a = {a!r}")
+    value = _head(x, 0)
+    for k in range(2, int(nv)):
+        value += _TAIL[k - 2] * x ** (2 * k - 1)
     return BarnesEval(value=value, error_bound=bound, route="series")
 
 
 def zeta_b_prime0_rational(r: Fraction) -> BarnesEval:
-    """Exact closed form of zeta_B'(0; p/q, 1, 1) for a positive rational, p + q <= 10**6.
+    """Exact closed form of zeta_B'(0; p/q, 1, 1) for a positive rational with
+    p + q at most the cap ``_PQ_MAX``.
 
     Combines zeta'(-1), the Dedekind sum S(q, p) and two sawtooth-weighted
     log-gamma sums; the only inexactness is double-precision log-gamma.
     """
     x = _positive(r, "a")
     p, q = Fraction(r if isinstance(r, Fraction) else x).as_integer_ratio()
-    if p + q > 10**6:  # beyond, the bound 1e-14 (p + q) passes 1e-8 and a call 0.4 s
-        raise DomainError(f"the rational route needs p + q <= 10**6, got {x!r}")
+    if p + q > _PQ_MAX:
+        raise DomainError(f"the rational route needs p + q <= {_PQ_MAX_TEXT}, got {x!r}")
     value = (ZETA_PRIME_NEG1 - math.log(q) / 12.0) / (p * q)
     value += (float(dedekind_sum(q, p)) + 0.25) * math.log(q / p)
     # ((kq/p)) + 1/2 = (kq mod p) / p, never 0 as gcd(p, q) = 1, so every

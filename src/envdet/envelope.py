@@ -319,7 +319,7 @@ def log_det_area(
     certified truncation of order ``series_terms``.
     """
     area = _positive(area, "area")
-    route = _choice(route, ("integral", "series", "rational"), "route")
+    route = _choice(route, barnes._ROUTES, "route")
     if route == "integral":
         (zb1, zb2), = _integral_pair(p, (0,))
     elif route == "series":

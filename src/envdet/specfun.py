@@ -97,14 +97,17 @@ _TOL = 1e-12
 # Hard cutoffs of the node range, chosen so the neglected tails are far below
 # _TOL: t_hi has exp(-t) * poly(t) < _TOL / 10, the t -> 0 end is damped
 # double-exponentially by the map itself.
-_DECADES = -math.log(min(_TOL, 1e-6))
+_DECADES = -math.log(_TOL)
 _U_HI = math.log(_DECADES + 45.0)
 _U_LO = -math.log(_DECADES + 40.0)
 
 
-# Nodes per integrand call are capped so that no (nodes x width) temporary
-# holds more than 2**14 doubles (128 KiB).
-_BLOCK_POINTS = 2**14
+def _block_nodes(groups: int, width: int) -> int:
+    """Nodes per integrand call, the one block rule: no (nodes x groups x
+    width) block holds more than 2**14 doubles (128 KiB), unless one node does."""
+    return max(1, 2**14 // (groups * width))
+
+
 # Refinements (halvings of the step) before the rule gives up.
 _MAX_LEVELS = 10
 
@@ -172,8 +175,8 @@ def integrate_semi_infinite(
     table is the whole h = 1/8 grid, whose nodes k h with k = 0 (mod 4),
     k = 2 (mod 4) and k odd are the levels h = 1/2, 1/4 and 1/8; each later
     level is the odd nodes of its h.  A table is evaluated in calls of at
-    most ``max(1, 2**14 // (len(open) * width))`` nodes, so a table of a
-    narrow integrand is one call and a wide one gets one node per call.
+    most ``_block_nodes(len(open), width)`` nodes, so a table of a narrow
+    integrand is one call and a wide one gets one node per call.
     Each level's weighted values are added one node at a time in node
     order, from 0.0, so the result does not depend on how the nodes were
     split into calls.
@@ -195,7 +198,7 @@ def integrate_semi_infinite(
     def weighted_sums(nodes, weights, levels, open_) -> list:
         # one sum per level (offset, step): table positions offset,
         # offset + step, ...
-        block = max(1, _BLOCK_POINTS // (len(open_) * width))
+        block = _block_nodes(len(open_), width)
         # the float 0.0, not np.zeros: zeroed totals too raised a wide
         # integrand's page faults 2.5-fold
         totals = [0.0] * len(levels)

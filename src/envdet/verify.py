@@ -124,10 +124,10 @@ def _criterion_6() -> List[CheckResult]:
     grid = np.linspace(0.005, 1.0, 200)
     integral_vals = barnes.zeta_b_prime0_values(grid)
     excess = -math.inf
-    eps = np.finfo(float).eps
+    eps = float(np.finfo(float).eps)  # Python floats: each check holds a bool and a float
     for n in (2, 3, 4, 5):
-        for a, target in zip(grid, integral_vals):
-            approx = barnes.zeta_b_prime0_series(float(a), n)
+        for a, target in zip(grid.tolist(), integral_vals.tolist()):
+            approx = barnes.zeta_b_prime0_series(a, n)
             # the truncation certificate is exact-arithmetic; comparing two
             # double-precision evaluations needs a few ulps of headroom
             fp_slack = 8.0 * eps * (1.0 + abs(target))

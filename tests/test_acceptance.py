@@ -2,6 +2,8 @@
 pinned tolerance and wall-clock budget.  Run with ``pytest -s`` to see one
 PASS/FAIL line per check."""
 
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -79,3 +81,10 @@ def test_dedekind_reciprocity_takes_each_unordered_pair_once(monkeypatch):
     # S(q, p) and S(p, q), two calls per unordered coprime pair
     assert sorted(calls) == sorted(pairs + [(p, q) for q, p in pairs])
     assert len(calls) == 2 * len(pairs) == 556
+
+
+def test_every_check_holds_a_bool_and_a_float():
+    # numpy scalars would break json.dumps of the checks (numpy.bool is no bool)
+    checks = verify.run_suite("full")
+    assert all(type(c.passed) is bool and type(c.measured) is float for c in checks)
+    json.dumps([dataclasses.asdict(c) for c in checks], allow_nan=False)

@@ -15,7 +15,6 @@ from envdet.barnes import (
     d_zeta_b_prime0,
     dedekind_sum,
     f_kernel,
-    series_error_bound,
     zeta_b_prime0,
     zeta_b_prime0_rational,
     zeta_b_prime0_series,
@@ -417,7 +416,7 @@ NOT_REAL = {
     'zeta_b_prime0_series("0.5")': lambda: zeta_b_prime0_series("0.5"),
     'zeta_b_prime0_series(0.5, "x")': lambda: zeta_b_prime0_series(0.5, "x"),
     "zeta_b_prime0_series(0.5, None)": lambda: zeta_b_prime0_series(0.5, None),
-    "series_error_bound(0.5j, 4)": lambda: series_error_bound(0.5j, 4),
+    "zeta_b_prime0_series(0.5j, 4)": lambda: zeta_b_prime0_series(0.5j, 4),
     "zeta_b_prime0_rational(nan)": lambda: zeta_b_prime0_rational(math.nan),
     "zeta_b_prime0_rational(inf)": lambda: zeta_b_prime0_rational(math.inf),
     'zeta_b_prime0_rational("1/3")': lambda: zeta_b_prime0_rational("1/3"),
@@ -448,7 +447,7 @@ def test_every_real_scalar_gives_the_bits_of_its_float(a):
     x = float(a)
     assert zeta_b_prime0(a) == zeta_b_prime0(x)
     assert zeta_b_prime0_series(a, 5) == zeta_b_prime0_series(x, 5)
-    assert series_error_bound(a, np.int64(5)) == series_error_bound(x, 5)
+    assert zeta_b_prime0_series(a, np.int64(5)) == zeta_b_prime0_series(x, 5)
     for route in (d_zeta_b_prime0, d2_zeta_b_prime0, f_kernel):
         assert type(route(a)) is float and route(a).hex() == route(x).hex()
 
@@ -513,10 +512,10 @@ def test_series_bound_monotonicity():
     # That covers N = 2..4 on all of (0, 1]; the 4 -> 5 step turns only for
     # a <= ~0.84 (the expansion is asymptotic, not convergent).
     for a in np.linspace(0.05, 1.0, 20):
-        bounds = [series_error_bound(float(a), n) for n in (2, 3, 4)]
+        bounds = [zeta_b_prime0_series(float(a), n).error_bound for n in (2, 3, 4)]
         assert bounds[0] > bounds[1] > bounds[2]
     for a in np.linspace(0.05, 0.8, 16):
-        bounds = [series_error_bound(float(a), n) for n in (2, 3, 4, 5)]
+        bounds = [zeta_b_prime0_series(float(a), n).error_bound for n in (2, 3, 4, 5)]
         assert all(x > y for x, y in zip(bounds, bounds[1:]))
 
 
@@ -535,14 +534,13 @@ def test_series_domain():
     with pytest.raises(DomainError):
         zeta_b_prime0_series(1e10, 16)
     with pytest.raises(DomainError):
-        series_error_bound(1e100, 4)
+        zeta_b_prime0_series(1e100, 4)
     with pytest.raises(DomainError):
-        series_error_bound(np.array([0.5, 1e100]), 4)
-    # the bound is where the series route checks its arguments
+        zeta_b_prime0_series(np.array([0.5, 1e100]), 4)
     for a, n in ((-1.0, 4), (math.nan, 4), (0.5, 17), (np.array([0.5]), 4)):
         with pytest.raises(DomainError):
-            series_error_bound(a, n)
-    assert series_error_bound(0.3, 4.0) == series_error_bound(0.3, 4)
+            zeta_b_prime0_series(a, n)
+    # an integral float n is that integer: value and bound alike
     assert zeta_b_prime0_series(0.3, 4.0) == zeta_b_prime0_series(0.3, 4)
 
 
@@ -661,6 +659,26 @@ def test_a_wide_integral_gives_the_kernel_sorted_rows(monkeypatch):
     # unsorted a: one node per block, each row t a sorted
     barnes._integral(_fused_grid(40000), (0, 1, 2))
     assert len(rows) == 136 and all(rows)
+
+
+@pytest.mark.parametrize("width, nodes", [(2**13 + 1, 1), (2**13, 2)])
+def test_a_is_sorted_exactly_where_the_quadrature_takes_one_node_a_call(width, nodes, monkeypatch):
+    # barnes and specfun share the block rule: sorting where blocks hold two
+    # nodes would be wasted, and not sorting where they hold one would send
+    # every kernel row down the mask path
+    assert specfun._block_nodes(1, width) == nodes
+    shapes, sorted_rows = [], []
+    kernel = barnes.f_kernel
+
+    def recorded(r, derivative=0):
+        shapes.append(r.shape)
+        sorted_rows.extend(bool(np.all(np.diff(row) >= 0.0)) for row in r)
+        return kernel(r, derivative)
+
+    monkeypatch.setattr(barnes, "f_kernel", recorded)
+    barnes._integral(_fused_grid(width), (0,))  # a in no order
+    assert set(shapes) == {(nodes, width)}
+    assert all(sorted_rows) if nodes == 1 else not any(sorted_rows)
 
 
 def test_a_frozen_order_is_no_longer_evaluated(monkeypatch):

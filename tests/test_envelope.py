@@ -291,11 +291,12 @@ def test_log_det_special_values_both_routes():
 def test_log_det_series_route_within_certificate():
     p = AngleParam(-0.8)
     exact = log_det_area(p, 1.0).log_det
-    from envdet.barnes import series_error_bound
+    from envdet.barnes import zeta_b_prime0_series
 
     for n in (3, 4, 5):
         approx = log_det_area(p, 1.0, route="series", series_terms=n).log_det
-        budget = 4.0 * series_error_bound(p.a1, n) + 2.0 * series_error_bound(p.a2, n)
+        bound1, bound2 = (zeta_b_prime0_series(a, n).error_bound for a in (p.a1, p.a2))
+        budget = 4.0 * bound1 + 2.0 * bound2
         assert abs(approx - exact) <= budget + 1e-13
 
 

@@ -1,6 +1,7 @@
 """Every exported name resolves: each name in an envdet submodule's
 ``__all__`` (a stale entry breaks ``from envdet.<module> import *``) and
-each name the package ``__init__`` imports."""
+each name the package ``__init__`` imports.  And every name a submodule
+imports is used there (the package ``__init__`` only re-exports)."""
 
 import ast
 import importlib
@@ -38,3 +39,38 @@ def test_package_imports_resolve():
     for module_name, name in imported:
         module = importlib.import_module(f"envdet.{module_name}")
         assert getattr(envdet, name) is getattr(module, name)
+
+
+def _unused_imports(source: str) -> list:
+    """The names ``source`` imports, ``from __future__`` aside, that it never
+    reads: a stale import."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+MODULE_FILES = sorted(
+    path.name for path in Path(envdet.__file__).parent.glob("*.py") if path.name != "__init__.py"
+)
+
+
+@pytest.mark.parametrize("filename", MODULE_FILES)
+def test_every_import_is_used(filename):
+    source = Path(envdet.__file__).with_name(filename).read_text(encoding="utf-8")
+    assert _unused_imports(source) == []
+
+
+def test_a_stale_import_is_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\nimport os.path\n"
+        "from .specfun import _BLOCK_POINTS, _real\n"
+        "x = np.asarray(_real(os.path.sep, 'x'))\n"
+    )
+    assert _unused_imports(source) == ["_BLOCK_POINTS"]

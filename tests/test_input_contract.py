@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import envdet
-from envdet import barnes, envelope, verify
+from envdet import barnes, envelope, specfun, verify
 from envdet.specfun import DomainError, QuadratureError
 
 _EDGE = envelope._EDGE
@@ -141,7 +141,6 @@ CALLS = {
     "zeta_b_prime0_rational": lambda draw: barnes.zeta_b_prime0_rational(draw(_R)),
     "d_zeta_b_prime0": lambda draw: barnes.d_zeta_b_prime0(draw(_A)),
     "d2_zeta_b_prime0": lambda draw: barnes.d2_zeta_b_prime0(draw(_A)),
-    "series_error_bound": lambda draw: barnes.series_error_bound(draw(_A), draw(_N)),
 }
 # values the library returns, not entry points, and a constant
 NOT_CALLED = {"BarnesEval", "DetResult", "EnvelopeGeometry", "ScanTable", "BETA_CRITICAL"}
@@ -211,3 +210,21 @@ def test_a_selector_of_numpy_kind_is_taken_at_its_value():
             == envelope.log_det_area(p, 1.0, route="series"))
     exact = envelope.scan(-0.9, -0.6, 3, include_exact_points=np.True_)
     assert exact.beta.tobytes() == envelope.scan(-0.9, -0.6, 3, include_exact_points=True).beta.tobytes()
+
+
+def test_the_argument_gate_sees_each_argument_once(monkeypatch):
+    seen = []
+    real = specfun._real
+
+    def counted(value, what, **kwargs):
+        seen.append(what)
+        return real(value, what, **kwargs)
+
+    for module in (specfun, barnes, envelope):
+        monkeypatch.setattr(module, "_real", counted)
+    barnes.zeta_b_prime0_series(0.3, 4)
+    assert seen == ["a", "n", "error_bound"]  # the last in BarnesEval
+    p = envelope.AngleParam(-0.7)
+    seen.clear()
+    envelope.log_det_area(p, 1.0, route="series")
+    assert seen == ["area"] + ["a", "n", "error_bound"] * 2
