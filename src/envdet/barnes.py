@@ -27,7 +27,6 @@ any other input is split by a mask.  The Dedekind sum is a sum of integers.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -36,7 +35,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .specfun import EULER_GAMMA, LOG_2PI, ZETA_PRIME_NEG1, DomainError, integrate_semi_infinite
-from .specfun import _block_nodes, _choice, _positive, _real
+from .specfun import _block_nodes, _choice, _out, _positive, _real, _whole
 
 __all__ = [
     "BarnesEval",
@@ -196,13 +195,9 @@ def dedekind_sum(q: int, p: int) -> Fraction:
 
     For 1 <= j < p, ((j/p)) = (2j - p) / 2p and ((jq/p)) = (2 (jq mod p) - p) / 2p
     (jq is no multiple of p as gcd(p, q) = 1), and the j = p term is 0, so
-    4 p^2 S(q, p) is the integer sum below.
+    4 p^2 S(q, p) is the integer sum below, for whole q and p <= ``_PQ_MAX``.
     """
-    integer = (int, numbers.Integral)  # int first: the ABC check alone takes about 1 us
-    if not (isinstance(p, integer) and isinstance(q, integer) and p >= 1 and q >= 1):
-        raise DomainError("dedekind_sum needs positive integers")
-    if p > _PQ_MAX:
-        raise DomainError(f"dedekind_sum needs p <= {_PQ_MAX_TEXT}, got {p}")
+    q, p = _whole(q, "q", 1, math.inf), _whole(p, "p", 1, _PQ_MAX)
     if math.gcd(p, q) != 1:
         raise DomainError(f"dedekind_sum needs gcd(p, q) = 1, got ({q}, {p})")
     total = sum((2 * j - p) * (2 * (j * q % p) - p) for j in range(1, p))
@@ -239,14 +234,14 @@ def _head(a: ArrayLike, order: int) -> ArrayLike:
 
 
 def _integral(a: ArrayLike, orders: tuple):
-    """d^k/da^k of zeta_B'(0; a, 1, 1) for 1e-100 <= a <= 1e27 and each order
-    k in ``orders``, from one quadrature over all of ``a``; returns the values,
-    one row per order shaped like ``a``, and one error estimate per order.
+    """d^k/da^k of zeta_B'(0; a, 1, 1) for each order k in ``orders``, at ``a`` a
+    checked float or float64 array in [1e-100, 1e27], from one quadrature over all
+    of ``a``: one row per order shaped like ``a``, and one error estimate per order.
 
     The integrands F(at)/(t(e^t-1)), F'(at)/(e^t-1) and t F''(at)/(e^t-1) are
     smooth at t = 0 and decay like e^{-t}.
     """
-    arr = np.asarray(_real(a, "a", ndim=None)).ravel()
+    arr = np.asarray(a).ravel()
     if arr.size == 0 or not ((arr >= _A_MIN) & (arr <= _A_MAX)).all():
         raise DomainError(f"the integral route needs {_A_MIN:g} <= a <= {_A_MAX:g}, got {a!r}")
 
@@ -294,7 +289,7 @@ def zeta_b_prime0(a: float) -> BarnesEval:
 
 def zeta_b_prime0_values(a: np.ndarray) -> np.ndarray:
     """Integral-route values on a grid of a, via one vectorized quadrature."""
-    return _integral(np.atleast_1d(a), (0,))[0][0]
+    return _integral(np.atleast_1d(_real(a, "a", ndim=None)), (0,))[0][0]
 
 
 def zeta_b_prime0_series(a: float, n: int = 4) -> BarnesEval:
@@ -306,17 +301,15 @@ def zeta_b_prime0_series(a: float, n: int = 4) -> BarnesEval:
     for every a > 0.  ``DomainError`` unless ``a`` is a finite real > 0 and N
     an integer in [2, 16], and where the remainder or the head overflows.
     """
-    x, nv = _positive(a, "a"), _real(n, "n")
-    if not (nv.is_integer() and 2 <= nv <= _KMAX):
-        raise DomainError(f"series order n must be an integer in [2, {_KMAX}], got {n!r}")
+    x, n = _positive(a, "a"), _whole(n, "n", 2, _KMAX)
     try:  # the remainder holds a's highest power, so it overflows before the tail
-        bound = abs(_TAIL[int(nv) - 2]) * x ** (2 * nv - 1)
+        bound = abs(_TAIL[n - 2]) * x ** (2 * n - 1)
     except OverflowError:
         bound = math.inf
     if math.isinf(bound) or math.isinf(_LOG_A / x):  # the remainder or the head
         raise DomainError(f"the series route overflows for n = {n} at a = {a!r}")
     value = _head(x, 0)
-    for k in range(2, int(nv)):
+    for k in range(2, n):
         value += _TAIL[k - 2] * x ** (2 * k - 1)
     return BarnesEval(value=value, error_bound=bound, route="series")
 
@@ -346,11 +339,9 @@ def zeta_b_prime0_rational(r: Fraction) -> BarnesEval:
 
 def d_zeta_b_prime0(a: ArrayLike) -> ArrayLike:
     """d/da of zeta_B'(0; a, 1, 1):  -log A / a^2 + gamma/12 + int F'(at)/(e^t-1) dt."""
-    (value,), _ = _integral(a, (1,))
-    return value if np.ndim(a) else float(value)
+    return _out(_integral(_real(a, "a", ndim=None), (1,))[0][0])
 
 
 def d2_zeta_b_prime0(a: ArrayLike) -> ArrayLike:
     """d^2/da^2 of zeta_B'(0; a, 1, 1):  2 log A / a^3 + int t F''(at)/(e^t-1) dt."""
-    (value,), _ = _integral(a, (2,))
-    return value if np.ndim(a) else float(value)
+    return _out(_integral(_real(a, "a", ndim=None), (2,))[0][0])

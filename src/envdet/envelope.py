@@ -29,7 +29,7 @@ from .specfun import (
     ZETA_PRIME_NEG1,
     DomainError,
 )
-from .specfun import _choice, _positive, _real
+from .specfun import _choice, _out, _positive, _real, _whole
 
 __all__ = [
     "AngleParam",
@@ -86,11 +86,6 @@ def _check_beta(b) -> None:
 def _check_scalar(p: AngleParam, what: str) -> None:
     if np.ndim(p.beta):
         raise DomainError(f"{what} takes a float beta, got an array of shape {np.shape(p.beta)}")
-
-
-def _out(x):
-    """A float for a scalar beta, the array itself for an array beta."""
-    return x if np.ndim(x) else float(x)
 
 
 def _log(x):
@@ -498,9 +493,7 @@ def scan(
     rational beta with denominator <= 12 inside the range, whose log det is
     computed through the exact closed-form Barnes route.
     """
-    n = _real(count, "count")
-    if not (n.is_integer() and 2 <= n <= _MAX_SCAN_COUNT):
-        raise DomainError(f"count must be an integer in [2, {_MAX_SCAN_COUNT}], got {count!r}")
+    n = _whole(count, "count", 2, _MAX_SCAN_COUNT)
     beta_min, beta_max = _real(beta_min, "beta_min"), _real(beta_max, "beta_max")
     if not (beta_min < beta_max):
         raise DomainError("need beta_min < beta_max")
@@ -508,7 +501,7 @@ def scan(
     _check_beta(np.asarray([beta_min, beta_max]))
     include_exact_points = _choice(include_exact_points, (False, True), "include_exact_points")
 
-    b = np.linspace(beta_min, beta_max, int(n))
+    b = np.linspace(beta_min, beta_max, n)
     if np.any(b[1:] <= b[:-1]):
         raise DomainError(f"count {count} exceeds the doubles in [{beta_min!r}, {beta_max!r}]")
     fracs = _exact_betas(beta_min, beta_max) if include_exact_points else []

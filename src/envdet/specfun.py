@@ -1,8 +1,8 @@
-"""Foundation layer: mathematical constants, the two exception types, the
-one gate of every numeric argument and the one of every selector, and a
-double-exponential quadrature rule for groups of exponentially decaying
-integrands on (0, inf), each group accepted at its own refinement level and
-no longer evaluated after that.
+"""Foundation layer: mathematical constants, the two exception types, one
+gate for each kind of argument (real, whole, selector), the one shape of a
+scalar result, and a double-exponential quadrature rule for groups of
+exponentially decaying integrands on (0, inf), each group accepted at its
+own refinement level and no longer evaluated after that.
 
 The caller states the width of its integrands, so the first node table, the
 whole h = 1/8 grid that holds the three levels before the first acceptance,
@@ -57,6 +57,20 @@ def _real(value, what: str, *, ndim: Optional[int] = 0):
         return arr.astype(float, copy=False) if arr.ndim else float(arr)
     shape = {0: "", 1: " or a 1-D array of them"}.get(ndim, " or an array of them")
     raise DomainError(f"{what} must be a real number{shape}, got {value!r}")
+
+
+def _whole(value, what: str, lo: int, hi: float) -> int:
+    """An integer in [lo, hi] as an int: an int or numpy integer exactly, any other
+    real through ``_real`` if its value is integral; else ``DomainError``."""
+    n = int(value) if isinstance(value, (int, np.integer)) else _real(value, what)
+    if not (lo <= n <= hi and n % 1 == 0):  # NaN fails the first test, inf the second
+        raise DomainError(f"{what} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(n)
+
+
+def _out(x):
+    """A float for a scalar, the array itself for an array."""
+    return x if np.ndim(x) else float(x)
 
 
 _KINDS = {bool: (bool, np.bool_), int: (int, np.integer), str: (str,)}

@@ -210,8 +210,8 @@ CRITERIA: dict[int, Tuple[Callable[[], List[CheckResult]], float]] = {
 
 
 def run_criterion(number: int) -> Tuple[List[CheckResult], float]:
-    """Run one numbered criterion; returns its checks and the elapsed time."""
-    runner, _budget = CRITERIA[number]
+    """Run criterion ``number``, 1 to 9; returns its checks and the elapsed time."""
+    runner, _budget = CRITERIA[_choice(number, tuple(CRITERIA), "criterion")]
     start = time.perf_counter()
     checks = runner()
     return checks, time.perf_counter() - start

@@ -1,7 +1,8 @@
 """Every exported name resolves: each name in an envdet submodule's
 ``__all__`` (a stale entry breaks ``from envdet.<module> import *``) and
 each name the package ``__init__`` imports.  And every name a submodule
-imports is used there (the package ``__init__`` only re-exports)."""
+imports is used there (the package ``__init__`` only re-exports), and only
+``specfun`` checks whole numbers itself."""
 
 import ast
 import importlib
@@ -74,3 +75,34 @@ def test_a_stale_import_is_found():
         "x = np.asarray(_real(os.path.sep, 'x'))\n"
     )
     assert _unused_imports(source) == ["_BLOCK_POINTS"]
+
+
+def _integer_checks(source: str) -> list:
+    """The lines where ``source`` calls ``.is_integer()`` or names
+    ``numbers.Integral``: a whole-number check of its own."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (
+            node.attr == "is_integer"
+            or node.attr == "Integral" and ast.unparse(node.value) == "numbers"
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            lines.extend(node.lineno for a in node.names if a.name == "Integral")
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("filename", [name for name in MODULE_FILES if name != "specfun.py"])
+def test_only_specfun_checks_whole_numbers(filename):
+    # every other module takes its whole numbers through specfun._whole
+    source = Path(envdet.__file__).with_name(filename).read_text(encoding="utf-8")
+    assert _integer_checks(source) == []
+
+
+def test_a_hand_written_integer_check_is_found():
+    source = (
+        "import numbers\nfrom numbers import Integral, Real\n"
+        "ok = isinstance(n, numbers.Integral) or float(n).is_integer()\n"
+        "real = isinstance(n, numbers.Real)\n"
+    )
+    assert _integer_checks(source) == [2, 3, 3]

@@ -9,9 +9,9 @@ and 2-D arrays, fractions, ints beyond the doubles, NaN, +-inf, +-0,
 subnormals and the largest doubles, next to numbers inside each domain;
 ``f_kernel`` also gets sorted rows, with and without NaN and negatives.  A
 function that takes an ``AngleParam`` gets one built from a drawn beta.  The
-selectors ``derivative``, ``route`` and ``include_exact_points`` are drawn
-from their valid values and from arrays, lists, strings, bools, ints and
-floats.
+selectors ``derivative``, ``route``, ``include_exact_points``, ``suite`` and
+the criterion number of ``verify.run_criterion`` are drawn from their valid
+values and from arrays, lists, strings, bools, ints and floats.
 """
 
 import dataclasses
@@ -103,6 +103,8 @@ def _selector(valid):
 _DERIVATIVE = _selector([0, 1, 2, (0, 1, 2), (2, 0)])
 _ROUTE = _selector(["integral", "series", "rational"])
 _EXACT_POINTS = _selector([False, True])
+_CRITERION = _selector(list(range(1, 10)))
+_SUITE = _selector(["fast", "full"])
 
 
 def _kernel(draw):
@@ -141,13 +143,16 @@ CALLS = {
     "zeta_b_prime0_rational": lambda draw: barnes.zeta_b_prime0_rational(draw(_R)),
     "d_zeta_b_prime0": lambda draw: barnes.d_zeta_b_prime0(draw(_A)),
     "d2_zeta_b_prime0": lambda draw: barnes.d2_zeta_b_prime0(draw(_A)),
+    "run_criterion": lambda draw: verify.run_criterion(draw(_CRITERION)),
+    "run_suite": lambda draw: verify.run_suite(draw(_SUITE)),
 }
-# values the library returns, not entry points, and a constant
-NOT_CALLED = {"BarnesEval", "DetResult", "EnvelopeGeometry", "ScanTable", "BETA_CRITICAL"}
+# values the library returns, not entry points, and constants
+NOT_CALLED = {"BarnesEval", "DetResult", "EnvelopeGeometry", "ScanTable", "CheckResult",
+              "BETA_CRITICAL", "CRITERIA"}
 
 
 def test_every_public_function_is_called():
-    public = set(barnes.__all__) | set(envelope.__all__)
+    public = set(barnes.__all__) | set(envelope.__all__) | set(verify.__all__)
     assert set(CALLS) == public - NOT_CALLED
     exported = {name for name, value in vars(envdet).items()
                 if not name.startswith("_") and callable(value)}
@@ -158,7 +163,7 @@ def _assert_finite(result):
     if dataclasses.is_dataclass(result):
         for field in dataclasses.fields(result):
             _assert_finite(getattr(result, field.name))
-    elif isinstance(result, list):
+    elif isinstance(result, (list, tuple)):
         for item in result:
             _assert_finite(item)
     elif not isinstance(result, (str, Fraction, type(None))):
@@ -193,6 +198,8 @@ _SELECTOR_CALLS = {
     "BarnesEval(0.0, 0.0, ['series'])": lambda: barnes.BarnesEval(0.0, 0.0, ["series"]),
     "run_suite(['fast'])": lambda: verify.run_suite(["fast"]),
     "run_suite('bogus')": lambda: verify.run_suite("bogus"),
+    **{f"run_criterion({number!r})": (lambda number: lambda: verify.run_criterion(number))(number)
+       for number in (0, 10, True, 1.0, "1", None)},
 }
 
 
@@ -213,18 +220,35 @@ def test_a_selector_of_numpy_kind_is_taken_at_its_value():
 
 
 def test_the_argument_gate_sees_each_argument_once(monkeypatch):
+    # both gates, the real-number one and the whole-number one (which takes
+    # an int without the real-number gate)
     seen = []
-    real = specfun._real
 
-    def counted(value, what, **kwargs):
-        seen.append(what)
-        return real(value, what, **kwargs)
+    def counting(gate):
+        def counted(value, what, *args, **kwargs):
+            seen.append(what)
+            return gate(value, what, *args, **kwargs)
 
-    for module in (specfun, barnes, envelope):
-        monkeypatch.setattr(module, "_real", counted)
+        return counted
+
+    for name in ("_real", "_whole"):
+        counted = counting(getattr(specfun, name))
+        for module in (specfun, barnes, envelope):
+            monkeypatch.setattr(module, name, counted)
     barnes.zeta_b_prime0_series(0.3, 4)
     assert seen == ["a", "n", "error_bound"]  # the last in BarnesEval
+    # each integral route checks a, and its one kernel call r
+    for route, expected in ((barnes.zeta_b_prime0, ["a", "r", "error_bound"]),
+                            (barnes.d_zeta_b_prime0, ["a", "r"]),
+                            (barnes.d2_zeta_b_prime0, ["a", "r"])):
+        seen.clear()
+        route(0.3)
+        assert seen == expected
     p = envelope.AngleParam(-0.7)
     seen.clear()
     envelope.log_det_area(p, 1.0, route="series")
     assert seen == ["area"] + ["a", "n", "error_bound"] * 2
+    # a scan's quadrature takes the betas AngleParam checked
+    seen.clear()
+    envelope.scan(-0.9, -0.6, 5)
+    assert seen == ["count", "beta_min", "beta_max", "area", "beta", "r"]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from quadrature_reference import reference_quadrature
 
 from envdet import barnes, specfun
 from envdet.specfun import (
@@ -13,6 +14,7 @@ from envdet.specfun import (
     LOG_GLAISHER,
     LOG_PI,
     ZETA_PRIME_NEG1,
+    DomainError,
     QuadratureError,
     integrate_semi_infinite,
 )
@@ -231,52 +233,6 @@ def test_quadrature_rejects_an_integrand_of_the_wrong_shape(returned):
         integrate_semi_infinite(f, 1, 1)
 
 
-def _reference_quadrature(f, groups, width):
-    """The rule as a plain loop, one node per call: the levels h = 1/2, 1/4,
-    1/8, ... in turn, each level's weighted values added in node order from
-    0.0.  Returns ``(values, errs, nodes)`` like ``_run``."""
-    target = specfun._TOL
-    decades = -math.log(min(target, 1e-6))
-    u_hi = math.log(decades + 45.0)
-    u_lo = -math.log(decades + 40.0)
-    nodes = [0] * groups
-
-    def level_sum(h, odd_only, open_):
-        total = 0.0
-        for k in range(math.ceil(u_lo / h), math.floor(u_hi / h) + 1):
-            if odd_only and k % 2 == 0:
-                continue
-            u = k * h
-            emu = math.exp(-u)
-            t = math.exp(u - emu)
-            for g in open_:
-                nodes[g] += 1
-            total += f(np.array([t]), open_)[0] * (t * (1.0 + emu))
-        return total
-
-    h = 0.5
-    open_ = tuple(range(groups))
-    estimate = list(level_sum(h, False, open_) * h)
-    errs = [math.inf] * groups
-    for level in range(specfun._MAX_LEVELS):
-        h /= 2.0
-        still_open = []
-        for g, new in zip(open_, level_sum(h, True, open_) * h):
-            new = new + estimate[g] / 2.0
-            errs[g] = float(np.abs(new - estimate[g]).max())
-            tol = max(target, target * float(np.abs(new).max()))
-            if not (level >= 1 and errs[g] <= tol):
-                still_open.append(g)
-            estimate[g] = new
-        open_ = tuple(still_open)
-        if not open_:
-            return np.array(estimate), np.array(errs), nodes
-    raise QuadratureError(
-        f"quadrature did not reach tolerance {target:g} within "
-        f"{specfun._MAX_LEVELS} refinements (last diff {max(errs[g] for g in open_):g})"
-    )
-
-
 def _run(quadrature, fs, width):
     """The bytes of the values and errors of the groups ``fs``, or the
     QuadratureError message, with the nodes each group was passed on."""
@@ -288,7 +244,7 @@ def _run(quadrature, fs, width):
         return np.stack([fs[k](t) for k in open_], axis=1)
 
     try:
-        values, errs = quadrature(g, len(fs), width)[:2]
+        values, errs = quadrature(g, len(fs), width)
     except QuadratureError as exc:
         return str(exc), nodes
     assert values.shape == (len(fs), width)
@@ -328,6 +284,40 @@ def test_quadrature_matches_sequential_reference(groups, width):
     families = _families(width)
     fs = [families[name] for name in groups]
     got = _run(integrate_semi_infinite, fs, width)
-    assert got == _run(_reference_quadrature, fs, width)
+    assert got == _run(reference_quadrature, fs, width)
     # only the singular group exhausts the refinements
     assert len(got) == (2 if "singular" in groups else 3)
+
+
+# ---------------------------------------------------------------------------
+# the whole-number gate
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [
+    3, np.int64(3), np.uint8(3), 3.0, np.float32(3.0), np.array(3.0), Fraction(6, 2),
+], ids=repr)
+def test_a_whole_number_is_taken_as_its_int(value):
+    n = specfun._whole(value, "n", 1, 5)
+    assert type(n) is int and n == 3
+
+
+def test_an_int_is_taken_exactly():
+    assert specfun._whole(2**60 + 1, "q", 1, math.inf) == 2**60 + 1
+    assert specfun._whole(np.int64(2**62), "q", 1, math.inf) == 2**62
+    assert specfun._whole(10**400, "q", 1, math.inf) == 10**400
+
+
+@pytest.mark.parametrize("value", [
+    0, 6, pytest.param(10**400, id="10**400"), np.int64(-3),
+    1.5, math.nan, math.inf, -math.inf, 1e300, Fraction(7, 2),
+], ids=repr)
+def test_a_number_that_is_no_whole_number_in_range_raises_domain_error(value):
+    with pytest.raises(DomainError, match=re.escape("n must be an integer in [1, 5], got")):
+        specfun._whole(value, "n", 1, 5)
+
+
+@pytest.mark.parametrize("value", ["3", b"3", None, 3j, np.array([3]), [3]], ids=repr)
+def test_a_whole_number_argument_that_is_not_real_raises_the_real_gates_error(value):
+    with pytest.raises(DomainError, match="n must be a real number"):
+        specfun._whole(value, "n", 1, 5)
