@@ -225,15 +225,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, QuadratureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except QuadratureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_QUADRATURE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, DomainError):
+            return EXIT_DOMAIN
+        return EXIT_QUADRATURE if isinstance(exc, QuadratureError) else EXIT_IO
 
 
 if __name__ == "__main__":

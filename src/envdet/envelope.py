@@ -199,7 +199,7 @@ def _elementary(p: AngleParam, orders):
     - log pi with c the scaling factor: a list with one term per order k in
     the tuple ``orders``, from shared intermediates; trigamma is zeta(2, .)."""
     b, a1, a2 = p.beta, p.a1, p.a2
-    x2 = 2.0 * b + 1.0
+    x2 = -a2  # 2 beta + 1, bit for bit
     h = (2.0 / a1 - 1.0 / x2 - 1.0) / 6.0
     s = np.sin(np.pi * a2)
     log_c = _log_c(p, s)
@@ -287,17 +287,16 @@ def scaling_factor(p: AngleParam) -> float:
 
 def zeta0(p: AngleParam) -> float:
     """Spectral zeta value at 0: -13/12 + 1/(6(beta+1)) - 1/(12(2 beta+1))."""
-    return _out(-13.0 / 12.0 + 1.0 / (6.0 * p.a1) - 1.0 / (12.0 * (2.0 * p.beta + 1.0)))
+    return _out(-13.0 / 12.0 + 1.0 / (6.0 * p.a1) - 1.0 / (12.0 * -p.a2))
 
 
 def d_zeta0(p: AngleParam) -> float:
-    x2 = 2.0 * p.beta + 1.0
-    return _out(-1.0 / (6.0 * p.a1**2) + 1.0 / (6.0 * x2**2))
+    return _out(-1.0 / (6.0 * p.a1**2) + 1.0 / (6.0 * p.a2**2))
 
 
 def d2_zeta0(p: AngleParam) -> float:
-    x2 = 2.0 * p.beta + 1.0
-    return _out(1.0 / (3.0 * p.a1**3) - 2.0 / (3.0 * x2**3))
+    # the cube of the negative base 2 beta + 1: -(a2**3) can differ in the last bit
+    return _out(1.0 / (3.0 * p.a1**3) - 2.0 / (3.0 * (-p.a2) ** 3))
 
 
 def log_det_area(
@@ -350,8 +349,8 @@ def asymptotic_neg1(p: AngleParam) -> float:
 
 def asymptotic_neghalf(p: AngleParam) -> float:
     """Truncated expansion of the unit-area log det near beta = -1/2."""
-    x2 = 2.0 * p.beta + 1.0
     a2 = p.a2
+    x2 = -a2
     return _out(
         _log(a2) / (12.0 * x2)
         - (_LOG2 / 6.0 + LOG_PI / 12.0 - 2.0 * LOG_GLAISHER) / x2
@@ -379,7 +378,7 @@ def convexity_lower_bound(p: AngleParam) -> float:
     Barnes leading terms; everything is in closed form.
     """
     a1, a2 = p.a1, p.a2
-    x2 = 2.0 * p.beta + 1.0
+    x2 = -a2  # 2 beta + 1
     half = x2 / 2.0  # beta + 1/2
     # each cube and the sine once: x2 and half are negative, and a pow of a
     # negative base costs about 40 times one of a positive base
@@ -453,16 +452,12 @@ def _columns(b: np.ndarray, area: float):
     three orders."""
     p = AngleParam(b)
     log_area = math.log(area)
-    log_det, d1, d2 = _unit(p, (0, 1, 2))
-    area_term = -zeta0(p) * log_area
-    return (
-        b,
-        log_det + area_term,
-        d1 - d_zeta0(p) * log_area,
-        d2 - d2_zeta0(p) * log_area,
-        asymptotic_neg1(p) + area_term,
-        asymptotic_neghalf(p) + area_term,
-    )
+    unit = _unit(p, (0, 1, 2))
+    # area enters only as the shift by zeta0 log S and its beta-derivatives,
+    # built after the quadrature so that they are not held through its peak
+    shifts = [z * log_area for z in (zeta0(p), d_zeta0(p), d2_zeta0(p))]
+    log_det, d1, d2 = (u - shift for u, shift in zip(unit, shifts))
+    return (b, log_det, d1, d2, asymptotic_neg1(p) - shifts[0], asymptotic_neghalf(p) - shifts[0])
 
 
 def reduced_fractions():
@@ -477,6 +472,17 @@ def _exact_betas(beta_min: float, beta_max: float):
     # f - 1 is reduced with f's denominator; a range inside (-1, -1/2)
     # admits only f < 1/2
     return sorted(f - 1 for f in reduced_fractions() if beta_min <= float(f - 1) <= beta_max)
+
+
+def _beta_range(beta_min: float, beta_max: float, area: float) -> tuple:
+    """The checked bounds of a range of beta, lo < hi in the domain, and the
+    checked area."""
+    lo, hi = _real(beta_min, "beta_min"), _real(beta_max, "beta_max")
+    if not lo < hi:
+        raise DomainError(f"need beta_min < beta_max, got [{lo!r}, {hi!r}]")
+    area = _positive(area, "area")
+    _check_beta(np.asarray([lo, hi]))
+    return lo, hi, area
 
 
 def scan(
@@ -494,11 +500,7 @@ def scan(
     computed through the exact closed-form Barnes route.
     """
     n = _whole(count, "count", 2, _MAX_SCAN_COUNT)
-    beta_min, beta_max = _real(beta_min, "beta_min"), _real(beta_max, "beta_max")
-    if not (beta_min < beta_max):
-        raise DomainError("need beta_min < beta_max")
-    area = _positive(area, "area")
-    _check_beta(np.asarray([beta_min, beta_max]))
+    beta_min, beta_max, area = _beta_range(beta_min, beta_max, area)
     include_exact_points = _choice(include_exact_points, (False, True), "include_exact_points")
 
     b = np.linspace(beta_min, beta_max, n)
@@ -531,11 +533,8 @@ def refine_minimum(
     smaller ``tol`` narrows the bracket on rounding noise: it can end a few
     ulps wide about a point some 1e-9 from the true minimizer (at unit area,
     -0.66666666850 against -2/3)."""
-    tol, lo, hi = _positive(tol, "tol"), _real(beta_min, "beta_min"), _real(beta_max, "beta_max")
-    if not lo < hi:
-        raise DomainError(f"refine_minimum needs beta_min < beta_max, got [{lo!r}, {hi!r}]")
-    area = _positive(area, "area")
-    _check_beta(np.asarray([lo, hi]))
+    tol = _positive(tol, "tol")
+    lo, hi, area = _beta_range(beta_min, beta_max, area)
     count = 65
     while hi - lo > tol:
         b = np.linspace(lo, hi, count)

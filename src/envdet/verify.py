@@ -138,23 +138,21 @@ def _criterion_6() -> List[CheckResult]:
     ]
 
 
-def _residual_spread(side: str) -> float:
-    distances = (1e-2, 1e-3, 1e-4)
+def _residual_spread(
+    beta_at: Callable[[float], float], expansion: Callable[[envelope.AngleParam], float]
+) -> float:
+    """Spread max/min of |log det - expansion| / d over the distances d of
+    beta = ``beta_at(d)`` from an endpoint: about 1 where the residual is O(d)."""
     ratios = []
-    for d in distances:
-        if side == "neg1":
-            p = envelope.AngleParam(-1.0 + d)
-            resid = envelope.log_det_area(p, 1.0).log_det - envelope.asymptotic_neg1(p)
-        else:
-            p = envelope.AngleParam(-0.5 - d / 2.0)
-            resid = envelope.log_det_area(p, 1.0).log_det - envelope.asymptotic_neghalf(p)
-        ratios.append(abs(resid) / d)
+    for d in (1e-2, 1e-3, 1e-4):
+        p = envelope.AngleParam(beta_at(d))
+        ratios.append(abs(envelope.log_det_area(p, 1.0).log_det - expansion(p)) / d)
     return max(ratios) / min(ratios)
 
 
 def _criterion_7() -> List[CheckResult]:
-    spread1 = _residual_spread("neg1")
-    spread2 = _residual_spread("neghalf")
+    spread1 = _residual_spread(lambda d: -1.0 + d, envelope.asymptotic_neg1)
+    spread2 = _residual_spread(lambda d: -0.5 - d / 2.0, envelope.asymptotic_neghalf)
     return [
         CheckResult("asymptotics_neg1_order", spread1 <= 3.0, spread1, 3.0),
         CheckResult("asymptotics_neghalf_order", spread2 <= 3.0, spread2, 3.0),

@@ -303,6 +303,26 @@ def test_scan_domain_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "lo,hi,message",
+    [(-0.6, -0.9, "need beta_min < beta_max, got [-0.6, -0.9]"),
+     (-0.7, -0.7, "need beta_min < beta_max, got [-0.7, -0.7]"),
+     (-1.2, -0.6, "beta must lie in the open interval (-1, -1/2)"),
+     (-0.9, -0.4, "beta must lie in the open interval (-1, -1/2)")],
+    ids=["reversed", "equal", "low-end-outside", "high-end-outside"],
+)
+def test_one_beta_range_gate(lo, hi, message, tmp_path, capsys):
+    # scan, refine_minimum and envdet scan refuse a range with one message
+    for call in (lambda: envelope.scan(lo, hi, 5), lambda: envelope.refine_minimum(lo, hi)):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
+    out_path = tmp_path / "scan.csv"
+    argv = ["scan", f"--from={lo!r}", f"--to={hi!r}", "--count", "5", "--out", str(out_path)]
+    assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
 def test_scan_count_beyond_the_doubles_in_range_exits_two(tmp_path, capsys):
     # 5 doubles lie in the range; 9 grid points would repeat betas
     out_path = tmp_path / "scan.csv"
@@ -459,6 +479,41 @@ def test_json_reports_parse_strictly(argv, capsys):
         assert status == "pass", name
         assert all(type(x) in (int, float) for x in (measured, tolerance))
     assert bool(doc["diagnostics"]) == (argv[0] == "verify")
+
+
+# sha256 of the JSON report on stdout: the key checks above pass whatever the
+# values, and these fail on a change in the last bit of any of them
+_REPORT_SHA256 = {
+    ("eval", "--beta=-0.999", "--area", "1"):
+        "560f191dec7c4e3dcb32d439fc20e911e53acdebb7d6f437f3174fd2583bcd26",
+    ("eval", "--beta=-0.999", "--area", "3"):
+        "31a116572f9088522805ede6f6d1a0d2bafc1294b2e0c4323f24a7cfacf65e20",
+    ("eval", "--beta=-0.75", "--area", "1"):
+        "772d4685d4507fc7f01fdb6668c629c1584f9ba5c3f534f3210e646612da0cec",
+    ("eval", "--beta=-0.75", "--area", "3"):
+        "81655d34e17ffb1ad62c71fab90e907c89aec1d4dba43e92245f2e4d62a9261d",
+    ("eval", "--beta=-0.6666666666666666", "--area", "1"):
+        "17033d5d92ae7a2bf827e1b29b2f71447350ce7fa6d266006121333be35f912a",
+    ("eval", "--beta=-0.6666666666666666", "--area", "3"):
+        "90f15ec76dd5dd3ec64a27a8b5fef1f5bdb2535b90c676b4172752670dafcb1c",
+    ("eval", "--beta=-0.51", "--area", "1"):
+        "fabce004a6d44e02702728ed3b4d936816987a5c68a2c7fea17d849657423868",
+    ("eval", "--beta=-0.51", "--area", "3"):
+        "2e21630f60ce624fbec73736c3b73307df21d7c9bd99a8815402d17f461e4749",
+    ("critical", "--area", "0.5"):
+        "82d794b9650d853d502f8c5846c0b5c3ba691f0d9b455d30a6ad87fc8ed07740",
+    ("critical", "--area", "1"):
+        "f1695f8793d67fa71f6ca30ceba736f0aacbb02c0d51f68ff93d3225500f14f0",
+    ("critical", "--area", "3"):
+        "939fa7568d442eb571c856289874214c72af33c9cd4c44f431db1072c5c8b8a8",
+}
+
+
+@pytest.mark.parametrize("argv", list(_REPORT_SHA256), ids=" ".join)
+def test_json_report_sha256_is_pinned(argv, capsys):
+    code, out, err = run_cli([*argv, "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == _REPORT_SHA256[argv]
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["grid", "exact-points"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from envdet import envelope
@@ -545,6 +545,43 @@ def test_rescaling_identity_property(beta, log_area):
     scaled = log_det_area(p, area).log_det
     expected = log_det_area(p, 1.0).log_det - zeta0(p) * math.log(area)
     assert abs(scaled - expected) <= 1e-12 * max(1.0, abs(expected)), (beta, area)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["grid", "exact-points"])
+@pytest.mark.parametrize("area", [0.1, 1.92, 3.0, 1e6])
+def test_scan_area_rule_is_bit_exact(area, exact):
+    # area enters every column only as the shift by z log S, with z = zeta0
+    # for log det and both expansions and its derivatives for d1 and d2
+    unit = scan(-0.99, -0.51, 301, 1.0, include_exact_points=exact)
+    table = scan(-0.99, -0.51, 301, area, include_exact_points=exact)
+    p, log_area = AngleParam(unit.beta), math.log(area)
+    assert np.array_equal(table.beta, unit.beta)
+    for column, z in (("log_det", zeta0), ("d1", d_zeta0), ("d2", d2_zeta0),
+                      ("asymptotic_neg1", zeta0), ("asymptotic_neghalf", zeta0)):
+        expected = getattr(unit, column) - z(p) * log_area
+        assert np.array_equal(getattr(table, column), expected), column
+
+
+_DOMAIN_BETAS = st.floats(-1.0, -0.5, exclude_min=True, exclude_max=True)
+
+
+def _in_domain(betas):
+    try:
+        return AngleParam(betas)
+    except DomainError:  # within the excluded sliver at an endpoint
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_DOMAIN_BETAS, st.lists(_DOMAIN_BETAS, min_size=1, max_size=8)))
+def test_x2_is_minus_a2_bit_for_bit(betas):
+    # 2 beta + 1 is -a2 and its square a2**2, so neither is written apart
+    p = _in_domain(np.asarray(betas) if isinstance(betas, list) else betas)
+    assume(p is not None)
+    x2 = 2.0 * p.beta + 1.0
+    assert np.array_equal(x2, -p.a2)
+    assert np.array_equal(x2**2, p.a2**2)
+    assert type(x2) is type(-p.a2)
 
 
 @pytest.mark.parametrize("beta", [-0.8, BETA_CRITICAL, -0.6])

@@ -4,8 +4,13 @@ The scan hashes pin the array path only.  These ``float.hex`` strings pin
 what a float beta or a float a gives: the parts of ``log_det_area`` on the
 integral and series routes, both beta-derivatives, the series route of
 zeta_B'(0; a, 1, 1) with its certificate, the integral route and its two
-a-derivatives at the ends of its range of a, and the critical area.
+a-derivatives at the ends of its range of a, the closed-form terms (zeta0,
+its two derivatives, the expansion near beta = -1/2 and the convexity bound),
+the rational route of zeta_B'(0; p/q, 1, 1) with its error bound, and the
+critical area.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -59,6 +64,24 @@ BARNES_INTEGRAL = {
     1e27: ("-0x1.fdf697f97e912p+91", "0x1.f840000000000p+51",
            "-0x1.40fc3ca22d013p+2", "-0x1.bec77c508b2aep-97"),
 }
+# beta -> zeta0, d_zeta0, d2_zeta0, asymptotic_neghalf, convexity_lower_bound
+CLOSED_FORMS = {
+    -0.999: ("0x1.4b556b38f225ap+7", "-0x1.45853fea16c52p+17", "0x1.3de4356010723p+28",
+             "-0x1.d6251fe2b08bep-1", "0x1.c03ec450957c4p+30"),
+    -0.75: ("-0x1.fffffffffffffp-3", "-0x1.0000000000000p+1", "0x1.aaaaaaaaaaaaap+4",
+            "-0x1.241f598b6ed6dp-1", "0x1.676649c8bae78p+4"),
+    -2.0 / 3.0: ("-0x1.5555555555553p-2", "0x1.0000000000000p-50", "0x1.b000000000002p+4",
+                 "-0x1.935e578afed94p-2", "0x1.0bf11e58bfbe8p+4"),
+    -0.51: ("0x1.b6343eb1a1f52p+1", "0x1.9ff8f682b806dp+8", "0x1.45882aa79a575p+16",
+            "0x1.1165e326171a2p+2", "0x1.4ba6af25a660cp+17"),
+}
+# a = p/q -> zeta_b_prime0_rational value and error bound
+BARNES_RATIONAL = {
+    Fraction(1, 3): ("0x1.35f8ee835eec6p-2", "0x1.6849b86a12b9bp-45"),
+    Fraction(3, 4): ("-0x1.7cdbb03be7390p-4", "0x1.3b40815cd0628p-44"),
+    Fraction(5, 6): ("-0x1.f6120bfef5720p-4", "0x1.ef655d91d9bf5p-44"),
+    Fraction(997, 1009): ("-0x1.4da31531832d0p-3", "0x1.60e63561e5d76p-36"),
+}
 CRITICAL_AREA = "0x1.eb75300deff52p+0"
 
 
@@ -97,6 +120,20 @@ def test_integral_route_at_the_ends_of_its_range(a):
     out = barnes.zeta_b_prime0(a)
     got = _hex(out.value, out.error_bound, barnes.d_zeta_b_prime0(a), barnes.d2_zeta_b_prime0(a))
     assert got == BARNES_INTEGRAL[a]
+
+
+@pytest.mark.parametrize("beta", sorted(CLOSED_FORMS))
+def test_closed_form_terms(beta):
+    p = AngleParam(beta)
+    got = _hex(envelope.zeta0(p), envelope.d_zeta0(p), envelope.d2_zeta0(p),
+               envelope.asymptotic_neghalf(p), envelope.convexity_lower_bound(p))
+    assert got == CLOSED_FORMS[beta]
+
+
+@pytest.mark.parametrize("a", sorted(BARNES_RATIONAL), ids=str)
+def test_zeta_b_prime0_rational(a):
+    out = barnes.zeta_b_prime0_rational(a)
+    assert _hex(out.value, out.error_bound) == BARNES_RATIONAL[a]
 
 
 def test_critical_area():
