@@ -91,7 +91,6 @@ _A_MAX = 1e27
 # Dedekind sum: on one Xeon core 1/999999 took 0.41 s with a trivial Dedekind
 # sum, and 499999/500001 took 0.46 s, of which 0.11 s in dedekind_sum.
 _PQ_MAX = 10**6
-_PQ_MAX_TEXT = f"10**{round(math.log10(_PQ_MAX))}"  # as the messages write it
 _ROUTES = ("integral", "series", "rational")  # BarnesEval.route, log_det_area's route
 
 
@@ -327,7 +326,7 @@ def zeta_b_prime0_rational(r: Fraction) -> BarnesEval:
     x = _positive(r, "a")
     p, q = Fraction(r if isinstance(r, Fraction) else x).as_integer_ratio()
     if p + q > _PQ_MAX:
-        raise DomainError(f"the rational route needs p + q <= {_PQ_MAX_TEXT}, got {x!r}")
+        raise DomainError(f"the rational route needs p + q <= {_PQ_MAX}, got {x!r}")
     value = (ZETA_PRIME_NEG1 - math.log(q) / 12.0) / (p * q)
     value += (float(dedekind_sum(q, p)) + 0.25) * math.log(q / p)
     # The two sawtooth sums, the second the first with p and q swapped.

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Any, Dict
@@ -155,7 +154,7 @@ def _cmd_critical(args: argparse.Namespace) -> int:
     p = envelope.AngleParam.from_fraction(Fraction(-2, 3))
     det = envelope.log_det_area(p, args.area, route="rational")
     d2_unit = envelope.d2_log_det(p)
-    d2_at_area = d2_unit - envelope.d2_zeta0(p) * math.log(args.area)
+    d2_at_area = d2_unit - envelope._area_shifts(p, (2,), args.area)[0]
     if abs(d2_at_area) <= 1e-6:
         classification = "degenerate"
     elif d2_at_area > 0.0:

@@ -299,6 +299,12 @@ def d2_zeta0(p: AngleParam) -> float:
     return _out(1.0 / (3.0 * p.a1**3) - 2.0 / (3.0 * (-p.a2) ** 3))
 
 
+def _area_shifts(p: AngleParam, orders: tuple, area: float) -> list:
+    """For each order k in ``orders``, what the k-th beta-derivative of log det
+    at ``area`` lies below its unit-area value: the k-th one of zeta0 times log S."""
+    return [(zeta0, d_zeta0, d2_zeta0)[k](p) * math.log(area) for k in orders]
+
+
 def log_det_area(
     p: AngleParam,
     area: float,
@@ -326,12 +332,13 @@ def log_det_area(
         zb2 = barnes.zeta_b_prime0_rational(-2 * p.exact - 1).value
     elementary, = _elementary(p, (0,))
     log_det = _chain(0, elementary, zb1, zb2)
-    area_term = -zeta0(p) * math.log(area)
+    shift, = _area_shifts(p, (0,), area)
     return DetResult(
-        log_det=_out(log_det) + area_term,
+        log_det=_out(log_det) - shift,
         elementary_part=_out(elementary),
         barnes_part=_out(log_det - elementary),
-        area_term=area_term,
+        # negated, not 0.0 - shift: the term is -0.0 where zeta0 > 0 at S = 1
+        area_term=-shift,
         area=area,
     )
 
@@ -451,11 +458,10 @@ def _columns(b: np.ndarray, area: float):
     of log_det_area, d_log_det and d2_log_det, from one quadrature for all
     three orders."""
     p = AngleParam(b)
-    log_area = math.log(area)
     unit = _unit(p, (0, 1, 2))
-    # area enters only as the shift by zeta0 log S and its beta-derivatives,
-    # built after the quadrature so that they are not held through its peak
-    shifts = [z * log_area for z in (zeta0(p), d_zeta0(p), d2_zeta0(p))]
+    # the shifts are built after the quadrature so that they are not held
+    # through its peak
+    shifts = _area_shifts(p, (0, 1, 2), area)
     log_det, d1, d2 = (u - shift for u, shift in zip(unit, shifts))
     return (b, log_det, d1, d2, asymptotic_neg1(p) - shifts[0], asymptotic_neghalf(p) - shifts[0])
 

@@ -198,16 +198,15 @@ def integrate_semi_infinite(
     A refinement is accepted when it moves a group's estimate by at most
     ``max(tol, tol * |estimate|)``, with ``tol`` = 1e-12.  A group is frozen
     at the level that accepts it and no longer evaluated, so its value and
-    level are those of a call on that group alone.  A ``width`` that is not
-    a positive integer, or an integrand value of another shape, raises
-    ``ValueError``.
+    level are those of a call on that group alone.  A ``groups`` or
+    ``width`` that is not a whole number of at least 1 raises
+    ``DomainError``, and an integrand value of another shape ``ValueError``.
 
     Returns ``(values, err_est)``: the ``(groups, width)`` integrals and, per
     group, the last refinement difference, an upper estimate of the
     remaining error.
     """
-    if not isinstance(width, numbers.Integral) or width < 1:
-        raise ValueError(f"width must be a positive integer, got {width!r}")
+    groups, width = _whole(groups, "groups", 1, math.inf), _whole(width, "width", 1, math.inf)
 
     def weighted_sums(nodes, weights, levels, open_) -> list:
         # one sum per level (offset, step): table positions offset,

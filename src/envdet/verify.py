@@ -43,13 +43,25 @@ class CheckResult:
     tolerance: float
 
 
+def _at_most(name: str, measured: float, tolerance: float, deviation=None) -> CheckResult:
+    """A check that passes when ``deviation``, by default ``measured``, is at
+    most ``tolerance``."""
+    deviation = measured if deviation is None else deviation
+    return CheckResult(name, deviation <= tolerance, measured, tolerance)
+
+
+def _above_zero(name: str, measured: float) -> CheckResult:
+    """A check that passes when ``measured`` is strictly positive."""
+    return CheckResult(name, measured > 0.0, measured, 0.0)
+
+
 def _criterion_1() -> List[CheckResult]:
     p = envelope.AngleParam(envelope.BETA_CRITICAL)
     value = envelope.log_det_area(p, 1.0).log_det
     gap = abs(value - CLOSED_FORM_M23)
     return [
-        CheckResult("critical_value", abs(value - REFERENCE_M23) <= 1e-4, value, 1e-4),
-        CheckResult("critical_value_route_gap", gap <= 1e-9, gap, 1e-9),
+        _at_most("critical_value", value, 1e-4, abs(value - REFERENCE_M23)),
+        _at_most("critical_value_route_gap", gap, 1e-9),
     ]
 
 
@@ -64,17 +76,10 @@ def _criterion_2() -> List[CheckResult]:
         rational = envelope.log_det_area(p, 1.0, route="rational").log_det
         integral = envelope.log_det_area(p, 1.0, route="integral").log_det
         gap = abs(rational - integral)
-        out.append(CheckResult(name, abs(rational - reference) <= 1e-4, rational, 1e-4))
-        out.append(CheckResult(f"{name}_route_gap", gap <= 1e-9, gap, 1e-9))
+        out.append(_at_most(name, rational, 1e-4, abs(rational - reference)))
+        out.append(_at_most(f"{name}_route_gap", gap, 1e-9))
         # the exact route must also sit on the frozen closed form
-        out.append(
-            CheckResult(
-                f"{name}_closed_form",
-                abs(rational - closed) <= 1e-12,
-                abs(rational - closed),
-                1e-12,
-            )
-        )
+        out.append(_at_most(f"{name}_closed_form", abs(rational - closed), 1e-12))
     return out
 
 
@@ -85,8 +90,8 @@ def _criterion_3() -> List[CheckResult]:
     dz = barnes.d_zeta_b_prime0(np.array([a, 1.0 - 2.0 * a]))
     combo = float(abs(2.0 * dz[0] - 2.0 * dz[1]))
     return [
-        CheckResult("criticality_d1", d1 <= 1e-9, d1, 1e-9),
-        CheckResult("lemma_a1_3", combo <= 1e-9, combo, 1e-9),
+        _at_most("criticality_d1", d1, 1e-9),
+        _at_most("lemma_a1_3", combo, 1e-9),
     ]
 
 
@@ -94,10 +99,8 @@ def _criterion_4() -> List[CheckResult]:
     d2 = envelope.d2_log_det(envelope.AngleParam(envelope.BETA_CRITICAL))
     s_star = envelope.critical_area()
     return [
-        CheckResult("second_derivative", abs(d2 - REFERENCE_D2) <= 5e-3, d2, 5e-3),
-        CheckResult(
-            "critical_area", abs(s_star - REFERENCE_CRITICAL_AREA) <= 1e-2, s_star, 1e-2
-        ),
+        _at_most("second_derivative", d2, 5e-3, abs(d2 - REFERENCE_D2)),
+        _at_most("critical_area", s_star, 1e-2, abs(s_star - REFERENCE_CRITICAL_AREA)),
     ]
 
 
@@ -108,8 +111,8 @@ def _criterion_5() -> List[CheckResult]:
     min_bound = float(np.min(bound))
     min_gap = float(np.min(d2 - bound))
     return [
-        CheckResult("convexity_bound_positive", min_bound > 0.0, min_bound, 0.0),
-        CheckResult("convexity_gap_positive", min_gap > 0.0, min_gap, 0.0),
+        _above_zero("convexity_bound_positive", min_bound),
+        _above_zero("convexity_gap_positive", min_gap),
     ]
 
 
@@ -133,8 +136,8 @@ def _criterion_6() -> List[CheckResult]:
             fp_slack = 8.0 * eps * (1.0 + abs(target))
             excess = max(excess, abs(approx.value - target) - approx.error_bound - fp_slack)
     return [
-        CheckResult("barnes_route_agreement", worst <= 1e-10, worst, 1e-10),
-        CheckResult("series_certificate", excess <= 0.0, excess, 0.0),
+        _at_most("barnes_route_agreement", worst, 1e-10),
+        _at_most("series_certificate", excess, 0.0),
     ]
 
 
@@ -154,8 +157,8 @@ def _criterion_7() -> List[CheckResult]:
     spread1 = _residual_spread(lambda d: -1.0 + d, envelope.asymptotic_neg1)
     spread2 = _residual_spread(lambda d: -0.5 - d / 2.0, envelope.asymptotic_neghalf)
     return [
-        CheckResult("asymptotics_neg1_order", spread1 <= 3.0, spread1, 3.0),
-        CheckResult("asymptotics_neghalf_order", spread2 <= 3.0, spread2, 3.0),
+        _at_most("asymptotics_neg1_order", spread1, 3.0),
+        _at_most("asymptotics_neghalf_order", spread2, 3.0),
     ]
 
 
@@ -171,7 +174,7 @@ def _criterion_8() -> List[CheckResult]:
             rhs = Fraction(p * p + q * q + 1 - 3 * p * q, 12 * p * q)
             if lhs != rhs:
                 failures += 1
-    return [CheckResult("dedekind_reciprocity", failures == 0, float(failures), 0.0)]
+    return [_at_most("dedekind_reciprocity", float(failures), 0.0)]
 
 
 def _criterion_9() -> List[CheckResult]:
@@ -187,9 +190,9 @@ def _criterion_9() -> List[CheckResult]:
     z0 = envelope.zeta0(envelope.AngleParam(b))
     rescale_err = float(np.max(np.abs((ld3 - ld1) + z0 * math.log(3.0))))
     return [
-        CheckResult("scan_minimum_unit_area", min_offset == 0.0, min_offset, 0.0),
-        CheckResult("scan_local_max_area3", local_max_margin > 0.0, local_max_margin, 0.0),
-        CheckResult("rescaling_rowwise", rescale_err <= 1e-12, rescale_err, 1e-12),
+        _at_most("scan_minimum_unit_area", min_offset, 0.0),
+        _above_zero("scan_local_max_area3", local_max_margin),
+        _at_most("rescaling_rowwise", rescale_err, 1e-12),
     ]
 
 

@@ -371,6 +371,18 @@ def test_verify_json_diagnostics(capsys):
         assert isinstance(entry[3], (int, float))
 
 
+def test_verify_full_diagnostics_sha256_is_pinned(capsys):
+    # every check's name, verdict, measured value and tolerance, bit for bit;
+    # the runtime rows are left out, as their times differ from run to run
+    code, out, _ = run_cli(["verify", "--suite", "full", "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    doc["diagnostics"] = [d for d in doc["diagnostics"] if not d[0].endswith("_runtime")]
+    assert len(doc["diagnostics"]) == 22
+    digest = hashlib.sha256(json.dumps(doc, indent=2).encode("ascii")).hexdigest()
+    assert digest == "230ca3371e799877aadaf22ec144cbde47bf748174e351614ef5b559706d0556"
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     from envdet import verify as verify_mod
 
@@ -506,6 +518,16 @@ _REPORT_SHA256 = {
         "f1695f8793d67fa71f6ca30ceba736f0aacbb02c0d51f68ff93d3225500f14f0",
     ("critical", "--area", "3"):
         "939fa7568d442eb571c856289874214c72af33c9cd4c44f431db1072c5c8b8a8",
+    # the area shift at the ends of the doubles: d2_at_area is 18668.55 at
+    # 1e-300 and -18633.33 at 1e300
+    ("eval", "--beta=-0.75", "--area", "1e-300"):
+        "2cec07382f24354ef7159df6cccc114bfd8160ab29bcecf81b7cdb334d302ffc",
+    ("eval", "--beta=-0.75", "--area", "1e300"):
+        "d4e3ca5d57a409362a9b7c270be10b9c09839392dd2067e5767150121fb35aab",
+    ("critical", "--area", "1e-300"):
+        "49409252659ad9fafb65ad6d7a69057483c09ccd3d2724dc27163996735de7ad",
+    ("critical", "--area", "1e300"):
+        "2bbeb2b32292f73abf90c6cadd7479934fa72ac38f8378795305d1f0ead7ec9d",
 }
 
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -674,6 +675,37 @@ def test_critical_area_defining_property():
     d2_at = d2_log_det(p) - d2_zeta0(p) * math.log(s_star)
     assert abs(d2_at) <= 1e-6
     assert d2_log_det(p) - d2_zeta0(p) * math.log(3.0) < 0.0
+
+
+# 40-digit oracles at the equilateral point.  The d2 value comes from an
+# mpmath transcription of the second beta-derivative: the elementary terms
+# with loggamma, digamma and zeta(2, x), and the Barnes term as
+# 2 log A / a^3 + quad(t F''(at) / (e^t - 1)) on [0, 1, 10, inf].
+MP_D2_CRITICAL = "17.609361108641219393"
+
+
+def test_critical_value_against_40_digits():
+    # (2/3) log pi + (1/3) log(2/3) - 2 log Gamma(2/3); measured 7.3e-17 off
+    with mpmath.workdps(40):
+        third = mpmath.mpf(1) / 3
+        oracle = 2 * third * mpmath.log(mpmath.pi) + third * mpmath.log(2 * third)
+        oracle -= 2 * mpmath.loggamma(2 * third)
+        error = abs(log_det_area(AngleParam(BETA_CRITICAL), 1.0).log_det - oracle)
+    assert error <= 1e-15
+
+
+def test_critical_d2_against_40_digits():
+    # measured 4.4e-15 off
+    with mpmath.workdps(40):
+        error = abs(d2_log_det(AngleParam(BETA_CRITICAL)) - mpmath.mpf(MP_D2_CRITICAL))
+    assert error <= 2e-14
+
+
+def test_critical_area_against_40_digits():
+    # exp(d2 / 27), 27 being d2_zeta0 at -2/3; measured 4.8e-16 off
+    with mpmath.workdps(40):
+        error = abs(critical_area() - mpmath.exp(mpmath.mpf(MP_D2_CRITICAL) / 27))
+    assert error <= 2e-15
 
 
 # ---------------------------------------------------------------------------

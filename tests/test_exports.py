@@ -1,8 +1,10 @@
 """Every exported name resolves: each name in an envdet submodule's
 ``__all__`` (a stale entry breaks ``from envdet.<module> import *``) and
 each name the package ``__init__`` imports.  And every name a submodule
-imports is used there (the package ``__init__`` only re-exports), and only
-``specfun`` checks whole numbers itself."""
+imports is used there (the package ``__init__`` only re-exports), no module
+checks whole numbers by hand (``specfun._whole`` does), only
+``envelope._area_shifts`` takes the log of an area, and ``verify`` builds a
+check's result only in its pass rules and its runtime row."""
 
 import ast
 import importlib
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import envdet
+from envdet import verify
 
 SUBMODULES = sorted(
     m.name for m in pkgutil.iter_modules(envdet.__path__) if m.name != "__main__"
@@ -92,9 +95,10 @@ def _integer_checks(source: str) -> list:
     return sorted(lines)
 
 
-@pytest.mark.parametrize("filename", [name for name in MODULE_FILES if name != "specfun.py"])
+@pytest.mark.parametrize("filename", MODULE_FILES)
 def test_only_specfun_checks_whole_numbers(filename):
-    # every other module takes its whole numbers through specfun._whole
+    # every module takes its whole numbers through specfun._whole, which
+    # itself names neither numbers.Integral nor is_integer
     source = Path(envdet.__file__).with_name(filename).read_text(encoding="utf-8")
     assert _integer_checks(source) == []
 
@@ -106,3 +110,56 @@ def test_a_hand_written_integer_check_is_found():
         "real = isinstance(n, numbers.Real)\n"
     )
     assert _integer_checks(source) == [2, 3, 3]
+
+
+def _name(node):
+    """The name a Name or an Attribute node reads, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _callers(source: str, is_call) -> list:
+    """The innermost function around each call in ``source`` that ``is_call``
+    accepts, in source order; None for a call at module level."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and is_call(node):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def _area_logs(source: str) -> list:
+    """Where ``source`` takes a log of a name or attribute called ``area``: an
+    area shift of its own."""
+    return _callers(source, lambda call: _name(call.func) in ("log", "_log")
+                    and any(_name(arg) == "area" for arg in call.args))
+
+
+@pytest.mark.parametrize("filename", MODULE_FILES)
+def test_only_area_shifts_takes_the_log_of_an_area(filename):
+    # log det at area S is the unit-area value minus zeta0 log S: one owner
+    source = Path(envdet.__file__).with_name(filename).read_text(encoding="utf-8")
+    assert _area_logs(source) == (["_area_shifts"] if filename == "envelope.py" else [])
+
+
+def test_a_log_of_an_area_is_found():
+    source = (
+        "import math\nlead = math.log(area)\n"
+        "def report(args):\n    return d2 - z * math.log(args.area)\n"
+        "def _columns(p, area):\n"
+        "    def inner():\n        return _log(area) + np.log(area_ratio)\n"
+        "    return np.log(p.area_scale) + math.log(3.0) + log(area, 2)\n"
+    )
+    assert _area_logs(source) == [None, "report", "inner", "_columns"]
+
+
+def test_verify_builds_check_results_in_its_pass_rules_only():
+    source = Path(verify.__file__).read_text(encoding="utf-8")
+    owners = _callers(source, lambda call: _name(call.func) == "CheckResult")
+    assert sorted(set(owners)) == ["_above_zero", "_at_most", "run_suite"]

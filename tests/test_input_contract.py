@@ -237,10 +237,12 @@ def test_the_argument_gate_sees_each_argument_once(monkeypatch):
             monkeypatch.setattr(module, name, counted)
     barnes.zeta_b_prime0_series(0.3, 4)
     assert seen == ["a", "n", "error_bound"]  # the last in BarnesEval
-    # each integral route checks a, and its one kernel call r
-    for route, expected in ((barnes.zeta_b_prime0, ["a", "r", "error_bound"]),
-                            (barnes.d_zeta_b_prime0, ["a", "r"]),
-                            (barnes.d2_zeta_b_prime0, ["a", "r"])):
+    # each integral route checks a, its quadrature groups and width, and its
+    # one kernel call r
+    quadrature = ["a", "groups", "width", "r"]
+    for route, expected in ((barnes.zeta_b_prime0, quadrature + ["error_bound"]),
+                            (barnes.d_zeta_b_prime0, quadrature),
+                            (barnes.d2_zeta_b_prime0, quadrature)):
         seen.clear()
         route(0.3)
         assert seen == expected
@@ -251,4 +253,4 @@ def test_the_argument_gate_sees_each_argument_once(monkeypatch):
     # a scan's quadrature takes the betas AngleParam checked
     seen.clear()
     envelope.scan(-0.9, -0.6, 5)
-    assert seen == ["count", "beta_min", "beta_max", "area", "beta", "r"]
+    assert seen == ["count", "beta_min", "beta_max", "area", "beta", "groups", "width", "r"]

@@ -215,10 +215,37 @@ def test_quadrature_nodes_are_read_only_and_increasing():
     assert sizes_seen(_slow) == [68, 68, 136, 272, 544, 1088, 2176]
 
 
+def _gate_message(what, value):
+    """The whole-number gate's message for a bad ``what`` of ``value``."""
+    if isinstance(value, (int, float)):
+        return f"{what} must be an integer in [1, inf], got {value!r}"
+    return f"{what} must be a real number, got {value!r}"
+
+
+def _bose(t, open_):
+    """e^-t for each open group, one integrand wide."""
+    return np.repeat(np.exp(-t)[:, None, None], len(open_), axis=1)
+
+
 @pytest.mark.parametrize("width", [0, -1, 1.5, "3", None])
 def test_quadrature_width_must_be_a_positive_integer(width):
-    with pytest.raises(ValueError, match="width must be a positive integer"):
-        integrate_semi_infinite(lambda t, open_: np.exp(-t)[:, None, None], 1, width)
+    with pytest.raises(DomainError, match=re.escape(_gate_message("width", width))):
+        integrate_semi_infinite(_bose, 1, width)
+
+
+@pytest.mark.parametrize("groups", [0, -1, 1.5, "2", None])
+def test_quadrature_groups_must_be_a_positive_integer(groups):
+    with pytest.raises(DomainError, match=re.escape(_gate_message("groups", groups))):
+        integrate_semi_infinite(_bose, groups, 1)
+
+
+@pytest.mark.parametrize("groups", [2.0, np.int64(2)], ids=["float", "int64"])
+def test_quadrature_takes_an_integral_groups_as_its_int(groups):
+    def bits(n):
+        values, errs = integrate_semi_infinite(_bose, n, 1)
+        return values.tobytes(), errs.tobytes()
+
+    assert bits(groups) == bits(2)
 
 
 @pytest.mark.parametrize("returned", [(1, 2), (2, 1), (1,)])
