@@ -17,15 +17,18 @@ double-exponential quadrature, evaluated on an array of a values for a tuple
 of derivative orders at once, one quadrature group per order; scalar a is a
 one-element array and one order a one-element tuple.  Each integrand call
 evaluates the kernel once, for every order not yet accepted, on the outer
-product of a block of quadrature nodes with the a values.  Where a block
-holds one node, the a values are sorted first and put back after, so that
-each kernel input is one sorted row: the kernel splits it at the one index
-of its series/closed-form crossover and writes each order in place, where
-any other input is split by a mask.  The Dedekind sum is a sum of integers.
+product of a block of quadrature nodes with the a values, and divides by
+e^t - 1 (or t (e^t - 1)) at that block's nodes, computed from math.expm1
+once per block and memoised by the block's bytes.  Where a block holds one
+node, the a values are sorted first and put back after, so that each kernel
+input is one sorted row: the kernel splits it at the one index of its
+series/closed-form crossover and writes each order in place, where any other
+input is split by a mask.  The Dedekind sum is a sum of integers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,7 +77,9 @@ _F0 = [float(_B[2 * k] / math.factorial(2 * k)) for k in range(2, _KMAX + 1)]
 _F1 = [c * (2 * k - 1) for k, c in zip(range(2, _KMAX + 1), _F0)]
 _F2 = [c * (2 * k - 1) * (2 * k - 2) for k, c in zip(range(2, _KMAX + 1), _F0)]
 _POWER = {0: 3, 1: 2, 2: 1}
-_COEFFS = {0: _F0, 1: _F1, 2: _F2}
+# np.float64, not float: an in-place ufunc takes a numpy scalar about 0.1 us
+# sooner, and Horner makes 14 such calls per order
+_COEFFS = {k: [np.float64(c) for c in f] for k, f in ((0, _F0), (1, _F1), (2, _F2))}
 _CROSSOVER = 0.5
 # Tail coefficients B_{2k} zeta(2k-1) / (2k(2k-1)) of the series route,
 # k = 2..16; the first omitted one sets its certificate.
@@ -97,15 +102,17 @@ _ROUTES = ("integral", "series", "rational")  # BarnesEval.route, log_det_area's
 def _series(r: np.ndarray, orders: tuple, out: np.ndarray) -> np.ndarray:
     # Each order written into its row of ``out``, from one s = r^2.  Horner
     # in place from the last coefficient: the same roundings as acc * s + c
-    # started from 0.0, without a temporary per step.  Rows are taken by
-    # index, here, in _closed and in f_kernel: a loop over a 2-D array costs
-    # about 0.8 us more, some 3 % of a kernel call on 136 points.
+    # started from 0.0, without a temporary per step; the first step is one
+    # s * c.  Rows are taken by index, here, in _closed and in f_kernel: a
+    # loop over a 2-D array costs about 0.8 us more, some 3 % of a kernel
+    # call on 136 points.
     s = r * r
     for j, k in enumerate(orders):
         acc = out[j]
         coeffs = _COEFFS[k]
-        acc.fill(coeffs[-1])
-        for c in coeffs[-2::-1]:
+        np.multiply(s, coeffs[-1], out=acc)
+        acc += coeffs[-2]
+        for c in coeffs[-3::-1]:
             acc *= s
             acc += c
         # r ** 1 is r and r ** 2 is s, bit for bit; r ** 3 rounds once, in pow
@@ -176,7 +183,8 @@ def f_kernel(r: ArrayLike, derivative: Union[int, tuple] = 0) -> ArrayLike:
         _series(row[:i], orders, rows[:, :i])
         _closed(row[i:], orders, rows[:, i:])
     else:
-        if not (arr >= 0.0).all():
+        # 0.0 stands in for an empty r; NaN carries
+        if not arr.min(initial=0.0) >= 0.0:
             raise DomainError("f_kernel needs r >= 0")
         small = arr < _CROSSOVER
         big = ~small
@@ -235,6 +243,22 @@ def _head(a: ArrayLike, order: int) -> ArrayLike:
     return 2.0 * _LOG_A / a**3
 
 
+# The node column t, e^t - 1 and t (e^t - 1) of a block of quadrature nodes,
+# each (n, 1) and read-only, keyed on the block's bytes.  e^t - 1 comes from
+# math.expm1 node by node: np.expm1 differs from it in the last bit at some
+# nodes.  Every block is a slice of one of the node tables that
+# specfun._level_nodes caches, so there are finitely many keys, and the
+# cache keeps the 256 last used.  Scalar calls use one, the 68-node first
+# table; verify --suite full and scans of 2 to 20000 points 72, of 204 nodes.
+@functools.lru_cache(maxsize=256)
+def _expm1_columns(key: bytes) -> tuple:
+    t = np.frombuffer(key)  # read-only, as bytes are
+    em = np.array(list(map(math.expm1, t.tolist())))
+    tem = t * em
+    em.flags.writeable = tem.flags.writeable = False
+    return t[:, None], em[:, None], tem[:, None]
+
+
 def _integral(a: ArrayLike, orders: tuple):
     """d^k/da^k of zeta_B'(0; a, 1, 1) for each order k in ``orders``, at ``a`` a
     checked float or float64 array in [1e-100, 1e27], from one quadrature over all
@@ -244,7 +268,7 @@ def _integral(a: ArrayLike, orders: tuple):
     smooth at t = 0 and decay like e^{-t}.
     """
     arr = np.asarray(a).ravel()
-    if arr.size == 0 or not ((arr >= _A_MIN) & (arr <= _A_MAX)).all():
+    if arr.size == 0 or not (arr.min() >= _A_MIN and arr.max() <= _A_MAX):  # NaN fails
         raise DomainError(f"the integral route needs {_A_MIN:g} <= a <= {_A_MAX:g}, got {a!r}")
 
     # Where the quadrature's blocks hold one node (its width rule), a is
@@ -257,18 +281,17 @@ def _integral(a: ArrayLike, orders: tuple):
         arr = arr[perm]
 
     # One kernel call per block of nodes t, for every open order at once, on
-    # the outer product t a; each order's kernel values are divided in place.
-    # e^t - 1 comes from math.expm1 node by node: np.expm1 differs from it in
-    # the last bit at some nodes.
+    # the outer product t a; each order's kernel values are divided in place
+    # by the block's memoised columns.  The kernel is called through the
+    # module's name f_kernel, so that a wrapper put there sees every call.
     def integrand(t: np.ndarray, open_: tuple) -> np.ndarray:
-        ks = tuple(orders[g] for g in open_)
-        em = np.array(list(map(math.expm1, t.tolist())))[:, None]
-        t = t[:, None]
+        ks = orders if len(open_) == len(orders) else tuple(orders[g] for g in open_)
+        t, em, tem = _expm1_columns(t.tobytes())
         values = f_kernel(t * arr, ks)
         for v, k in zip(values, ks):
             if k == 2:
                 v *= t
-            v /= t * em if k == 0 else em
+            v /= tem if k == 0 else em
         # node axis first, then one group per order for the quadrature
         return values.swapaxes(0, 1)
 
@@ -303,7 +326,13 @@ def zeta_b_prime0_series(a: float, n: int = 4) -> BarnesEval:
     for every a > 0.  ``DomainError`` unless ``a`` is a finite real > 0 and N
     an integer in [2, 16], and where the remainder or the head overflows.
     """
-    x, n = _positive(a, "a"), _whole(n, "n", 2, _KMAX)
+    value, bound = _series_route(_positive(a, "a"), _whole(n, "n", 2, _KMAX), a)
+    return BarnesEval(value=value, error_bound=bound, route="series")
+
+
+def _series_route(x: float, n: int, a) -> tuple:
+    """The series route's value and certificate at a checked float a = ``x`` > 0
+    and whole n in [2, 16]; ``a`` is shown as given in the overflow message."""
     try:  # the remainder holds a's highest power, so it overflows before the tail
         bound = abs(_TAIL[n - 2]) * x ** (2 * n - 1)
     except OverflowError:
@@ -313,7 +342,7 @@ def zeta_b_prime0_series(a: float, n: int = 4) -> BarnesEval:
     value = _head(x, 0)
     for k in range(2, n):
         value += _TAIL[k - 2] * x ** (2 * k - 1)
-    return BarnesEval(value=value, error_bound=bound, route="series")
+    return value, bound
 
 
 def zeta_b_prime0_rational(r: Fraction) -> BarnesEval:

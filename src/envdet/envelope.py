@@ -238,7 +238,7 @@ def _integral_pair(p: AngleParam, orders: tuple) -> np.ndarray:
     """Integral-route k-th a-derivatives of zeta_B'(0; ., 1, 1) at a1 and at
     a2 for each order k in ``orders``, from one quadrature over both: shaped
     (len(orders), 2) + beta's shape."""
-    a = np.concatenate([np.atleast_1d(p.a1), np.atleast_1d(p.a2)])
+    a = np.concatenate((p.a1, p.a2), axis=None)
     if len(orders) > 1:
         z = barnes._integral(a, orders)[0]
     else:
@@ -323,8 +323,12 @@ def log_det_area(
     if route == "integral":
         (zb1, zb2), = _integral_pair(p, (0,))
     elif route == "series":
-        zb1 = barnes.zeta_b_prime0_series(p.a1, series_terms).value
-        zb2 = barnes.zeta_b_prime0_series(p.a2, series_terms).value
+        # a1 and a2 are AngleParam's checked values, so only n is checked
+        # here; an array a is refused with the series route's message
+        if np.ndim(p.a1):
+            _real(p.a1, "a")
+        n = _whole(series_terms, "n", 2, barnes._KMAX)
+        (zb1, _), (zb2, _) = (barnes._series_route(a, n, a) for a in (p.a1, p.a2))
     else:
         if p.exact is None:
             raise DomainError("route='rational' needs AngleParam.from_fraction")

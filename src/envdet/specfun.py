@@ -7,7 +7,8 @@ own refinement level and no longer evaluated after that.
 The caller states the width of its integrands, so the first node table, the
 whole h = 1/8 grid that holds the three levels before the first acceptance,
 is one integrand call for a narrow integrand.  Each level is summed in node
-order, by one prefix sum over narrow rows.
+order, by one prefix sum over narrow rows.  The first refinement, h = 1/4,
+accepts no group, so its difference and tolerance are not computed.
 
 Everything here is pure; the quadrature's node tables are built once per
 refinement level, on first use.
@@ -253,9 +254,10 @@ def integrate_semi_infinite(
         # added to it in place (floating-point addition commutes)
         for g, new in zip(open_, new_sum * h):
             new += estimate[g] / 2.0
-            errs[g] = float(np.abs(new - estimate[g]).max())
-            tol = max(_TOL, _TOL * float(np.abs(new).max()))
-            if not (level >= 1 and errs[g] <= tol):
+            # level 0 accepts no group, so its difference is never read
+            if level >= 1:
+                errs[g] = float(np.abs(new - estimate[g]).max())
+            if level == 0 or not errs[g] <= max(_TOL, _TOL * float(np.abs(new).max())):
                 still_open.append(g)
             estimate[g] = new
         open_ = tuple(still_open)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from quadrature_reference import reference_integral
 
-from envdet import barnes, specfun
+from envdet import barnes, envelope, specfun, verify
 from envdet.barnes import (
     BarnesEval,
     d2_zeta_b_prime0,
@@ -303,6 +303,30 @@ def test_fused_kernel_domain(orders):
         f_kernel(1.0, orders)
 
 
+@pytest.mark.parametrize("r", [np.empty((0,)), np.empty((3, 0)), np.empty((0, 2)), []],
+                         ids=["(0,)", "(3, 0)", "(0, 2)", "[]"])
+def test_f_kernel_takes_an_empty_input(r):
+    # an empty input takes the mask path, which has no value to check
+    assert f_kernel(r, 0).shape == np.shape(r)
+    assert f_kernel(r, (0, 2)).shape == (2,) + np.shape(r)
+
+
+@pytest.mark.parametrize(
+    "r", [[0.3, math.nan, 0.1], [[0.2], [math.nan]], [0.3, -1.0], [[0.2, 0.1], [0.0, -1e-300]]],
+    ids=["nan-unsorted", "nan-column", "negative-unsorted", "negative-2-d"],
+)
+def test_the_mask_path_refuses_nan_or_a_negative_value(r):
+    with pytest.raises(DomainError, match=r"^f_kernel needs r >= 0$"):
+        f_kernel(r, (0, 1, 2))
+
+
+def test_a_signed_zero_keeps_its_sign():
+    # F(r) = c r^3 near 0 with c = B_4 / 4! < 0, so F(-0) is 0 and F(0) is
+    # -0, on the row path and on the mask path alike
+    assert f_kernel([[-0.0, 0.0]], 0).tobytes() == np.array([[0.0, -0.0]]).tobytes()
+    assert f_kernel([[-0.0], [0.0]], 0).tobytes() == np.array([[0.0], [-0.0]]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # integral route
 # ---------------------------------------------------------------------------
@@ -358,6 +382,19 @@ def test_zeta_b_prime0_domain():
             zeta_b_prime0(bad)
     with pytest.raises(DomainError):
         d2_zeta_b_prime0([1e102])
+
+
+@pytest.mark.parametrize(
+    "a, shown",
+    [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (0.0, "0.0"),
+     (1e-101, "1e-101"), (1e28, "1e+28"), (-1.0, "-1.0"), ([], "array([], dtype=float64)")],
+)
+def test_the_integral_route_refuses_a_outside_its_range(a, shown):
+    # NaN fails the range check, and an empty a is refused before it
+    message = f"the integral route needs 1e-100 <= a <= 1e+27, got {shown}"
+    with pytest.raises(DomainError) as info:
+        d_zeta_b_prime0(a)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +505,19 @@ def test_series_head_overflow_is_a_domain_error():
     with pytest.raises(DomainError, match="overflows"):
         zeta_b_prime0_series(1e-309, 2)
     assert math.isfinite(zeta_b_prime0_series(2e-309, 2).value)
+
+
+@pytest.mark.parametrize(
+    "a, n, shown",
+    [(1e-309, 2, "1e-309"), (1e10, 16, "10000000000.0"), (10**10, 16, "10000000000"),
+     (Fraction(1, 10**309), 4, "Fraction(1, 1" + "0" * 309 + ")")],
+)
+def test_the_series_overflow_message_shows_a_as_given(a, n, shown):
+    # the head overflows at a = 1e-309, the certificate's a**(2n - 1) at a = 1e10
+    message = f"the series route overflows for n = {n} at a = {shown}"
+    with pytest.raises(DomainError) as info:
+        zeta_b_prime0_series(a, n)
+    assert str(info.value) == message
 
 
 def test_f_kernel_reaches_its_limits_without_overflow_warnings():
@@ -592,6 +642,34 @@ def test_blocked_quadrature_matches_node_loop(width, order):
     expected, expected_err = _integral_reference(a, order)
     assert np.array_equal(value, expected)
     assert err == expected_err
+
+
+@pytest.mark.parametrize("h, odd_only", [(1 / 8, False), (1 / 16, True), (1 / 32, True),
+                                         (1 / 64, True)])
+@pytest.mark.parametrize("block", [1, 27, 68])
+def test_the_memoised_columns_are_math_expm1_and_read_only(h, odd_only, block):
+    nodes, _ = specfun._level_nodes(h, odd_only)
+    for start in range(0, nodes.size, block):
+        t = nodes[start:start + block]
+        em = np.array([math.expm1(x) for x in t.tolist()])
+        columns = barnes._expm1_columns(t.tobytes())
+        for column, expected in zip(columns, (t, em, t * em)):
+            assert column.shape == (t.size, 1)
+            assert column.tobytes() == expected.tobytes()
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column += 1.0
+
+
+def test_the_memo_holds_few_blocks():
+    # measured: 72, the first table's 68 one-node blocks (wide integrands:
+    # criterion 5's grid, the scans of 5000 and 20000 points), two blocks of
+    # 27 nodes, one of 14 and the whole 68-node table
+    barnes._expm1_columns.cache_clear()
+    verify.run_suite("full")
+    for count in (2, 101, 5000, 20000):
+        envelope.scan(-0.99, -0.51, count)
+    assert barnes._expm1_columns.cache_info().currsize <= 72
 
 
 def _fused_grid(width):

@@ -301,6 +301,21 @@ def test_log_det_series_route_within_certificate():
         assert abs(approx - exact) <= budget + 1e-13
 
 
+@pytest.mark.parametrize(
+    "beta, n, message",
+    [(-0.7, 1, "n must be an integer in [2, 16], got 1"),
+     (-0.7, 2.5, "n must be an integer in [2, 16], got 2.5"),
+     (-0.7, "4", "n must be a real number, got '4'"),
+     (np.array([-0.7, -0.6]), 4, "a must be a real number, got array([0.3, 0.4])"),
+     (np.array([-0.7, -0.6]), 1, "a must be a real number, got array([0.3, 0.4])")],
+)
+def test_log_det_series_route_messages(beta, n, message):
+    # the series route refuses an array beta before it looks at n
+    with pytest.raises(DomainError) as info:
+        log_det_area(AngleParam(beta), 1.0, route="series", series_terms=n)
+    assert str(info.value) == message
+
+
 def test_log_det_rational_route_needs_fraction():
     with pytest.raises(DomainError):
         log_det_area(AngleParam(-0.75), 1.0, route="rational")

@@ -4,7 +4,10 @@ each name the package ``__init__`` imports.  And every name a submodule
 imports is used there (the package ``__init__`` only re-exports), no module
 checks whole numbers by hand (``specfun._whole`` does), only
 ``envelope._area_shifts`` takes the log of an area, and ``verify`` builds a
-check's result only in its pass rules and its runtime row."""
+check's result only in its pass rules and its runtime row.  The integral
+route's integrand calls the kernel through the module's name ``f_kernel``
+(a wrapper put there sees every kernel call) and takes e^t - 1 from
+``math.expm1`` only (``np.expm1`` differs in the last bit)."""
 
 import ast
 import importlib
@@ -14,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import envdet
-from envdet import verify
+from envdet import barnes, verify
 
 SUBMODULES = sorted(
     m.name for m in pkgutil.iter_modules(envdet.__path__) if m.name != "__main__"
@@ -163,3 +166,49 @@ def test_verify_builds_check_results_in_its_pass_rules_only():
     source = Path(verify.__file__).read_text(encoding="utf-8")
     owners = _callers(source, lambda call: _name(call.func) == "CheckResult")
     assert sorted(set(owners)) == ["_above_zero", "_at_most", "run_suite"]
+
+
+def _integrand_faults(source: str) -> list:
+    """What keeps ``_integral``'s nested ``integrand`` in ``source`` from calling
+    the module's ``f_kernel`` at every block, or from e^t - 1 of math.expm1:
+    no call of the plain name, a local binding that hides it, or an expm1
+    other than math.expm1 in ``_integral`` or the memo ``_expm1_columns``."""
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    faults = []
+    outer = functions["_integral"]
+    integrand = next(node for node in ast.walk(outer)
+                     if isinstance(node, ast.FunctionDef) and node.name == "integrand")
+    if not any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "f_kernel" for node in ast.walk(integrand)):
+        faults.append("no f_kernel call")
+    bound = {node.id for node in ast.walk(outer)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    bound |= {arg.arg for node in ast.walk(outer) if isinstance(node, ast.arguments)
+              for arg in node.args + node.kwonlyargs}
+    if "f_kernel" in bound:
+        faults.append("f_kernel bound locally")
+    for function in (outer, functions["_expm1_columns"]):
+        for node in ast.walk(function):
+            if _name(node) == "expm1" and ast.unparse(node) != "math.expm1":
+                faults.append(f"{ast.unparse(node)} in {function.name}")
+    return faults
+
+
+def test_the_integrand_calls_the_module_kernel_and_math_expm1():
+    assert _integrand_faults(Path(barnes.__file__).read_text(encoding="utf-8")) == []
+
+
+def test_an_integrand_off_the_module_kernel_or_math_expm1_is_found():
+    source = (
+        "def _expm1_columns(key):\n    return np.expm1(t)\n"
+        "def _integral(a, orders, f_kernel=None):\n"
+        "    kernel = barnes.f_kernel\n"
+        "    def integrand(t, open_):\n"
+        "        em = np.expm1(t) + math.expm1(t[0])\n"
+        "        return kernel(t * a, orders) / em\n"
+    )
+    assert _integrand_faults(source) == [
+        "no f_kernel call", "f_kernel bound locally", "np.expm1 in _integral",
+        "np.expm1 in _expm1_columns",
+    ]

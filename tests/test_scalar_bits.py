@@ -7,9 +7,12 @@ zeta_B'(0; a, 1, 1) with its certificate, the integral route and its two
 a-derivatives at the ends of its range of a, the closed-form terms (zeta0,
 its two derivatives, the expansion near beta = -1/2 and the convexity bound),
 the rational route of zeta_B'(0; p/q, 1, 1) with its error bound, and the
-critical area.
+critical area.  One sha256 pins the scalar calls at 300 seeded points.
 """
 
+import hashlib
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -83,6 +86,9 @@ BARNES_RATIONAL = {
     Fraction(997, 1009): ("-0x1.4da31531832d0p-3", "0x1.60e63561e5d76p-36"),
 }
 CRITICAL_AREA = "0x1.eb75300deff52p+0"
+# sha256 of the float.hex lines of log_det_area's four parts, d_log_det and
+# d2_log_det at SEEDED_POINTS
+SEEDED_SHA256 = "4bf2a29f972660fc19f4a6abf36b5ee049588f3f74b90dd7fcbbf972df86a3cf"
 
 
 def _hex(*values):
@@ -138,3 +144,38 @@ def test_zeta_b_prime0_rational(a):
 
 def test_critical_area():
     assert envelope.critical_area().hex() == CRITICAL_AREA
+
+
+def _seeded_points(seed: int, count: int) -> list:
+    """(beta, area) pairs drawn like the benchmark's scalar calls, with twice
+    its share of the edge cases: beta 1e-5 to 1e-2 from an endpoint (a fifth),
+    a reduced -n/q with q <= 60 (a fifth) or uniform on [-0.999, -0.501]; the
+    area log-uniform on [0.1, 10]."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        u = rng.random()
+        if u < 0.2:
+            d = 10.0 ** rng.uniform(-5.0, -2.0)
+            beta = -1.0 + d if rng.random() < 0.5 else -0.5 - d
+        elif u < 0.4:
+            q = rng.randint(3, 60)
+            beta = -rng.choice([n for n in range(q // 2 + 1, q) if math.gcd(n, q) == 1]) / q
+        else:
+            beta = rng.uniform(-0.999, -0.501)
+        points.append((beta, math.exp(rng.uniform(math.log(0.1), math.log(10.0)))))
+    return points
+
+
+SEEDED_POINTS = _seeded_points(23, 300)
+
+
+def test_scalar_calls_at_seeded_points():
+    lines = []
+    for beta, area in SEEDED_POINTS:
+        p = AngleParam(beta)
+        det = envelope.log_det_area(p, area)
+        parts = (det.log_det, det.elementary_part, det.barnes_part, det.area_term,
+                 envelope.d_log_det(p), envelope.d2_log_det(p))
+        lines.append(" ".join(_hex(*parts)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SEEDED_SHA256
