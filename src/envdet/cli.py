@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Any, Dict
 
 import numpy as np
@@ -151,7 +150,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_critical(args: argparse.Namespace) -> int:
-    p = envelope.AngleParam.from_fraction(Fraction(-2, 3))
+    p = envelope.AngleParam.from_fraction(envelope._BETA_CRITICAL_EXACT)
     det = envelope.log_det_area(p, args.area, route="rational")
     d2_unit = envelope.d2_log_det(p)
     d2_at_area = d2_unit - envelope._area_shifts(p, (2,), args.area)[0]

@@ -66,7 +66,8 @@ _MAX_DENOMINATOR = 12
 # allocate until the host runs out.
 _MAX_SCAN_COUNT = 10**6
 
-BETA_CRITICAL = -2.0 / 3.0
+_BETA_CRITICAL_EXACT = Fraction(-2, 3)
+BETA_CRITICAL = float(_BETA_CRITICAL_EXACT)
 
 
 def _check_beta(b) -> None:
@@ -100,8 +101,8 @@ class AngleParam:
     """Validated angle parameter with its two derived Barnes arguments
 
     a1 = beta + 1 (base-angle fraction) and a2 = -2*beta - 1 (apex fraction).
-    ``exact`` optionally carries beta as an exact rational, which unlocks the
-    closed-form Barnes route.
+    ``exact`` is None, or beta as an exact rational, which unlocks the
+    closed-form Barnes route; only :meth:`from_fraction` sets it.
 
     ``beta`` is a real scalar, kept as a float, or a 1-D real array-like of
     grid points, kept as a float64 array.  The determinant, its derivatives,
@@ -112,7 +113,7 @@ class AngleParam:
     """
 
     beta: Union[float, np.ndarray]
-    exact: Optional[Fraction] = None
+    exact: Optional[Fraction] = field(default=None, init=False)
     a1: Union[float, np.ndarray] = field(init=False)
     a2: Union[float, np.ndarray] = field(init=False)
 
@@ -122,15 +123,15 @@ class AngleParam:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "a1", beta + 1.0)
         object.__setattr__(self, "a2", -2.0 * beta - 1.0)
-        if self.exact is not None:
-            if isinstance(beta, np.ndarray) or _real(self.exact, "exact") != beta:
-                raise DomainError("exact fraction does not match a scalar beta")
-            exact = self.exact if isinstance(self.exact, Fraction) else beta
-            object.__setattr__(self, "exact", Fraction(exact))
 
     @classmethod
     def from_fraction(cls, beta: Fraction) -> "AngleParam":
-        return cls(beta=beta, exact=beta)
+        """A float beta with ``exact`` set, for the rational route: a Fraction
+        as given, any other real at its float's exact value."""
+        p = cls(beta)
+        _check_scalar(p, "AngleParam.from_fraction")
+        object.__setattr__(p, "exact", Fraction(beta if isinstance(beta, Fraction) else p.beta))
+        return p
 
 
 @dataclass(frozen=True)
@@ -323,10 +324,8 @@ def log_det_area(
     if route == "integral":
         (zb1, zb2), = _integral_pair(p, (0,))
     elif route == "series":
-        # a1 and a2 are AngleParam's checked values, so only n is checked
-        # here; an array a is refused with the series route's message
-        if np.ndim(p.a1):
-            _real(p.a1, "a")
+        # a1 and a2 are AngleParam's checked floats, so only n is checked here
+        _check_scalar(p, "log_det_area(route='series')")
         n = _whole(series_terms, "n", 2, barnes._KMAX)
         (zb1, _), (zb2, _) = (barnes._series_route(a, n, a) for a in (p.a1, p.a2))
     else:
@@ -350,10 +349,11 @@ def log_det_area(
 def asymptotic_neg1(p: AngleParam) -> float:
     """Truncated expansion of the unit-area log det near beta = -1."""
     a1 = p.a1
+    log_a1 = _log(a1)
     return _out(
-        -_log(a1) / (6.0 * a1)
+        -log_a1 / (6.0 * a1)
         + (math.log(8.0 * math.pi) / 6.0 - 4.0 * LOG_GLAISHER) / a1
-        - _log(a1)
+        - log_a1
         - _LOG2
     )
 
@@ -362,10 +362,11 @@ def asymptotic_neghalf(p: AngleParam) -> float:
     """Truncated expansion of the unit-area log det near beta = -1/2."""
     a2 = p.a2
     x2 = -a2
+    log_a2 = _log(a2)
     return _out(
-        _log(a2) / (12.0 * x2)
+        log_a2 / (12.0 * x2)
         - (_LOG2 / 6.0 + LOG_PI / 12.0 - 2.0 * LOG_GLAISHER) / x2
-        - 0.75 * _log(a2)
+        - 0.75 * log_a2
         - 0.5 * _LOG2
         - 0.25 * LOG_PI
     )

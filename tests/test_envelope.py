@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import mp_reference
 
 from envdet import envelope
 from envdet.envelope import (
@@ -151,8 +152,10 @@ def test_angle_param_from_fraction():
     p = AngleParam.from_fraction(Fraction(-2, 3))
     assert p.exact == Fraction(-2, 3)
     assert p.beta == float(Fraction(-2, 3))
-    with pytest.raises(DomainError):
+    # exact is set by from_fraction only, so it always matches beta
+    with pytest.raises(TypeError):
         AngleParam(-0.625, exact=Fraction(-2, 3))
+    assert AngleParam(-0.625).exact is None
 
 
 @pytest.mark.parametrize("beta", [[-0.7, -0.6], (-0.7,), np.array([-0.7, -0.6], dtype=np.float32)])
@@ -179,8 +182,10 @@ def test_angle_param_float_beta_stays_a_float():
 
 @pytest.mark.parametrize("beta", [np.array([-0.75, -0.7]), np.array([-0.75])])
 def test_angle_param_exact_needs_scalar_beta(beta):
-    with pytest.raises(DomainError, match="scalar beta"):
-        AngleParam(beta, exact=Fraction(-3, 4))
+    with pytest.raises(DomainError) as info:
+        AngleParam.from_fraction(beta)
+    assert str(info.value) == (
+        f"AngleParam.from_fraction takes a float beta, got an array of shape {beta.shape}")
 
 
 # Arguments that are not real numbers.  Before every numeric argument went
@@ -195,7 +200,6 @@ NOT_REAL = {
     "AngleParam(None)": lambda: AngleParam(None),
     "AngleParam(ragged)": lambda: AngleParam([[-0.7], [-0.7, -0.6]]),
     "AngleParam(fraction list)": lambda: AngleParam([Fraction(-2, 3)]),
-    'AngleParam(exact="x")': lambda: AngleParam(-0.75, exact="x"),
     'from_fraction("-2/3")': lambda: AngleParam.from_fraction("-2/3"),
     "from_fraction(nan)": lambda: AngleParam.from_fraction(math.nan),
     'log_det_area(p, "1")': lambda: log_det_area(_P, "1"),
@@ -301,13 +305,16 @@ def test_log_det_series_route_within_certificate():
         assert abs(approx - exact) <= budget + 1e-13
 
 
+_SERIES_ARRAY = "log_det_area(route='series') takes a float beta, got an array of shape (2,)"
+
+
 @pytest.mark.parametrize(
     "beta, n, message",
     [(-0.7, 1, "n must be an integer in [2, 16], got 1"),
      (-0.7, 2.5, "n must be an integer in [2, 16], got 2.5"),
      (-0.7, "4", "n must be a real number, got '4'"),
-     (np.array([-0.7, -0.6]), 4, "a must be a real number, got array([0.3, 0.4])"),
-     (np.array([-0.7, -0.6]), 1, "a must be a real number, got array([0.3, 0.4])")],
+     pytest.param(np.array([-0.7, -0.6]), 4, _SERIES_ARRAY, id="array-4"),
+     pytest.param(np.array([-0.7, -0.6]), 1, _SERIES_ARRAY, id="array-1")],
 )
 def test_log_det_series_route_messages(beta, n, message):
     # the series route refuses an array beta before it looks at n
@@ -692,20 +699,22 @@ def test_critical_area_defining_property():
     assert d2_log_det(p) - d2_zeta0(p) * math.log(3.0) < 0.0
 
 
-# 40-digit oracles at the equilateral point.  The d2 value comes from an
-# mpmath transcription of the second beta-derivative: the elementary terms
-# with loggamma, digamma and zeta(2, x), and the Barnes term as
-# 2 log A / a^3 + quad(t F''(at) / (e^t - 1)) on [0, 1, 10, inf].
+# 40-digit oracles at the equilateral point.  The d2 value is
+# mp_reference.d2 at the exact -2/3, to 20 digits.
 MP_D2_CRITICAL = "17.609361108641219393"
 
 
-def test_critical_value_against_40_digits():
-    # (2/3) log pi + (1/3) log(2/3) - 2 log Gamma(2/3); measured 7.3e-17 off
+def _mp_critical_value():
+    """(2/3) log pi + (1/3) log(2/3) - 2 log Gamma(2/3), at 40 digits."""
     with mpmath.workdps(40):
         third = mpmath.mpf(1) / 3
         oracle = 2 * third * mpmath.log(mpmath.pi) + third * mpmath.log(2 * third)
-        oracle -= 2 * mpmath.loggamma(2 * third)
-        error = abs(log_det_area(AngleParam(BETA_CRITICAL), 1.0).log_det - oracle)
+        return oracle - 2 * mpmath.loggamma(2 * third)
+
+
+def test_critical_value_against_40_digits():
+    # measured 7.3e-17 off
+    error = abs(log_det_area(AngleParam(BETA_CRITICAL), 1.0).log_det - _mp_critical_value())
     assert error <= 1e-15
 
 
@@ -721,6 +730,63 @@ def test_critical_area_against_40_digits():
     with mpmath.workdps(40):
         error = abs(critical_area() - mpmath.exp(mpmath.mpf(MP_D2_CRITICAL) / 27))
     assert error <= 2e-15
+
+
+def test_mp_reference_at_the_exact_equilateral_point():
+    # the closed-form value, d1 = 0 and the frozen d2, each regenerated
+    third = Fraction(-2, 3)
+    with mpmath.workdps(40):
+        assert abs(mp_reference.log_det(third) - _mp_critical_value()) <= mpmath.mpf("1e-35")
+        assert abs(mp_reference.d1(third)) <= mpmath.mpf("1e-35")
+        assert mpmath.nstr(mp_reference.d2(third), 20) == MP_D2_CRITICAL
+
+
+@pytest.mark.parametrize("beta", [-0.99, -0.75, -0.55])
+@pytest.mark.parametrize("k", [1, 2])
+def test_mp_reference_elementary_derivatives_match_differences(beta, k):
+    # the Leibniz-rule derivatives against mpmath's numerical derivative of
+    # the value
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        numeric = mpmath.diff(lambda x: mp_reference._elementary(x, 0), b, k)
+        assert abs(mp_reference._elementary(b, k) - numeric) <= 1e-30 * abs(numeric)
+
+
+# beta 1e-5 from each endpoint and between
+MP_BETAS = (-1.0 + 1e-5, -0.99, -0.75, -0.55, -0.5 - 1e-5)
+
+
+def _mp_tolerance(beta):
+    # Relative to the sum of the parts' sizes.  The second term is the error
+    # of sin(pi a2), whose argument pi a2 rounds near pi as beta -> -1 (the
+    # double pi is 1.2e-16 off, and the sine is about 2 pi a1).  Measured
+    # worst: 3.4e-13 at 1e-5 from -1 (d2), 6.2e-16 at -0.99, 2.3e-16 elsewhere.
+    return 1e-15 + 1e-17 / (beta + 1.0)
+
+
+@pytest.mark.parametrize("beta", MP_BETAS)
+@pytest.mark.parametrize("area", [0.5, 1.0, 3.0])
+def test_log_det_area_against_mp_reference(beta, area):
+    det = log_det_area(AngleParam(beta), area)
+    elementary, barnes = mp_reference.parts(beta, 0)
+    shift = mp_reference.zeta0(beta) * mpmath.log(area)
+    with mpmath.workdps(40):
+        scale = abs(elementary) + abs(barnes) + abs(shift)
+        tol = _mp_tolerance(beta)
+        assert abs(det.log_det - mp_reference.log_det(beta, area)) <= tol * scale
+        assert abs(det.elementary_part - elementary) <= tol * abs(elementary)
+        assert abs(det.barnes_part - barnes) <= tol * abs(barnes)
+        assert abs(det.area_term + shift) <= tol * scale
+
+
+@pytest.mark.parametrize("beta", MP_BETAS)
+@pytest.mark.parametrize("k", [1, 2])
+def test_derivatives_against_mp_reference(beta, k):
+    got = (d_log_det, d2_log_det)[k - 1](AngleParam(beta))
+    elementary, barnes = mp_reference.parts(beta, k)
+    with mpmath.workdps(40):
+        scale = abs(elementary) + abs(barnes)
+        assert abs(got - (elementary + barnes)) <= _mp_tolerance(beta) * scale
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ checks whole numbers by hand (``specfun._whole`` does), only
 check's result only in its pass rules and its runtime row.  The integral
 route's integrand calls the kernel through the module's name ``f_kernel``
 (a wrapper put there sees every kernel call) and takes e^t - 1 from
-``math.expm1`` only (``np.expm1`` differs in the last bit)."""
+``math.expm1`` only (``np.expm1`` differs in the last bit).  ``envelope``
+sets ``AngleParam.exact`` in ``from_fraction`` only, and refuses an array
+beta where a float is needed in ``_check_scalar`` only."""
 
 import ast
 import importlib
@@ -17,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import envdet
-from envdet import barnes, verify
+from envdet import barnes, envelope, verify
 
 SUBMODULES = sorted(
     m.name for m in pkgutil.iter_modules(envdet.__path__) if m.name != "__main__"
@@ -212,3 +214,72 @@ def test_an_integrand_off_the_module_kernel_or_math_expm1_is_found():
         "no f_kernel call", "f_kernel bound locally", "np.expm1 in _integral",
         "np.expm1 in _expm1_columns",
     ]
+
+
+def _exact_setters(source: str) -> list:
+    """Where ``source`` sets ``AngleParam.exact``: "field" if the class
+    declares it without ``init=False``, then the function around each
+    ``__setattr__(..., 'exact', ...)`` (the class is frozen, so a plain
+    store raises)."""
+    angle = next(node for node in ast.parse(source).body
+                 if isinstance(node, ast.ClassDef) and node.name == "AngleParam")
+    declared = next(item.value for item in angle.body
+                    if isinstance(item, ast.AnnAssign) and item.target.id == "exact")
+    found = [] if "init=False" in ast.unparse(declared) else ["field"]
+    return found + _callers(source, lambda call: _name(call.func) == "__setattr__"
+                            and len(call.args) > 1 and ast.unparse(call.args[1]) == "'exact'")
+
+
+def test_exact_is_set_by_from_fraction_only():
+    source = Path(envelope.__file__).read_text(encoding="utf-8")
+    assert _exact_setters(source) == ["from_fraction"]
+
+
+def test_an_exact_set_outside_from_fraction_is_found():
+    source = (
+        "class AngleParam:\n"
+        "    beta: float\n    exact: Optional[Fraction] = None\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'exact', Fraction(self.beta))\n"
+        "def _rational(p):\n    object.__setattr__(p, 'exact', Fraction(1, 3))\n"
+    )
+    assert _exact_setters(source) == ["field", "__post_init__", "_rational"]
+
+
+def _scalar_refusals(source: str) -> list:
+    """The functions of ``source`` whose strings say "takes a float beta",
+    and a ``_real(...a1)`` or ``_real(...a2)`` call: a refusal of an array beta
+    besides ``_check_scalar``'s."""
+    found = _callers(source, lambda call: _name(call.func) == "_real" and call.args
+                     and _name(call.args[0]) in ("a1", "a2"))
+    owners = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "takes a float beta" in node.value):
+            owners.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return [f"_real in {owner}" for owner in found] + owners
+
+
+def test_only_check_scalar_refuses_an_array_beta():
+    source = Path(envelope.__file__).read_text(encoding="utf-8")
+    assert _scalar_refusals(source) == ["_check_scalar"]
+
+
+def test_a_second_refusal_of_an_array_beta_is_found():
+    source = (
+        "def _check_scalar(p, what):\n"
+        "    raise DomainError(f'{what} takes a float beta, got {p.beta!r}')\n"
+        "def log_det_area(p, area):\n"
+        "    if np.ndim(p.a1):\n        _real(p.a1, 'a')\n"
+        "    raise DomainError('the series route takes a float beta')\n"
+        "def zeta(p):\n    return _real(p.a2, 'a')\n"
+    )
+    assert _scalar_refusals(source) == [
+        "_real in log_det_area", "_real in zeta", "_check_scalar", "log_det_area"]

@@ -127,7 +127,7 @@ _ON_ANGLE = ["scaling_factor", "zeta0", "d_zeta0", "d2_zeta0", "asymptotic_neg1"
 CALLS = {
     **{name: (lambda name: lambda draw: getattr(envelope, name)(_angle(draw)))(name)
        for name in _ON_ANGLE},
-    "AngleParam": lambda draw: envelope.AngleParam(draw(_BETA), exact=draw(st.none() | _BETA)),
+    "AngleParam": _angle,
     "log_det_area": lambda draw: envelope.log_det_area(
         _angle(draw), draw(_AREA), route=draw(_ROUTE), series_terms=draw(_N)),
     "critical_area": lambda draw: envelope.critical_area(),
@@ -246,6 +246,9 @@ def test_the_argument_gate_sees_each_argument_once(monkeypatch):
         seen.clear()
         route(0.3)
         assert seen == expected
+    seen.clear()
+    envelope.AngleParam.from_fraction(-0.7)
+    assert seen == ["beta"]  # exact is taken from the checked beta
     p = envelope.AngleParam(-0.7)
     seen.clear()
     envelope.log_det_area(p, 1.0, route="series")

@@ -7,7 +7,10 @@ zeta_B'(0; a, 1, 1) with its certificate, the integral route and its two
 a-derivatives at the ends of its range of a, the closed-form terms (zeta0,
 its two derivatives, the expansion near beta = -1/2 and the convexity bound),
 the rational route of zeta_B'(0; p/q, 1, 1) with its error bound, and the
-critical area.  One sha256 pins the scalar calls at 300 seeded points.
+critical area.  One sha256 pins the scalar calls at 300 seeded points, and
+one the rational route of log_det_area at every reduced beta = -n/q with
+q <= 60.  ``AngleParam.from_fraction`` is pinned for a Fraction and for a
+float beta given as a float, a numpy float and a 0-d array.
 """
 
 import hashlib
@@ -16,6 +19,8 @@ import random
 from fractions import Fraction
 
 import pytest
+
+import numpy as np
 
 from envdet import barnes, envelope
 from envdet.envelope import AngleParam
@@ -89,6 +94,26 @@ CRITICAL_AREA = "0x1.eb75300deff52p+0"
 # sha256 of the float.hex lines of log_det_area's four parts, d_log_det and
 # d2_log_det at SEEDED_POINTS
 SEEDED_SHA256 = "4bf2a29f972660fc19f4a6abf36b5ee049588f3f74b90dd7fcbbf972df86a3cf"
+# sha256 of the float.hex lines of the rational route's four parts at every
+# reduced -n/q in (-1, -1/2) with q <= 60, in increasing order, at area 1 and
+# then at area 3.7
+RATIONAL_SHA256 = "088a4e55f319c5d4efe0294135d02aa2fc74ed01bc2e47c2ba078406b371442d"
+# beta given to from_fraction -> its exact, and beta, a1 and a2 in hex; a
+# Fraction is kept as given, any other real at its float's exact value
+FROM_FRACTION = {
+    "Fraction(-2, 3)": (Fraction(-2, 3), "-0x1.5555555555555p-1", "0x1.5555555555556p-2",
+                        "0x1.5555555555554p-2"),
+    "Fraction(-3, 4)": (Fraction(-3, 4), "-0x1.8000000000000p-1", "0x1.0000000000000p-2",
+                        "0x1.0000000000000p-1"),
+    "-0.75": (Fraction(-3, 4), "-0x1.8000000000000p-1", "0x1.0000000000000p-2",
+              "0x1.0000000000000p-1"),
+    "np.float64(-0.75)": (Fraction(-3, 4), "-0x1.8000000000000p-1", "0x1.0000000000000p-2",
+                          "0x1.0000000000000p-1"),
+    "np.array(-0.75)": (Fraction(-3, 4), "-0x1.8000000000000p-1", "0x1.0000000000000p-2",
+                        "0x1.0000000000000p-1"),
+    "-0.7": (Fraction(-3152519739159347, 4503599627370496), "-0x1.6666666666666p-1",
+             "0x1.3333333333334p-2", "0x1.9999999999998p-2"),
+}
 
 
 def _hex(*values):
@@ -179,3 +204,33 @@ def test_scalar_calls_at_seeded_points():
                  envelope.d_log_det(p), envelope.d2_log_det(p))
         lines.append(" ".join(_hex(*parts)))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SEEDED_SHA256
+
+
+def test_rational_route_at_every_fraction_up_to_60ths():
+    fractions = sorted(Fraction(-n, q) for q in range(3, 61)
+                       for n in range(q // 2 + 1, q) if math.gcd(n, q) == 1)
+    lines = []
+    for area in (1.0, 3.7):
+        for f in fractions:
+            det = envelope.log_det_area(AngleParam.from_fraction(f), area, route="rational")
+            lines.append(" ".join(_hex(det.log_det, det.elementary_part, det.barnes_part,
+                                       det.area_term)))
+    assert len(fractions) == 550
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RATIONAL_SHA256
+
+
+@pytest.mark.parametrize("given", sorted(FROM_FRACTION))
+def test_from_fraction(given):
+    p = AngleParam.from_fraction(eval(given, {"Fraction": Fraction, "np": np}))
+    exact, *hexes = FROM_FRACTION[given]
+    assert type(p.exact) is Fraction and p.exact == exact
+    assert type(p.beta) is float and [p.beta.hex(), p.a1.hex(), p.a2.hex()] == hexes
+    assert repr(p) == (f"AngleParam(beta={p.beta!r}, exact={exact!r}, "
+                       f"a1={p.a1!r}, a2={p.a2!r})")
+
+
+def test_from_fraction_of_equal_values_is_equal():
+    params = [AngleParam.from_fraction(b)
+              for b in (Fraction(-3, 4), -0.75, np.float64(-0.75), np.array(-0.75))]
+    assert all(p == params[0] and hash(p) == hash(params[0]) for p in params)
+    assert AngleParam.from_fraction(-0.75) != AngleParam(-0.75)
