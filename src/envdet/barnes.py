@@ -21,9 +21,11 @@ product of a block of quadrature nodes with the a values, and divides by
 e^t - 1 (or t (e^t - 1)) at that block's nodes, computed from math.expm1
 once per block and memoised by the block's bytes.  Where a block holds one
 node, the a values are sorted first and put back after, so that each kernel
-input is one sorted row: the kernel splits it at the one index of its
-series/closed-form crossover and writes each order in place, where any other
-input is split by a mask.  The Dedekind sum is a sum of integers.
+input is one sorted row: the kernel splits it at two indices, ``_TINY`` and
+its series/closed-form crossover, and writes each order in place, where any
+other input is split by a mask.  Below ``_TINY`` Horner's rule provably
+returns its leading coefficient bit for bit, so the series there is one
+multiply.  The Dedekind sum is a sum of integers.
 """
 
 from __future__ import annotations
@@ -81,6 +83,15 @@ _POWER = {0: 3, 1: 2, 2: 1}
 # sooner, and Horner makes 14 such calls per order
 _COEFFS = {k: [np.float64(c) for c in f] for k, f in ((0, _F0), (1, _F1), (2, _F2))}
 _CROSSOVER = 0.5
+# Below _TINY, Horner's rule returns c[0] bit for bit for each order, so the
+# series is its leading term.  By induction from the top coefficient: with s =
+# fl(r^2) <= s0 = fl(_TINY^2), as rounding is monotone, each step adds to c[j]
+# a product fl(s c[j+1]) no larger in size than fl(s0 c[j+1]), which lies
+# below half the gap between c[j] and its neighbouring doubles, so c[j] comes
+# back (the rounding argument of Higham, Accuracy and Stability of Numerical
+# Algorithms, 5.1).  The largest thresholds for which _COEFFS passes are
+# 4.730e-8, 4.668e-8 and 3.621e-8 for orders 0, 1 and 2; a test derives them.
+_TINY = 3.6e-8
 # Tail coefficients B_{2k} zeta(2k-1) / (2k(2k-1)) of the series route,
 # k = 2..16; the first omitted one sets its certificate.
 _TAIL = [float(_B[2 * k] / (2 * k * (2 * k - 1))) * float(_sp.zeta(2 * k - 1, 1))
@@ -118,6 +129,16 @@ def _series(r: np.ndarray, orders: tuple, out: np.ndarray) -> np.ndarray:
         # r ** 1 is r and r ** 2 is s, bit for bit; r ** 3 rounds once, in pow
         power = _POWER[k]
         acc *= r if power == 1 else s if power == 2 else r**3
+    return out
+
+
+def _leading(r: np.ndarray, orders: tuple, out: np.ndarray) -> np.ndarray:
+    # The series below _TINY, each order written into its row of ``out``:
+    # Horner's final multiply alone, c[0] r^3, c[0] r^2 or c[0] r, with r^2 as
+    # r * r and r^3 as r**3, the powers _series takes.
+    for j, k in enumerate(orders):
+        power = _POWER[k]
+        np.multiply(r if power == 1 else r * r if power == 2 else r**3, _COEFFS[k][0], out=out[j])
     return out
 
 
@@ -163,9 +184,13 @@ def f_kernel(r: ArrayLike, derivative: Union[int, tuple] = 0) -> ArrayLike:
     closed form cancels catastrophically as r -> 0); from 0.5 on from the
     closed form.  The branches agree to ~1e-15 near the crossover.  A single
     row (every axis but the last of length 1) that is non-decreasing from a
-    first value >= 0 is split at the one index of the crossover, and each
-    order is written in place into its two slices of the result; any other
-    r is split by a mask.  Both give the same bits.  NaN or a negative r
+    first value >= 0 is split at two indices, r = ``_TINY`` (3.6e-8) and the
+    crossover, and each order is written in place into its three slices of
+    the result; any other r is split by a mask.  Below ``_TINY`` the row
+    takes only Horner's final multiply, c[0] r^3, c[0] r^2 or c[0] r: there
+    every Horner step adds to c[j] less than half the gap between c[j] and
+    its neighbouring doubles, so Horner returns c[0] bit for bit (the proof
+    is at ``_TINY``).  Both paths give the same bits.  NaN or a negative r
     raises ``DomainError``; +inf gives the closed form's limit.  A scalar r
     and one order give a float.
     """
@@ -178,10 +203,14 @@ def f_kernel(r: ArrayLike, derivative: Union[int, tuple] = 0) -> ArrayLike:
     # one comparison pass: a non-decreasing row from a first value >= 0
     # holds no NaN and no negative value
     if row is not None and row[0] >= 0.0 and (row[1:] >= row[:-1]).all():
-        i = int(np.searchsorted(row, _CROSSOVER))
+        i, j = np.searchsorted(row, (_TINY, _CROSSOVER)).tolist()
         rows = out.reshape(len(orders), -1)
-        _series(row[:i], orders, rows[:, :i])
-        _closed(row[i:], orders, rows[:, i:])
+        # skipped when empty: a short row, such as a scalar's, seldom has the
+        # part, and its empty ufunc calls would cost about 2 us an order
+        if i:
+            _leading(row[:i], orders, rows[:, :i])
+        _series(row[i:j], orders, rows[:, i:j])
+        _closed(row[j:], orders, rows[:, j:])
     else:
         # 0.0 stands in for an empty r; NaN carries
         if not arr.min(initial=0.0) >= 0.0:

@@ -133,6 +133,16 @@ class AngleParam:
         object.__setattr__(p, "exact", Fraction(beta if isinstance(beta, Fraction) else p.beta))
         return p
 
+    def _x2_cube(self):
+        """(2 beta + 1)^3 as (-a2) ** 3, computed at most once per instance: a
+        pow of this negative base costs about 40 times one of a positive base.
+        It is kept outside the fields, so ==, hash and repr do not see it."""
+        cube = self.__dict__.get("_x2_3")
+        if cube is None:
+            cube = (-self.a2) ** 3
+            object.__setattr__(self, "_x2_3", cube)
+        return cube
+
 
 @dataclass(frozen=True)
 class DetResult:
@@ -218,9 +228,7 @@ def _elementary(p: AngleParam, orders):
             gp = (2.0 - 4.0 / a1**2 + 2.0 / x2**2) / 6.0
             terms.append(gp * _LOG2 - hp * log_c - h * d_log_c - 1.0 / a1 + 1.0 / a2)
         else:
-            # each cube once: x2 < 0, and a pow of a negative base costs
-            # about 40 times one of a positive base
-            a1_3, x2_3 = a1**3, x2**3
+            a1_3, x2_3 = a1**3, p._x2_cube()
             gpp = (8.0 / a1_3 - 8.0 / x2_3) / 6.0
             hpp = (4.0 / a1_3 - 8.0 / x2_3) / 6.0
             d2_log_c = -_sp.zeta(2.0, a2 / 2.0) - _sp.zeta(2.0, a1) + 2.0 * np.pi**2 / s**2
@@ -297,7 +305,7 @@ def d_zeta0(p: AngleParam) -> float:
 
 def d2_zeta0(p: AngleParam) -> float:
     # the cube of the negative base 2 beta + 1: -(a2**3) can differ in the last bit
-    return _out(1.0 / (3.0 * p.a1**3) - 2.0 / (3.0 * (-p.a2) ** 3))
+    return _out(1.0 / (3.0 * p.a1**3) - 2.0 / (3.0 * p._x2_cube()))
 
 
 def _area_shifts(p: AngleParam, orders: tuple, area: float) -> list:
@@ -392,9 +400,9 @@ def convexity_lower_bound(p: AngleParam) -> float:
     a1, a2 = p.a1, p.a2
     x2 = -a2  # 2 beta + 1
     half = x2 / 2.0  # beta + 1/2
-    # each cube and the sine once: x2 and half are negative, and a pow of a
-    # negative base costs about 40 times one of a positive base
-    a1_3, x2_3, half_3 = a1**3, x2**3, half**3
+    # each cube and the sine once: half is negative, and a pow of a negative
+    # base costs about 40 times one of a positive base
+    a1_3, x2_3, half_3 = a1**3, p._x2_cube(), half**3
     s = np.sin(np.pi * a2)
 
     P = (2.0 / a1 - 1.0 / x2 - 1.0) / 12.0

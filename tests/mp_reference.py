@@ -1,6 +1,7 @@
 """The unit-area log det and its first two beta-derivatives at 40 digits,
 written out with mpmath: the oracle that ``envelope``'s determinant is
-checked against.
+checked against.  Also zeta(0) and its beta-derivatives, the shifts to any
+area S, and the terms of the two endpoint expansions.
 
 The k-th beta-derivative (k = 0, 1, 2) of the unit-area log det is split as
 ``envelope.DetResult`` splits the value: the elementary terms, and the
@@ -74,10 +75,15 @@ def _kernel(r, k):
     return (em + 1) * (em + 2) / em**3 - 2 / r**3
 
 
+def _log_glaisher():
+    """log A, A the Glaisher-Kinkelin constant: 1/12 - zeta'(-1)."""
+    return 1 / mpmath.mpf(12) - mpmath.zeta(-1, derivative=1)
+
+
 def _barnes(a, k):
     """d^k/da^k zeta_B'(0; a, 1, 1) at a > 0: its head plus the integral of
     t^(k-1) F^(k)(at) / (e^t - 1)."""
-    log_a = 1 / mpmath.mpf(12) - mpmath.zeta(-1, derivative=1)  # log of Glaisher's A
+    log_a = _log_glaisher()
     head = (log_a / a - mpmath.log(2 * mpmath.pi) / 4 + mpmath.euler * a / 12,
             -log_a / a**2 + mpmath.euler / 12,
             2 * log_a / a**3)[k]
@@ -119,11 +125,39 @@ def parts(beta, k):
         return _elementary(b, k), +barnes
 
 
-def zeta0(beta):
-    """zeta(0) = -13/12 + 1/(6 a1) - 1/(12 x2), the coefficient of -log S."""
+def _zeta0(b, k):
+    """The k-th beta-derivative of zeta(0) at the mpf ``b``."""
+    a1, x2 = b + 1, 2 * b + 1
+    return (-mpmath.mpf(13) / 12 + 1 / (6 * a1) - 1 / (12 * x2),
+            -1 / (6 * a1**2) + 1 / (6 * x2**2),
+            1 / (3 * a1**3) - 2 / (3 * x2**3))[k]
+
+
+def zeta0(beta, k=0):
+    """The k-th beta-derivative (k = 0, 1, 2) of zeta(0) = -13/12 + 1/(6 a1)
+    - 1/(12 x2), the coefficient of -log S in the k-th one of log det."""
+    with mpmath.workdps(DPS):
+        return _zeta0(_mp(beta), k)
+
+
+def asymptotic_terms(beta, endpoint):
+    """The terms of the unit-area log det's truncated expansion near
+    ``endpoint``, -1 or -1/2, at 40 digits:
+    -log a1 / (6 a1) + (log(8 pi)/6 - 4 log A) / a1 - log a1 - log 2 near -1,
+    log a2 / (12 x2) - (log 2/6 + log pi/12 - 2 log A) / x2 - 3 log(a2)/4
+    - log(2)/2 - log(pi)/4 near -1/2."""
     with mpmath.workdps(DPS):
         b = _mp(beta)
-        return -mpmath.mpf(13) / 12 + 1 / (6 * (b + 1)) - 1 / (12 * (2 * b + 1))
+        log2, log_pi, log_a = mpmath.log(2), mpmath.log(mpmath.pi), _log_glaisher()
+        if endpoint == -1:
+            a1 = b + 1
+            return (-mpmath.log(a1) / (6 * a1),
+                    (mpmath.log(8 * mpmath.pi) / 6 - 4 * log_a) / a1,
+                    -mpmath.log(a1), -log2)
+        a2, x2 = -2 * b - 1, 2 * b + 1
+        return (mpmath.log(a2) / (12 * x2),
+                -(log2 / 6 + log_pi / 12 - 2 * log_a) / x2,
+                -3 * mpmath.log(a2) / 4, -log2 / 2, -log_pi / 4)
 
 
 def log_det(beta, area=1.0):

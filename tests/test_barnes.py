@@ -260,23 +260,32 @@ def test_fused_kernel_matches_one_order_calls(case):
 
 
 def test_only_a_sorted_single_row_is_written_in_place(monkeypatch):
+    # the buffers the series parts are written to, below _TINY and above it
     written = []
-    series = barnes._series
 
-    def recorded(r, orders, out):
-        written.append(out)
-        return series(r, orders, out)
+    def recording(name):
+        part = getattr(barnes, name)
 
-    monkeypatch.setattr(barnes, "_series", recorded)
+        def recorded(r, orders, out):
+            written.append(out)
+            return part(r, orders, out)
+
+        monkeypatch.setattr(barnes, name, recorded)
+
+    recording("_leading")
+    recording("_series")
     r = np.linspace(0.0, 1.0, 11)
-    # in place: a 1-D row, a (1, n) row and a (1, 1, n) row, non-decreasing from >= 0
+    # in place: a 1-D row, a (1, n) row and a (1, 1, n) row, non-decreasing
+    # from >= 0; the last row's series values all lie below _TINY
     for row in (r, r[None, :], r[None, None, :], np.array([-0.0, 0.0, 0.7])):
         written.clear()
-        assert np.shares_memory(f_kernel(row, (0, 2)), written[0])
+        got = f_kernel(row, (0, 2))
+        assert any(np.shares_memory(got, out) for out in written)
     # by mask: two rows, an unsorted row
     for other in (np.stack([r, r]), r[::-1].copy(), np.array([0.3, 0.2])):
         written.clear()
-        assert not np.shares_memory(f_kernel(other, (0, 2)), written[0])
+        got = f_kernel(other, (0, 2))
+        assert len(written) == 1 and not np.shares_memory(got, written[0])
 
 
 @pytest.mark.parametrize(
@@ -325,6 +334,73 @@ def test_a_signed_zero_keeps_its_sign():
     # -0, on the row path and on the mask path alike
     assert f_kernel([[-0.0, 0.0]], 0).tobytes() == np.array([[0.0, -0.0]]).tobytes()
     assert f_kernel([[-0.0], [0.0]], 0).tobytes() == np.array([[0.0], [-0.0]]).tobytes()
+
+
+def _horner_threshold(coeffs):
+    """The largest double T for which the proof of the short cut below
+    barnes._TINY holds for ``coeffs``: with s0 = fl(T^2), every step j's
+    product fl(s0 c[j+1]) lies below half the gap between c[j] and each of
+    its neighbouring doubles, so adding it to c[j] gives c[j] back.  Rounding
+    is monotone, so the test is too, and a bisection over the bit patterns of
+    the positive doubles finds T."""
+    def holds(t):
+        s0 = t * t
+        for c, above in zip(map(float, coeffs), map(float, coeffs[1:])):
+            gap = min(math.nextafter(c, math.inf) - c, c - math.nextafter(c, -math.inf))
+            if not abs(s0 * above) < gap / 2:
+                return False
+        return True
+
+    # bit patterns lo and hi, of 0.0 and 1.0: the test holds at lo, not at hi
+    lo, hi = 0, int(np.float64(1.0).view(np.int64))
+    assert holds(0.0) and not holds(1.0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(float(np.int64(mid).view(np.float64))) else (lo, mid)
+    return float(np.int64(lo).view(np.float64))
+
+
+HORNER_THRESHOLDS = {k: _horner_threshold(barnes._COEFFS[k]) for k in (0, 1, 2)}
+
+
+def test_the_tiny_threshold_is_proved_from_the_coefficients():
+    assert {k: f"{t:.3e}" for k, t in HORNER_THRESHOLDS.items()} == {
+        0: "4.730e-08", 1: "4.668e-08", 2: "3.621e-08"}
+    assert barnes._TINY <= min(HORNER_THRESHOLDS.values())
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_horner_gives_the_leading_coefficient_below_each_threshold(k):
+    # a sampled check of the proof: the plain loop, started from 0.0
+    s = np.geomspace(1e-300, HORNER_THRESHOLDS[k], 200001) ** 2
+    acc = 0.0
+    for c in reversed(barnes._COEFFS[k]):
+        acc = acc * s + c
+    assert (acc == barnes._COEFFS[k][0]).all()
+
+
+def _tiny_edge_row():
+    """One sorted row: both zeros, the least subnormal, the doubles on either
+    side of _TINY and of each order's threshold, and a log grid below 0.5."""
+    edges = [barnes._TINY, *HORNER_THRESHOLDS.values()]
+    around = [x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0))]
+    grid = np.geomspace(1e-20, math.nextafter(0.5, 0.0), 100000)
+    return np.concatenate([[-0.0, 0.0, 5e-324], np.sort(np.concatenate([around, grid]))])
+
+
+def test_the_short_cut_below_tiny_keeps_every_bit():
+    row = _tiny_edge_row()
+    assert row[0] == 0.0 and (row[1:] >= row[:-1]).all()
+    assert 0 < np.searchsorted(row, barnes._TINY) < row.size
+    fused = f_kernel(row, (0, 1, 2))
+    masked = f_kernel(row[::-1].copy(), (0, 1, 2))[:, ::-1]
+    for k in (0, 1, 2):
+        # the sorted row's three parts, the mask path's Horner everywhere below
+        # 0.5, and the plain loop started from 0.0
+        expected = _masked_kernel(row, k).tobytes()
+        assert f_kernel(row, k).tobytes() == expected
+        assert fused[k].tobytes() == expected
+        assert masked[k].tobytes() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -598,13 +598,24 @@ def _in_domain(betas):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_DOMAIN_BETAS, st.lists(_DOMAIN_BETAS, min_size=1, max_size=8)))
 def test_x2_is_minus_a2_bit_for_bit(betas):
-    # 2 beta + 1 is -a2 and its square a2**2, so neither is written apart
+    # 2 beta + 1 is -a2, its square a2**2 and its cube AngleParam's memo,
+    # computed once, so none is written apart
     p = _in_domain(np.asarray(betas) if isinstance(betas, list) else betas)
     assume(p is not None)
     x2 = 2.0 * p.beta + 1.0
     assert np.array_equal(x2, -p.a2)
     assert np.array_equal(x2**2, p.a2**2)
     assert type(x2) is type(-p.a2)
+    cube = p._x2_cube()
+    assert np.array_equal(cube, x2**3) and type(cube) is type(x2**3)
+    assert p._x2_cube() is cube
+
+
+def test_the_cube_memo_is_not_a_field():
+    p, q = AngleParam(-0.7), AngleParam(-0.7)
+    shown = repr(p)
+    p._x2_cube()
+    assert p == q and hash(p) == hash(q) and repr(p) == shown
 
 
 @pytest.mark.parametrize("beta", [-0.8, BETA_CRITICAL, -0.6])
@@ -700,7 +711,9 @@ def test_critical_area_defining_property():
 
 
 # 40-digit oracles at the equilateral point.  The d2 value is
-# mp_reference.d2 at the exact -2/3, to 20 digits.
+# mp_reference.d2 at the exact -2/3, to 20 digits.  envdet evaluates at
+# BETA_CRITICAL, the double nearest -2/3, where d2 is 2.7e-15 larger
+# (17.609361108641222114), so its checks take the reference there.
 MP_D2_CRITICAL = "17.609361108641219393"
 
 
@@ -719,17 +732,18 @@ def test_critical_value_against_40_digits():
 
 
 def test_critical_d2_against_40_digits():
-    # measured 4.4e-15 off
+    # measured 1.7e-15 off, half an ulp of d2
     with mpmath.workdps(40):
-        error = abs(d2_log_det(AngleParam(BETA_CRITICAL)) - mpmath.mpf(MP_D2_CRITICAL))
-    assert error <= 2e-14
+        error = abs(d2_log_det(AngleParam(BETA_CRITICAL)) - mp_reference.d2(
+            Fraction(BETA_CRITICAL)))
+    assert error <= 7e-15
 
 
 def test_critical_area_against_40_digits():
-    # exp(d2 / 27), 27 being d2_zeta0 at -2/3; measured 4.8e-16 off
+    # exp(d2 / 27), 27 being d2_zeta0 at -2/3; measured 2.8e-16 off, 1.3 ulps
     with mpmath.workdps(40):
-        error = abs(critical_area() - mpmath.exp(mpmath.mpf(MP_D2_CRITICAL) / 27))
-    assert error <= 2e-15
+        error = abs(critical_area() - mpmath.exp(mp_reference.d2(Fraction(BETA_CRITICAL)) / 27))
+    assert error <= 1e-15
 
 
 def test_mp_reference_at_the_exact_equilateral_point():
@@ -787,6 +801,52 @@ def test_derivatives_against_mp_reference(beta, k):
     with mpmath.workdps(40):
         scale = abs(elementary) + abs(barnes)
         assert abs(got - (elementary + barnes)) <= _mp_tolerance(beta) * scale
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_mp_reference_zeta0_derivatives_match_differences(k):
+    with mpmath.workdps(40):
+        b = mpmath.mpf(-0.7)
+        numeric = mpmath.diff(lambda x: mp_reference._zeta0(x, 0), b, k)
+        assert abs(mp_reference._zeta0(b, k) - numeric) <= 1e-30 * abs(numeric)
+
+
+# A seeded sample of scan rows, the first and the last among them: 3000
+# rows are enough for the quadrature to give the kernel one sorted row per
+# node, and a third of those rows (22 of 68) start below barnes._TINY.
+MP_SCAN_COUNT = 3000
+MP_SCAN_ROWS = [0, *sorted(np.random.default_rng(25).choice(
+    np.arange(1, MP_SCAN_COUNT - 1), 4, replace=False).tolist()), MP_SCAN_COUNT - 1]
+
+
+@pytest.mark.parametrize("area", [0.5, 1.0, 3.0])
+def test_scan_rows_against_mp_reference(area, monkeypatch):
+    starts = []
+    kernel = envelope.barnes.f_kernel
+
+    def recorded(r, derivative=0):
+        starts.append(np.min(r))
+        return kernel(r, derivative)
+
+    monkeypatch.setattr(envelope.barnes, "f_kernel", recorded)
+    table = scan(-1.0 + 1e-5, -0.5 - 1e-5, MP_SCAN_COUNT, area)
+    assert np.mean(np.array(starts) < envelope.barnes._TINY) > 0.3
+    with mpmath.workdps(40):
+        log_s = mpmath.log(area)
+        for i in MP_SCAN_ROWS:
+            beta = float(table.beta[i])
+            tol = _mp_tolerance(beta)
+            for k, column in enumerate((table.log_det, table.d1, table.d2)):
+                elementary, barnes = mp_reference.parts(beta, k)
+                shift = mp_reference.zeta0(beta, k) * log_s
+                scale = abs(elementary) + abs(barnes) + abs(shift)
+                assert abs(column[i] - (elementary + barnes - shift)) <= tol * scale, (i, k)
+            shift = mp_reference.zeta0(beta) * log_s
+            for column, endpoint in ((table.asymptotic_neg1, -1), (table.asymptotic_neghalf, -0.5)):
+                terms = mp_reference.asymptotic_terms(beta, endpoint)
+                scale = mpmath.fsum(abs(t) for t in terms) + abs(shift)
+                expected = mpmath.fsum(terms) - shift
+                assert abs(column[i] - expected) <= tol * scale, (i, endpoint)
 
 
 # ---------------------------------------------------------------------------

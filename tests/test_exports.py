@@ -8,8 +8,9 @@ check's result only in its pass rules and its runtime row.  The integral
 route's integrand calls the kernel through the module's name ``f_kernel``
 (a wrapper put there sees every kernel call) and takes e^t - 1 from
 ``math.expm1`` only (``np.expm1`` differs in the last bit).  ``envelope``
-sets ``AngleParam.exact`` in ``from_fraction`` only, and refuses an array
-beta where a float is needed in ``_check_scalar`` only."""
+sets ``AngleParam.exact`` in ``from_fraction`` only, refuses an array beta
+where a float is needed in ``_check_scalar`` only, and cubes 2 beta + 1 in
+``AngleParam._x2_cube`` only.  Only ``barnes.f_kernel`` reads ``_TINY``."""
 
 import ast
 import importlib
@@ -122,21 +123,27 @@ def _name(node):
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
 
-def _callers(source: str, is_call) -> list:
-    """The innermost function around each call in ``source`` that ``is_call``
-    accepts, in source order; None for a call at module level."""
+def _owners(source: str, accept) -> list:
+    """The innermost function around each node of ``source`` that ``accept``
+    takes, in source order; None for a node at module level."""
     found = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Call) and is_call(node):
+        if accept(node):
             found.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(source), None)
     return found
+
+
+def _callers(source: str, is_call) -> list:
+    """The innermost function around each call in ``source`` that ``is_call``
+    accepts, in source order; None for a call at module level."""
+    return _owners(source, lambda node: isinstance(node, ast.Call) and is_call(node))
 
 
 def _area_logs(source: str) -> list:
@@ -252,18 +259,8 @@ def _scalar_refusals(source: str) -> list:
     besides ``_check_scalar``'s."""
     found = _callers(source, lambda call: _name(call.func) == "_real" and call.args
                      and _name(call.args[0]) in ("a1", "a2"))
-    owners = []
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                and "takes a float beta" in node.value):
-            owners.append(owner)
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source), None)
+    owners = _owners(source, lambda node: isinstance(node, ast.Constant)
+                     and isinstance(node.value, str) and "takes a float beta" in node.value)
     return [f"_real in {owner}" for owner in found] + owners
 
 
@@ -283,3 +280,57 @@ def test_a_second_refusal_of_an_array_beta_is_found():
     )
     assert _scalar_refusals(source) == [
         "_real in log_det_area", "_real in zeta", "_check_scalar", "log_det_area"]
+
+
+def _x2_cubes(source: str) -> list:
+    """Where ``source`` cubes 2 beta + 1 as ``x2 ** 3``, ``(-a2) ** 3`` or
+    ``(-p.a2) ** 3``: a pow of a negative base, which AngleParam's memo
+    computes once."""
+    def is_cube(node):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.right, ast.Constant) and node.right.value == 3):
+            return False
+        base = node.left
+        if isinstance(base, ast.UnaryOp) and isinstance(base.op, ast.USub):
+            return _name(base.operand) == "a2"
+        return _name(base) == "x2"
+
+    return _owners(source, is_cube)
+
+
+def test_angle_param_owns_the_cube_of_2_beta_plus_1():
+    source = Path(envelope.__file__).read_text(encoding="utf-8")
+    assert _x2_cubes(source) == ["_x2_cube"]
+
+
+def test_a_second_cube_of_2_beta_plus_1_is_found():
+    source = (
+        "lead = x2 ** 3\n"
+        "def _elementary(p):\n    x2 = -p.a2\n    return a1**3 + x2**3 + x2**2 + half**3\n"
+        "def d2_zeta0(p):\n    return 2.0 / (-p.a2) ** 3 + p.a2 ** 3\n"
+        "def bound(a2):\n    return (-a2) ** 3.0 - (-a1) ** 3\n"
+    )
+    assert _x2_cubes(source) == [None, "_elementary", "d2_zeta0", "bound"]
+
+
+def _tiny_readers(source: str) -> list:
+    """Where ``source`` reads ``_TINY``, by name or as an attribute."""
+    return _owners(source, lambda node: _name(node) == "_TINY"
+                   and isinstance(node.ctx, ast.Load))
+
+
+@pytest.mark.parametrize("filename", MODULE_FILES)
+def test_only_f_kernel_reads_tiny(filename):
+    # the split of a sorted row below _TINY, whose proof holds for the kernel only
+    source = Path(envdet.__file__).with_name(filename).read_text(encoding="utf-8")
+    assert _tiny_readers(source) == (["f_kernel"] if filename == "barnes.py" else [])
+
+
+def test_a_read_of_tiny_elsewhere_is_found():
+    source = (
+        "_TINY = 3.6e-8\n_SPLITS = (_TINY, 0.5)\n"
+        "def _leading(r, out):\n    return r[r < _TINY]\n"
+        "def f_kernel(r):\n    _TINY = 1.0\n    return np.searchsorted(r, (_TINY, 0.5))\n"
+        "def scan(b):\n    return b * barnes._TINY\n"
+    )
+    assert _tiny_readers(source) == [None, "_leading", "f_kernel", "scan"]
