@@ -107,7 +107,7 @@ _A_MAX = 1e27
 # Dedekind sum: on one Xeon core 1/999999 took 0.41 s with a trivial Dedekind
 # sum, and 499999/500001 took 0.46 s, of which 0.11 s in dedekind_sum.
 _PQ_MAX = 10**6
-_ROUTES = ("integral", "series", "rational")  # BarnesEval.route, log_det_area's route
+_ROUTES = ("integral", "series", "rational")  # BarnesEval.route
 
 
 def _series(r: np.ndarray, orders: tuple, out: np.ndarray) -> np.ndarray:
@@ -355,13 +355,7 @@ def zeta_b_prime0_series(a: float, n: int = 4) -> BarnesEval:
     for every a > 0.  ``DomainError`` unless ``a`` is a finite real > 0 and N
     an integer in [2, 16], and where the remainder or the head overflows.
     """
-    value, bound = _series_route(_positive(a, "a"), _whole(n, "n", 2, _KMAX), a)
-    return BarnesEval(value=value, error_bound=bound, route="series")
-
-
-def _series_route(x: float, n: int, a) -> tuple:
-    """The series route's value and certificate at a checked float a = ``x`` > 0
-    and whole n in [2, 16]; ``a`` is shown as given in the overflow message."""
+    x, n = _positive(a, "a"), _whole(n, "n", 2, _KMAX)
     try:  # the remainder holds a's highest power, so it overflows before the tail
         bound = abs(_TAIL[n - 2]) * x ** (2 * n - 1)
     except OverflowError:
@@ -371,7 +365,7 @@ def _series_route(x: float, n: int, a) -> tuple:
     value = _head(x, 0)
     for k in range(2, n):
         value += _TAIL[k - 2] * x ** (2 * k - 1)
-    return value, bound
+    return BarnesEval(value=value, error_bound=bound, route="series")
 
 
 def zeta_b_prime0_rational(r: Fraction) -> BarnesEval:

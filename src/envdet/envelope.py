@@ -13,6 +13,7 @@ extremum verification and figure data.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -108,8 +109,12 @@ class AngleParam:
     grid points, kept as a float64 array.  The determinant, its derivatives,
     zeta0 and its derivatives, the endpoint expansions and the convexity
     bound map a float beta to a float and an array beta to an array, element
-    by element; the series and rational routes, the scaling factor and the
-    geometry take a float beta only (an array raises ``DomainError``).
+    by element; the rational route, the scaling factor and the geometry take
+    a float beta only (an array raises ``DomainError``).
+
+    Two derived quantities are computed at most once per instance, on first
+    read, and kept outside the fields, so ==, hash and repr do not see them:
+    the cube of 2 beta + 1 and sin(pi a2), cos(pi a2).
     """
 
     beta: Union[float, np.ndarray]
@@ -133,15 +138,20 @@ class AngleParam:
         object.__setattr__(p, "exact", Fraction(beta if isinstance(beta, Fraction) else p.beta))
         return p
 
+    # cached_property writes the instance __dict__ directly, so it works on
+    # this frozen dataclass
+    @functools.cached_property
     def _x2_cube(self):
-        """(2 beta + 1)^3 as (-a2) ** 3, computed at most once per instance: a
-        pow of this negative base costs about 40 times one of a positive base.
-        It is kept outside the fields, so ==, hash and repr do not see it."""
-        cube = self.__dict__.get("_x2_3")
-        if cube is None:
-            cube = (-self.a2) ** 3
-            object.__setattr__(self, "_x2_3", cube)
-        return cube
+        """(2 beta + 1)^3 as (-a2) ** 3: a pow of this negative base costs
+        about 40 times one of a positive base."""
+        return (-self.a2) ** 3
+
+    @functools.cached_property
+    def _sin_cos(self):
+        """sin(pi a2) and cos(pi a2), the one sine of the scaling factor, the
+        elementary terms and the convexity bound."""
+        x = np.pi * self.a2
+        return np.sin(x), np.cos(x)
 
 
 @dataclass(frozen=True)
@@ -192,15 +202,13 @@ class ScanTable:
 # --------------------------------------------------------------------------
 
 
-def _log_c(p: AngleParam, sine=None):
-    """log c, with ``sine`` the caller's sin(pi a2) if it has one."""
-    if sine is None:
-        sine = np.sin(np.pi * p.a2)
+def _log_c(p: AngleParam):
+    """log c, c the scaling factor."""
     return (
         _LOG2
         - _sp.gammaln(p.a2 / 2.0)
         - _sp.gammaln(p.a1)
-        + 0.5 * (LOG_PI - np.log(sine))
+        + 0.5 * (LOG_PI - np.log(p._sin_cos[0]))
     )
 
 
@@ -212,11 +220,11 @@ def _elementary(p: AngleParam, orders):
     b, a1, a2 = p.beta, p.a1, p.a2
     x2 = -a2  # 2 beta + 1, bit for bit
     h = (2.0 / a1 - 1.0 / x2 - 1.0) / 6.0
-    s = np.sin(np.pi * a2)
-    log_c = _log_c(p, s)
+    s, c = p._sin_cos
+    log_c = _log_c(p)
     if max(orders) > 0:
         hp = (-2.0 / a1**2 + 2.0 / x2**2) / 6.0
-        d_log_c = _sp.psi(a2 / 2.0) - _sp.psi(a1) + np.pi * np.cos(np.pi * a2) / s
+        d_log_c = _sp.psi(a2 / 2.0) - _sp.psi(a1) + np.pi * c / s
     terms = []
     for k in orders:
         if k == 0:
@@ -228,7 +236,7 @@ def _elementary(p: AngleParam, orders):
             gp = (2.0 - 4.0 / a1**2 + 2.0 / x2**2) / 6.0
             terms.append(gp * _LOG2 - hp * log_c - h * d_log_c - 1.0 / a1 + 1.0 / a2)
         else:
-            a1_3, x2_3 = a1**3, p._x2_cube()
+            a1_3, x2_3 = a1**3, p._x2_cube
             gpp = (8.0 / a1_3 - 8.0 / x2_3) / 6.0
             hpp = (4.0 / a1_3 - 8.0 / x2_3) / 6.0
             d2_log_c = -_sp.zeta(2.0, a2 / 2.0) - _sp.zeta(2.0, a1) + 2.0 * np.pi**2 / s**2
@@ -305,7 +313,7 @@ def d_zeta0(p: AngleParam) -> float:
 
 def d2_zeta0(p: AngleParam) -> float:
     # the cube of the negative base 2 beta + 1: -(a2**3) can differ in the last bit
-    return _out(1.0 / (3.0 * p.a1**3) - 2.0 / (3.0 * p._x2_cube()))
+    return _out(1.0 / (3.0 * p.a1**3) - 2.0 / (3.0 * p._x2_cube))
 
 
 def _area_shifts(p: AngleParam, orders: tuple, area: float) -> list:
@@ -314,28 +322,17 @@ def _area_shifts(p: AngleParam, orders: tuple, area: float) -> list:
     return [(zeta0, d_zeta0, d2_zeta0)[k](p) * math.log(area) for k in orders]
 
 
-def log_det_area(
-    p: AngleParam,
-    area: float,
-    route: str = "integral",
-    series_terms: int = 4,
-) -> DetResult:
+def log_det_area(p: AngleParam, area: float, route: str = "integral") -> DetResult:
     """log det at the given area: the unit-area value minus zeta0 * log(area),
     with the Barnes terms evaluated by ``route``.
 
     ``route='rational'`` requires ``p`` built via :meth:`AngleParam.from_fraction`
-    and gives the exact closed-form evaluation; ``'series'`` uses the
-    certified truncation of order ``series_terms``.
+    and gives the exact closed-form evaluation.
     """
     area = _positive(area, "area")
-    route = _choice(route, barnes._ROUTES, "route")
+    route = _choice(route, ("integral", "rational"), "route")
     if route == "integral":
         (zb1, zb2), = _integral_pair(p, (0,))
-    elif route == "series":
-        # a1 and a2 are AngleParam's checked floats, so only n is checked here
-        _check_scalar(p, "log_det_area(route='series')")
-        n = _whole(series_terms, "n", 2, barnes._KMAX)
-        (zb1, _), (zb2, _) = (barnes._series_route(a, n, a) for a in (p.a1, p.a2))
     else:
         if p.exact is None:
             raise DomainError("route='rational' needs AngleParam.from_fraction")
@@ -400,10 +397,10 @@ def convexity_lower_bound(p: AngleParam) -> float:
     a1, a2 = p.a1, p.a2
     x2 = -a2  # 2 beta + 1
     half = x2 / 2.0  # beta + 1/2
-    # each cube and the sine once: half is negative, and a pow of a negative
-    # base costs about 40 times one of a positive base
-    a1_3, x2_3, half_3 = a1**3, p._x2_cube(), half**3
-    s = np.sin(np.pi * a2)
+    # each cube once: half is negative, and a pow of a negative base costs
+    # about 40 times one of a positive base
+    a1_3, x2_3, half_3 = a1**3, p._x2_cube, half**3
+    s, c = p._sin_cos
 
     P = (2.0 / a1 - 1.0 / x2 - 1.0) / 12.0
     Pp = (-2.0 / a1**2 + 2.0 / x2**2) / 12.0
@@ -421,7 +418,7 @@ def convexity_lower_bound(p: AngleParam) -> float:
         + series_q
     )
     Qp = (
-        -2.0 * np.pi * np.cos(np.pi * a2) / s
+        -2.0 * np.pi * c / s
         - 2.0 / a1
         - 4.0 / x2
         + 2.0 * (_ZETA2 * (a1 + half) + _ZETA3 * (-(a1**2) + half**2))

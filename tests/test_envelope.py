@@ -293,41 +293,17 @@ def test_log_det_special_values_both_routes():
         assert abs(rational - integral) <= 1e-9
 
 
-def test_log_det_series_route_within_certificate():
-    p = AngleParam(-0.8)
-    exact = log_det_area(p, 1.0).log_det
-    from envdet.barnes import zeta_b_prime0_series
-
-    for n in (3, 4, 5):
-        approx = log_det_area(p, 1.0, route="series", series_terms=n).log_det
-        bound1, bound2 = (zeta_b_prime0_series(a, n).error_bound for a in (p.a1, p.a2))
-        budget = 4.0 * bound1 + 2.0 * bound2
-        assert abs(approx - exact) <= budget + 1e-13
-
-
-_SERIES_ARRAY = "log_det_area(route='series') takes a float beta, got an array of shape (2,)"
-
-
-@pytest.mark.parametrize(
-    "beta, n, message",
-    [(-0.7, 1, "n must be an integer in [2, 16], got 1"),
-     (-0.7, 2.5, "n must be an integer in [2, 16], got 2.5"),
-     (-0.7, "4", "n must be a real number, got '4'"),
-     pytest.param(np.array([-0.7, -0.6]), 4, _SERIES_ARRAY, id="array-4"),
-     pytest.param(np.array([-0.7, -0.6]), 1, _SERIES_ARRAY, id="array-1")],
-)
-def test_log_det_series_route_messages(beta, n, message):
-    # the series route refuses an array beta before it looks at n
-    with pytest.raises(DomainError) as info:
-        log_det_area(AngleParam(beta), 1.0, route="series", series_terms=n)
-    assert str(info.value) == message
-
-
 def test_log_det_rational_route_needs_fraction():
     with pytest.raises(DomainError):
         log_det_area(AngleParam(-0.75), 1.0, route="rational")
     with pytest.raises(DomainError):
         log_det_area(AngleParam(-0.75), 1.0, route="bogus")
+    # the series route is zeta_b_prime0_series' and BarnesEval's only
+    with pytest.raises(DomainError) as info:
+        log_det_area(AngleParam(-0.75), 1.0, route="series")
+    assert str(info.value) == "route must be one of 'integral', 'rational', got 'series'"
+    with pytest.raises(TypeError):
+        log_det_area(AngleParam(-0.75), 1.0, series_terms=4)
 
 
 @pytest.mark.parametrize("beta", sorted(FROZEN_MIDPOINTS))
@@ -606,16 +582,18 @@ def test_x2_is_minus_a2_bit_for_bit(betas):
     assert np.array_equal(x2, -p.a2)
     assert np.array_equal(x2**2, p.a2**2)
     assert type(x2) is type(-p.a2)
-    cube = p._x2_cube()
+    cube = p._x2_cube
     assert np.array_equal(cube, x2**3) and type(cube) is type(x2**3)
-    assert p._x2_cube() is cube
+    assert p._x2_cube is cube
 
 
 def test_the_cube_memo_is_not_a_field():
+    # nor is the sine memo
     p, q = AngleParam(-0.7), AngleParam(-0.7)
     shown = repr(p)
-    p._x2_cube()
+    p._x2_cube, p._sin_cos  # each read fills its memo
     assert p == q and hash(p) == hash(q) and repr(p) == shown
+    assert p._sin_cos is p._sin_cos
 
 
 @pytest.mark.parametrize("beta", [-0.8, BETA_CRITICAL, -0.6])

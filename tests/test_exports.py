@@ -9,8 +9,9 @@ route's integrand calls the kernel through the module's name ``f_kernel``
 (a wrapper put there sees every kernel call) and takes e^t - 1 from
 ``math.expm1`` only (``np.expm1`` differs in the last bit).  ``envelope``
 sets ``AngleParam.exact`` in ``from_fraction`` only, refuses an array beta
-where a float is needed in ``_check_scalar`` only, and cubes 2 beta + 1 in
-``AngleParam._x2_cube`` only.  Only ``barnes.f_kernel`` reads ``_TINY``."""
+where a float is needed in ``_check_scalar`` only, cubes 2 beta + 1 in
+``AngleParam._x2_cube`` only, and calls ``np.sin`` and ``np.cos`` in
+``AngleParam._sin_cos`` only.  Only ``barnes.f_kernel`` reads ``_TINY``."""
 
 import ast
 import importlib
@@ -311,6 +312,27 @@ def test_a_second_cube_of_2_beta_plus_1_is_found():
         "def bound(a2):\n    return (-a2) ** 3.0 - (-a1) ** 3\n"
     )
     assert _x2_cubes(source) == [None, "_elementary", "d2_zeta0", "bound"]
+
+
+def _sines(source: str) -> list:
+    """Where ``source`` calls ``np.sin`` or ``np.cos``: sin(pi a2) and
+    cos(pi a2), which AngleParam's memo computes once."""
+    return _callers(source, lambda node: isinstance(node.func, ast.Attribute)
+                    and _name(node.func.value) == "np" and node.func.attr in ("sin", "cos"))
+
+
+def test_angle_param_owns_the_sine_of_pi_a2():
+    source = Path(envelope.__file__).read_text(encoding="utf-8")
+    assert _sines(source) == ["_sin_cos", "_sin_cos"]
+
+
+def test_a_second_sine_of_pi_a2_is_found():
+    source = (
+        "s = np.sin(np.pi * a2)\n"
+        "def _log_c(p):\n    return np.log(np.sin(np.pi * p.a2)) + math.sin(p.a1)\n"
+        "def bound(p):\n    s, c = p._sin_cos\n    return np.cos(np.pi * p.a2) / s + np.tan(c)\n"
+    )
+    assert _sines(source) == [None, "_log_c", "bound"]
 
 
 def _tiny_readers(source: str) -> list:

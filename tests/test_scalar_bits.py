@@ -2,7 +2,7 @@
 
 The scan hashes pin the array path only.  These ``float.hex`` strings pin
 what a float beta or a float a gives: the parts of ``log_det_area`` on the
-integral and series routes, both beta-derivatives, the series route of
+integral route, both beta-derivatives, the series route of
 zeta_B'(0; a, 1, 1) with its certificate, the integral route and its two
 a-derivatives at the ends of its range of a, the closed-form terms (zeta0,
 its two derivatives, the expansion near beta = -1/2 and the convexity bound),
@@ -40,16 +40,6 @@ DERIVATIVES = {
     -0.75: ("-0x1.8c068866e1a5ap+0", "0x1.74def56474206p+4"),
     -2.0 / 3.0: ("0x1.0000000000000p-49", "0x1.19bff16f11180p+4"),
     -0.51: ("0x1.56c9fc543669cp+9", "0x1.4fa75c49e4d5cp+17"),
-}
-SERIES_ROUTE = {
-    (-0.999, 2): ("0x1.5dec721dd1f3fp+9", "0x1.a7422b0611735p+10", "-0x1.f097e3ee50f2bp+9"),
-    (-0.999, 4): ("0x1.5ded163cd98a8p+9", "0x1.a7422b0611735p+10", "-0x1.f0973fcf495c2p+9"),
-    (-0.75, 2): ("0x1.4f7c0c282ab48p-4", "0x1.5d15af285ab0ep+1", "-0x1.5299cec7195b4p+1"),
-    (-0.75, 4): ("0x1.5388e1d43d354p-4", "0x1.5d15af285ab0ep+1", "-0x1.52796819b8c73p+1"),
-    (-2.0 / 3.0, 2): ("0x1.57a59b5f4a590p-6", "0x1.159aba663ff40p+1", "-0x1.12eb6f2f815f5p+1"),
-    (-2.0 / 3.0, 4): ("0x1.6378989d336b0p-6", "0x1.159aba663ff40p+1", "-0x1.12d3c935058d3p+1"),
-    (-0.51, 2): ("0x1.13b55b51edb60p+2", "0x1.ce25f839d313ep+4", "-0x1.8938a16557a66p+4"),
-    (-0.51, 4): ("0x1.13cd9437ed248p+2", "0x1.ce25f839d313ep+4", "-0x1.8932932bd7cacp+4"),
 }
 BARNES_SERIES = {
     (0.005, 2): ("0x1.8a555552a6a68p+5", "0x1.caea453a8569dp-32"),
@@ -131,13 +121,6 @@ def test_log_det_area_parts(beta, area):
 def test_derivatives(beta):
     p = AngleParam(beta)
     assert _hex(envelope.d_log_det(p), envelope.d2_log_det(p)) == DERIVATIVES[beta]
-
-
-@pytest.mark.parametrize("beta,n", sorted(SERIES_ROUTE))
-def test_log_det_area_series_route(beta, n):
-    det = envelope.log_det_area(AngleParam(beta), 1.0, route="series", series_terms=n)
-    parts = (det.log_det, det.elementary_part, det.barnes_part)
-    assert _hex(*parts) == SERIES_ROUTE[beta, n]
 
 
 @pytest.mark.parametrize("a,n", sorted(BARNES_SERIES))
