@@ -13,8 +13,12 @@ extremum verification and figure data.
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -66,6 +70,12 @@ _MAX_DENOMINATOR = 12
 # are set for; every column is held in memory, so a far larger count would
 # allocate until the host runs out.
 _MAX_SCAN_COUNT = 10**6
+# Fewest betas whose closed-form terms run on the background thread beside
+# the quadrature.  Timing d2_log_det serial against overlapped (2-core x86_64,
+# medians of 31-41 alternated runs, in each of three or four passes), the
+# overlap lost 9-13 % at 448 betas and won 3-7 % at 512 and 9-13 % at 1024:
+# below the break-even the hand-off costs more than the overlap saves.
+_OVERLAP_MIN = 512
 
 _BETA_CRITICAL_EXACT = Fraction(-2, 3)
 BETA_CRITICAL = float(_BETA_CRITICAL_EXACT)
@@ -278,13 +288,58 @@ def _chain(k: int, elementary, z1, z2):
     return out + 2.0 * ZETA_PRIME_NEG1 if k == 0 else out
 
 
+# The one background thread, made on first use.  A forked child drops its
+# parent's, whose thread it does not inherit, and the lock, which another
+# thread may have held at the fork.
+_background = None
+_background_lock = threading.Lock()
+_on_background = threading.local()
+
+
+def _drop_background() -> None:
+    global _background, _background_lock
+    _background, _background_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # a platform without fork has nothing to drop
+    os.register_at_fork(after_in_child=_drop_background)
+
+
+def _in_background(job, p: AngleParam, *args):
+    """Start ``job(p, *args)`` and return a function that waits for it and
+    returns its value or raises its error.
+
+    The job runs on the one background thread, in a copy of the caller's
+    context (so under its numpy errstate), when ``p.beta`` is an array of at
+    least ``_OVERLAP_MIN`` betas; otherwise, and when called from that thread,
+    it runs here and now.  Its callers read the result, even when they
+    raise, so that no job outlives their call."""
+    global _background
+    if not (isinstance(p.beta, np.ndarray) and p.beta.size >= _OVERLAP_MIN) or getattr(
+        _on_background, "is_worker", False
+    ):
+        value = job(p, *args)
+        return lambda: value
+    with _background_lock:
+        if _background is None:
+            _background = concurrent.futures.ThreadPoolExecutor(
+                1, initializer=setattr, initargs=(_on_background, "is_worker", True)
+            )
+        future = _background.submit(contextvars.copy_context().run, job, p, *args)
+    return future.result
+
+
 def _unit(p: AngleParam, orders: tuple) -> list:
     """The k-th beta-derivatives of the unit-area log det for each order k in
-    ``orders``, from one elementary-term pass and one quadrature."""
-    return [
-        _chain(k, e, z1, z2)
-        for k, e, (z1, z2) in zip(orders, _elementary(p, orders), _integral_pair(p, orders))
-    ]
+    ``orders``, from one elementary-term pass and one quadrature; for a large
+    array the pass runs on the background thread beside the quadrature."""
+    elementary = _in_background(_elementary, p, orders)
+    try:
+        pair = _integral_pair(p, orders)
+    finally:
+        # an elementary error comes first, as when the terms ran first
+        elementary = elementary()
+    return [_chain(k, e, z1, z2) for k, e, (z1, z2) in zip(orders, elementary, pair)]
 
 
 # --------------------------------------------------------------------------

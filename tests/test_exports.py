@@ -11,7 +11,11 @@ route's integrand calls the kernel through the module's name ``f_kernel``
 sets ``AngleParam.exact`` in ``from_fraction`` only, refuses an array beta
 where a float is needed in ``_check_scalar`` only, cubes 2 beta + 1 in
 ``AngleParam._x2_cube`` only, and calls ``np.sin`` and ``np.cos`` in
-``AngleParam._sin_cos`` only.  Only ``barnes.f_kernel`` reads ``_TINY``."""
+``AngleParam._sin_cos`` only.  Only ``barnes.f_kernel`` reads ``_TINY``.
+The one background thread has one owner: only ``envelope._in_background``
+makes a ``ThreadPoolExecutor`` or a ``threading.Thread`` and reads
+``_OVERLAP_MIN``, and only ``envelope._unit`` and ``verify._criterion_5``
+call it."""
 
 import ast
 import importlib
@@ -356,3 +360,55 @@ def test_a_read_of_tiny_elsewhere_is_found():
         "def scan(b):\n    return b * barnes._TINY\n"
     )
     assert _tiny_readers(source) == [None, "_leading", "f_kernel", "scan"]
+
+
+def _thread_makers(source: str) -> list:
+    """Where ``source`` constructs a ``ThreadPoolExecutor`` or a ``Thread``."""
+    return _callers(source, lambda call: _name(call.func) in ("ThreadPoolExecutor", "Thread"))
+
+
+def _background_callers(source: str) -> list:
+    """Where ``source`` calls ``_in_background``, by name or as an attribute."""
+    return _callers(source, lambda call: _name(call.func) == "_in_background")
+
+
+def _overlap_min_readers(source: str) -> list:
+    """Where ``source`` reads ``_OVERLAP_MIN``, by name or as an attribute."""
+    return _owners(source, lambda node: _name(node) == "_OVERLAP_MIN"
+                   and isinstance(node.ctx, ast.Load))
+
+
+_BACKGROUND_OWNERS = {
+    "envelope.py": (["_in_background"], ["_unit"], ["_in_background"]),
+    "verify.py": ([], ["_criterion_5"], []),
+}
+
+
+@pytest.mark.parametrize("filename", MODULE_FILES)
+def test_in_background_owns_the_one_background_thread(filename):
+    # one executor, one size gate, two callers: at most one extra thread, and
+    # never for a scalar beta or a small array
+    source = Path(envdet.__file__).with_name(filename).read_text(encoding="utf-8")
+    expected = _BACKGROUND_OWNERS.get(filename, ([], [], []))
+    assert (
+        _thread_makers(source), _background_callers(source), _overlap_min_readers(source)
+    ) == expected
+
+
+def test_a_second_owner_of_the_background_thread_is_found():
+    source = (
+        "_POOL = concurrent.futures.ThreadPoolExecutor(2)\n"
+        "_BIG = 2 * _OVERLAP_MIN\n"
+        "def _in_background(job, p):\n"
+        "    if p.beta.size >= _OVERLAP_MIN:\n"
+        "        return ThreadPoolExecutor(1).submit(job, p).result\n"
+        "def _columns(p):\n"
+        "    threading.Thread(target=_elementary, args=(p,)).start()\n"
+        "    return envelope._in_background(_area_shifts, p)\n"
+        "def scan(b):\n"
+        "    if b.size > envelope._OVERLAP_MIN:\n"
+        "        return _in_background(_columns, AngleParam(b))()\n"
+    )
+    assert _thread_makers(source) == [None, "_in_background", "_columns"]
+    assert _background_callers(source) == ["_columns", "scan"]
+    assert _overlap_min_readers(source) == [None, "_in_background", "scan"]
