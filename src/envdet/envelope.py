@@ -76,6 +76,14 @@ _MAX_SCAN_COUNT = 10**6
 # overlap lost 9-13 % at 448 betas and won 3-7 % at 512 and 9-13 % at 1024:
 # below the break-even the hand-off costs more than the overlap saves.
 _OVERLAP_MIN = 512
+# Fewest betas of a several-order call whose last order's quadrature runs on
+# the background thread, after the closed-form terms, beside the quadrature
+# of the other orders.  Timing a library scan serial against split (2-core
+# x86_64, medians of 21-31 alternated runs), the split lost 13 % at 8000
+# betas and 3 % at 10000, tied at 11000 (13/31 won), and won 4 % at 12000
+# (25/31), 10 % at 15000 and 19 % at 20000: below the break-even the two
+# threads' GIL hand-offs cost more than the second core saves.
+_SPLIT_MIN = 12_000
 
 _BETA_CRITICAL_EXACT = Fraction(-2, 3)
 BETA_CRITICAL = float(_BETA_CRITICAL_EXACT)
@@ -329,16 +337,40 @@ def _in_background(job, p: AngleParam, *args):
     return future.result
 
 
+def _elementary_then_pair(p: AngleParam, orders: tuple, last: tuple):
+    """The elementary terms of ``orders``, then, for a nonempty ``last``, the
+    integral pair of the orders ``last`` or the error of its quadrature,
+    returned rather than raised: the caller raises it only after an error of
+    its own quadrature, as when the orders ran in one."""
+    elementary = _elementary(p, orders)
+    if not last:
+        return elementary, None
+    try:
+        return elementary, _integral_pair(p, last)
+    except Exception as error:  # raised by _unit, after its own quadrature's
+        return elementary, error
+
+
 def _unit(p: AngleParam, orders: tuple) -> list:
     """The k-th beta-derivatives of the unit-area log det for each order k in
-    ``orders``, from one elementary-term pass and one quadrature; for a large
-    array the pass runs on the background thread beside the quadrature."""
-    elementary = _in_background(_elementary, p, orders)
+    ``orders``, from one elementary-term pass and the quadrature of the
+    orders; for a large array the pass runs on the background thread beside
+    the quadrature.  An array of at least ``_SPLIT_MIN`` betas and several
+    orders takes two quadratures, the last order's on the background thread
+    after the pass and the others' here: the same bits, as each order's
+    quadrature converges on its own."""
+    split = len(orders) > 1 and isinstance(p.beta, np.ndarray) and p.beta.size >= _SPLIT_MIN
+    here, there = (orders[:-1], orders[-1:]) if split else (orders, ())
+    background = _in_background(_elementary_then_pair, p, orders, there)
     try:
-        pair = _integral_pair(p, orders)
+        pair = _integral_pair(p, here)
     finally:
         # an elementary error comes first, as when the terms ran first
-        elementary = elementary()
+        elementary, last = background()
+    if there:
+        if isinstance(last, Exception):
+            raise last
+        pair = np.concatenate((pair, last))
     return [_chain(k, e, z1, z2) for k, e, (z1, z2) in zip(orders, elementary, pair)]
 
 
@@ -521,7 +553,8 @@ def geometry(p: AngleParam, area: float = 1.0) -> EnvelopeGeometry:
 def _columns(b: np.ndarray, area: float):
     """The ScanTable columns at the betas ``b``, in field order: the values
     of log_det_area, d_log_det and d2_log_det, from one quadrature for all
-    three orders."""
+    three orders, or, from ``_SPLIT_MIN`` betas on, one for orders 0 and 1
+    and one for order 2 on the background thread."""
     p = AngleParam(b)
     unit = _unit(p, (0, 1, 2))
     # the shifts are built after the quadrature so that they are not held

@@ -1,9 +1,11 @@
 """The one background thread of ``envelope._in_background``: an array of at
 least ``_OVERLAP_MIN`` betas computes its closed-form terms there, beside the
-quadrature on the calling thread, with the errors, errstate and results of
-the serial order; scalars and smaller arrays never start it, and a forked
-child makes its own."""
+quadrature on the calling thread, and a scan of at least ``_SPLIT_MIN`` betas
+its order-2 quadrature too, after them, beside the quadrature of orders 0 and
+1; both with the errors, errstate and results of the serial order.  Scalars
+and smaller arrays never start it, and a forked child makes its own."""
 
+import collections
 import multiprocessing
 import sys
 import threading
@@ -16,6 +18,8 @@ from envdet import envelope
 from envdet.envelope import AngleParam, d2_log_det, d_log_det, log_det_area, scan
 
 N = envelope._OVERLAP_MIN
+S = envelope._SPLIT_MIN
+COLUMNS = ("beta", "log_det", "d1", "d2", "asymptotic_neg1", "asymptotic_neghalf")
 
 
 def _grid(n):
@@ -27,6 +31,10 @@ class ElementaryError(Exception):
 
 
 class QuadratureError(Exception):
+    pass
+
+
+class LastOrderError(Exception):
     pass
 
 
@@ -141,6 +149,148 @@ def test_concurrent_callers_share_one_worker_and_get_the_serial_bits(monkeypatch
     assert not any(thread.is_alive() for thread in threads)
     assert len(made) == 1
     assert all(r.tobytes() == reference[i % 2].tobytes() for i, r in enumerate(results))
+
+
+def _wide_scan(n):
+    return scan(-0.999, -0.501, n, 1.7)
+
+
+@pytest.mark.parametrize("n", [S - 1, S])
+@pytest.mark.parametrize(
+    "raising, expected",
+    [
+        ({"elementary"}, ElementaryError),
+        ({"lower"}, QuadratureError),
+        ({"last"}, LastOrderError),
+        ({"elementary", "lower"}, ElementaryError),
+        ({"elementary", "last"}, ElementaryError),
+        ({"lower", "last"}, QuadratureError),
+        ({"elementary", "lower", "last"}, ElementaryError),
+    ],
+)
+def test_a_split_scan_raises_the_serial_orders_error(n, raising, expected, monkeypatch):
+    # below _SPLIT_MIN one quadrature runs over orders 0, 1 and 2, and fails
+    # as its first failing order would; from _SPLIT_MIN on the order-2
+    # quadrature runs apart, and its error comes last
+    real_elementary, real_pair = envelope._elementary, envelope._integral_pair
+
+    def elementary(p, orders):
+        if "elementary" in raising:
+            raise ElementaryError
+        return real_elementary(p, orders)
+
+    def pair(p, orders):
+        if "lower" in raising and 0 in orders:
+            raise QuadratureError
+        if "last" in raising and 2 in orders:
+            raise LastOrderError
+        return real_pair(p, orders)
+
+    monkeypatch.setattr(envelope, "_elementary", elementary)
+    monkeypatch.setattr(envelope, "_integral_pair", pair)
+    with pytest.raises(expected):
+        _wide_scan(n)
+
+
+@pytest.mark.parametrize("n", [S - 1, S])
+def test_a_split_scans_quadrature_error_waits_for_every_job(n, monkeypatch):
+    real_elementary, real_pair = envelope._elementary, envelope._integral_pair
+    finished = []
+
+    def slow_elementary(p, orders):
+        time.sleep(0.2)
+        finished.append(("elementary", threading.get_ident()))
+        return real_elementary(p, orders)
+
+    def pair(p, orders):
+        if 0 in orders:
+            raise QuadratureError
+        time.sleep(0.2)
+        finished.append((orders, threading.get_ident()))
+        return real_pair(p, orders)
+
+    monkeypatch.setattr(envelope, "_elementary", slow_elementary)
+    monkeypatch.setattr(envelope, "_integral_pair", pair)
+    with pytest.raises(QuadratureError):
+        _wide_scan(n)
+    # every job ran on the other thread, and had finished when the error arrived
+    assert [job for job, _ in finished] == (["elementary", (2,)] if n >= S else ["elementary"])
+    assert all(thread != threading.get_ident() for _, thread in finished)
+
+
+@pytest.mark.parametrize("n", [S - 1, S])
+def test_every_quadrature_of_a_scan_runs_under_the_callers_errstate(n, monkeypatch):
+    real_pair = envelope._integral_pair
+    seen = []
+
+    def pair(p, orders):
+        seen.append((orders, np.geterr()["divide"], threading.get_ident()))
+        return real_pair(p, orders)
+
+    monkeypatch.setattr(envelope, "_integral_pair", pair)
+    with np.errstate(divide="ignore"):
+        _wide_scan(n)
+    assert sorted(orders for orders, _, _ in seen) == ([(0, 1), (2,)] if n >= S else [(0, 1, 2)])
+    assert all(setting == "ignore" for _, setting, _ in seen)
+    # the order-2 quadrature of a split ran on the other thread
+    assert len({thread for _, _, thread in seen}) == (2 if n >= S else 1)
+
+
+def _columns_bytes(table):
+    return [getattr(table, name).tobytes() for name in COLUMNS]
+
+
+@pytest.mark.parametrize("n", [S - 1, S, S + 1, 20_000, 100_000])
+def test_a_split_scan_gives_the_serial_bits(n, monkeypatch):
+    split = _columns_bytes(_wide_scan(n))
+    monkeypatch.setattr(envelope, "_SPLIT_MIN", n + 1)
+    assert split == _columns_bytes(_wide_scan(n))
+
+
+def test_a_split_takes_several_orders_of_a_wide_array_only(monkeypatch):
+    real_pair = envelope._integral_pair
+    orders_seen = []
+
+    def pair(p, orders):
+        orders_seen.append(orders)
+        return real_pair(p, orders)
+
+    monkeypatch.setattr(envelope, "_integral_pair", pair)
+    d_log_det(_grid(S))
+    d2_log_det(_grid(S))
+    log_det_area(_grid(S), 2.0)
+    _wide_scan(S - 1)
+    assert orders_seen == [(1,), (2,), (0,), (0, 1, 2)]
+    orders_seen.clear()
+    _wide_scan(S)
+    assert collections.Counter(orders_seen) == collections.Counter([(0, 1), (2,)])
+
+
+def test_concurrent_split_scans_get_the_serial_bits():
+    sizes = (S - 1, S)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(envelope, "_SPLIT_MIN", 10**9)
+        reference = [_columns_bytes(_wide_scan(n)) for n in sizes]
+    callers = 4  # more than the cores of a small host
+    start = threading.Barrier(callers)
+    results = [None] * callers
+
+    def call(i):
+        start.wait(timeout=30)
+        results[i] = _columns_bytes(_wide_scan(sizes[i % 2]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(callers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(r == reference[i % 2] for i, r in enumerate(results))
 
 
 def _exit_code_in_fork(target) -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -965,7 +966,9 @@ def test_scan_exact_points_share_one_evaluation(monkeypatch):
     assert len(calls) == 1  # orders 0, 1 and 2 together, over the grid and the exact betas at once
 
 
-def test_scan_runs_one_quadrature_and_one_kernel_call_per_node(monkeypatch):
+def _scan_call_plan(count, monkeypatch):
+    """The quadratures and the (shape, orders) of the kernel calls of one
+    ``count``-point scan."""
     quadratures, kernel_calls = [], []
     kernel = envelope.barnes.f_kernel
 
@@ -979,10 +982,26 @@ def test_scan_runs_one_quadrature_and_one_kernel_call_per_node(monkeypatch):
 
     monkeypatch.setattr(envelope.barnes, "integrate_semi_infinite", quadrature)
     monkeypatch.setattr(envelope.barnes, "f_kernel", counted_kernel)
-    scan(-0.9999, -0.5001, 20000, 1.7)
+    scan(-0.9999, -0.5001, count, 1.7)
+    return quadratures, kernel_calls
+
+
+def test_scan_runs_one_quadrature_and_one_kernel_call_per_node(monkeypatch):
+    count = envelope._SPLIT_MIN - 1
+    quadratures, kernel_calls = _scan_call_plan(count, monkeypatch)
     assert len(quadratures) == 1
-    # all three orders at each of the 68 nodes, on the 40000 values of a
-    assert kernel_calls == [((1, 40000), (0, 1, 2))] * 68
+    # all three orders at each of the 68 nodes, on the 2 x count values of a
+    assert kernel_calls == [((1, 2 * count), (0, 1, 2))] * 68
+
+
+def test_a_wide_scan_runs_two_quadratures_and_one_kernel_call_per_node_in_each(monkeypatch):
+    quadratures, kernel_calls = _scan_call_plan(20000, monkeypatch)
+    # orders 0 and 1 in one quadrature, order 2 in the other, on the other
+    # thread; the two append in either order
+    assert len(quadratures) == 2
+    assert Counter(kernel_calls) == Counter(
+        [((1, 40000), (0, 1))] * 68 + [((1, 40000), (2,))] * 68
+    )
 
 
 _ROUTES = ("zeta_b_prime0_values", "d_zeta_b_prime0", "d2_zeta_b_prime0")
@@ -1007,6 +1026,9 @@ def test_each_order_calls_its_own_barnes_route_once(beta, monkeypatch):
     # a scan runs all three orders in one quadrature, through no public route
     scan(-0.9, -0.6, 5, 2.0)
     assert calls == []
+    # a wide one runs orders 0 and 1 so, and order 2 through its own route
+    scan(-0.9, -0.6, envelope._SPLIT_MIN, 2.0)
+    assert calls == ["d2_zeta_b_prime0"]
 
 
 def test_scan_exact_point_wins_a_tie_with_the_grid():

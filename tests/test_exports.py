@@ -15,7 +15,8 @@ where a float is needed in ``_check_scalar`` only, cubes 2 beta + 1 in
 The one background thread has one owner: only ``envelope._in_background``
 makes a ``ThreadPoolExecutor`` or a ``threading.Thread`` and reads
 ``_OVERLAP_MIN``, and only ``envelope._unit`` and ``verify._criterion_5``
-call it."""
+call it.  The split of a wide scan's orders over two quadratures has one
+owner too: only ``envelope._unit`` reads ``_SPLIT_MIN``."""
 
 import ast
 import importlib
@@ -412,3 +413,30 @@ def test_a_second_owner_of_the_background_thread_is_found():
     assert _thread_makers(source) == [None, "_in_background", "_columns"]
     assert _background_callers(source) == ["_columns", "scan"]
     assert _overlap_min_readers(source) == [None, "_in_background", "scan"]
+
+
+def _split_min_readers(source: str) -> list:
+    """Where ``source`` reads ``_SPLIT_MIN``, by name or as an attribute."""
+    return _owners(source, lambda node: _name(node) == "_SPLIT_MIN"
+                   and isinstance(node.ctx, ast.Load))
+
+
+@pytest.mark.parametrize("filename", MODULE_FILES)
+def test_only_unit_splits_the_orders(filename):
+    # one size gate for the order-2 quadrature on the background thread
+    source = Path(envdet.__file__).with_name(filename).read_text(encoding="utf-8")
+    assert _split_min_readers(source) == (["_unit"] if filename == "envelope.py" else [])
+
+
+def test_a_second_reader_of_split_min_is_found():
+    source = (
+        "_HALF = _SPLIT_MIN // 2\n"
+        "def _unit(p, orders):\n"
+        "    return p.beta.size >= _SPLIT_MIN\n"
+        "def _columns(b, area):\n"
+        "    _SPLIT_MIN = 1\n"
+        "    return b.size >= _SPLIT_MIN\n"
+        "def run_criterion(n):\n"
+        "    return n < envelope._SPLIT_MIN\n"
+    )
+    assert _split_min_readers(source) == [None, "_unit", "_columns", "run_criterion"]

@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` is loaded from its file, without writing bytecode
 next to it.  A renamed or deleted public function shows up here as a
 missing name, before any benchmark run reports ``trace.absent_names``; the
-per-layer counts of one scalar call pin the call plan the trace reports.
+per-layer counts of one scalar call and of one wide scan pin the call plan
+the trace reports.
 """
 
 import importlib
@@ -38,18 +39,23 @@ def test_every_traced_name_is_an_envdet_attribute(monkeypatch):
     assert missing == []
 
 
-def _call_plan(monkeypatch, call):
+_PLAN = (
+    "specfun.quad.calls",
+    "specfun.quad.nodes",
+    "barnes.kernel.calls",
+    "barnes.kernel.points",
+)
+
+
+def _call_plan(monkeypatch, call, names=_PLAN):
+    """The per-layer counts ``names`` of one traced ``call``; None names
+    every count the tracer keeps exact."""
     spans = _load_spans(monkeypatch)
     tracer = spans.Tracer()
     with tracer.tracing(0):
         call()
     metrics = spans.layer_metrics(tracer.take(), 0)
-    return {name: metrics[name][0] for name in (
-        "specfun.quad.calls",
-        "specfun.quad.nodes",
-        "barnes.kernel.calls",
-        "barnes.kernel.points",
-    )}
+    return {name: metrics[name][0] for name in (names or spans.EXACT)}
 
 
 def test_scalar_log_det_area_is_one_kernel_call(monkeypatch):
@@ -74,4 +80,23 @@ def test_scalar_derivative_is_one_kernel_call(name, monkeypatch):
         "specfun.quad.nodes": 1,
         "barnes.kernel.calls": 1,
         "barnes.kernel.points": 136,
+    }
+
+
+def test_a_wide_scan_is_two_quadratures_on_two_threads(monkeypatch):
+    def wide_scan():
+        envelope.scan(-0.9999, -0.5001, 20_000, 1.7)
+
+    first, second = (_call_plan(monkeypatch, wide_scan, None) for _ in range(2))
+    # the counts stay exact with traced names called on two threads
+    assert first == second
+    # orders 0 and 1 in one quadrature and order 2, through its public
+    # route, in the other: 68 nodes each, one kernel call per node on the
+    # 40000 values of a, for two orders and for one
+    assert {name: first[name] for name in _PLAN + ("barnes.integral.calls",)} == {
+        "specfun.quad.calls": 2,
+        "specfun.quad.nodes": 136,
+        "barnes.kernel.calls": 136,
+        "barnes.kernel.points": 8_160_000,
+        "barnes.integral.calls": 1,
     }
