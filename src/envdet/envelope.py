@@ -167,7 +167,7 @@ class AngleParam:
     @functools.cached_property
     def _sin_cos(self):
         """sin(pi a2) and cos(pi a2), the one sine of the scaling factor, the
-        elementary terms and the convexity bound."""
+        elementary terms, the convexity bound and the geometry."""
         x = np.pi * self.a2
         return np.sin(x), np.cos(x)
 
@@ -296,21 +296,21 @@ def _chain(k: int, elementary, z1, z2):
     return out + 2.0 * ZETA_PRIME_NEG1 if k == 0 else out
 
 
-# The one background thread, made on first use.  A forked child drops its
-# parent's, whose thread it does not inherit, and the lock, which another
-# thread may have held at the fork.
-_background = None
-_background_lock = threading.Lock()
+# The one background executor, made at import, starts its thread with the
+# first job; a forked child, which does not inherit that thread, makes its own.
 _on_background = threading.local()
 
 
-def _drop_background() -> None:
-    global _background, _background_lock
-    _background, _background_lock = None, threading.Lock()
+def _new_background() -> None:
+    global _background
+    _background = concurrent.futures.ThreadPoolExecutor(
+        1, initializer=setattr, initargs=(_on_background, "is_worker", True)
+    )
 
 
-if hasattr(os, "register_at_fork"):  # a platform without fork has nothing to drop
-    os.register_at_fork(after_in_child=_drop_background)
+_new_background()
+if hasattr(os, "register_at_fork"):  # a platform without fork has no child to serve
+    os.register_at_fork(after_in_child=_new_background)
 
 
 def _in_background(job, p: AngleParam, *args):
@@ -319,22 +319,20 @@ def _in_background(job, p: AngleParam, *args):
 
     The job runs on the one background thread, in a copy of the caller's
     context (so under its numpy errstate), when ``p.beta`` is an array of at
-    least ``_OVERLAP_MIN`` betas; otherwise, and when called from that thread,
-    it runs here and now.  Its callers read the result, even when they
-    raise, so that no job outlives their call."""
-    global _background
-    if not (isinstance(p.beta, np.ndarray) and p.beta.size >= _OVERLAP_MIN) or getattr(
+    least ``_OVERLAP_MIN`` betas; otherwise, when called from that thread,
+    and once interpreter shutdown has begun (in an ``atexit`` handler or a
+    thread that outlives the main one), it runs here and now.  Its callers
+    read the result, even when they raise, so that no job outlives their
+    call."""
+    if isinstance(p.beta, np.ndarray) and p.beta.size >= _OVERLAP_MIN and not getattr(
         _on_background, "is_worker", False
     ):
-        value = job(p, *args)
-        return lambda: value
-    with _background_lock:
-        if _background is None:
-            _background = concurrent.futures.ThreadPoolExecutor(
-                1, initializer=setattr, initargs=(_on_background, "is_worker", True)
-            )
-        future = _background.submit(contextvars.copy_context().run, job, p, *args)
-    return future.result
+        try:
+            return _background.submit(contextvars.copy_context().run, job, p, *args).result
+        except RuntimeError:  # refused: interpreter shutdown has begun
+            pass
+    value = job(p, *args)
+    return lambda: value
 
 
 def _elementary_then_pair(p: AngleParam, orders: tuple, last: tuple):
@@ -534,7 +532,7 @@ def geometry(p: AngleParam, area: float = 1.0) -> EnvelopeGeometry:
     area = _positive(area, "area")
     # area / s overflows near the largest double, and then the two roots are
     # taken apart: |AB| is below 1e157 for any finite area
-    s = math.sin(math.pi * p.a2)
+    s = float(p._sin_cos[0])
     side = math.sqrt(area / s) if area / s < math.inf else math.sqrt(area) / math.sqrt(s)
     return EnvelopeGeometry(
         side_ab=side,

@@ -3,13 +3,19 @@ least ``_OVERLAP_MIN`` betas computes its closed-form terms there, beside the
 quadrature on the calling thread, and a scan of at least ``_SPLIT_MIN`` betas
 its order-2 quadrature too, after them, beside the quadrature of orders 0 and
 1; both with the errors, errstate and results of the serial order.  Scalars
-and smaller arrays never start it, and a forked child makes its own."""
+and smaller arrays never start it, a forked child makes its own, and once
+interpreter shutdown has begun (an ``atexit`` handler, a thread that outlives
+the main one) a job runs on the calling thread."""
 
 import collections
 import multiprocessing
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,33 +105,51 @@ def test_the_job_runs_under_the_callers_errstate():
             wait()
 
 
-def test_scalars_and_small_arrays_never_make_the_worker(monkeypatch):
-    monkeypatch.setattr(envelope, "_background", None)
+def _python(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter on this envdet, warnings as errors."""
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", textwrap.dedent(script)],
+        env=dict(os.environ, PYTHONPATH=str(Path(envelope.__file__).parents[1])),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_scalars_and_small_arrays_never_make_the_worker():
     where = []
     envelope._in_background(lambda p: where.append(threading.get_ident()), _grid(N - 1))()
     assert where == [threading.get_ident()]
-    log_det_area(AngleParam(-0.7), 2.0)
-    d_log_det(AngleParam(-0.7))
-    d2_log_det(_grid(N - 1))
-    scan(-0.9, -0.6, N - 1)
-    assert envelope._background is None
-    d2_log_det(_grid(N))
-    assert envelope._background is not None
-    envelope._background.shutdown()
+    # in a fresh interpreter, where no earlier call has started the thread
+    done = _python(f"""
+        import threading
+        import numpy as np
+        import envdet
+        from envdet.envelope import AngleParam, d2_log_det, d_log_det, log_det_area, scan
+        counts = [threading.active_count()]
+        log_det_area(AngleParam(-0.7), 2.0)
+        d_log_det(AngleParam(-0.7))
+        d2_log_det(AngleParam(np.linspace(-0.999, -0.501, {N - 1})))
+        scan(-0.9, -0.6, {N - 1})
+        counts.append(threading.active_count())
+        d2_log_det(AngleParam(np.linspace(-0.999, -0.501, {N})))
+        counts.append(threading.active_count())
+        print(counts)
+    """)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[1, 1, 2]\n")
 
 
 def test_concurrent_callers_share_one_worker_and_get_the_serial_bits(monkeypatch):
     reference = d2_log_det(_grid(N - 1)), d2_log_det(_grid(2 * N))
-    monkeypatch.setattr(envelope, "_background", None)
-    made = []
-    real_executor = envelope.concurrent.futures.ThreadPoolExecutor
+    real_job = envelope._elementary_then_pair
+    jobs = []
 
-    def counting_executor(*args, **kwargs):
-        time.sleep(0.01)  # a slow start, which widens any race to make two
-        made.append(real_executor(*args, **kwargs))
-        return made[-1]
+    def job(p, *args):
+        if p.beta.size >= N:  # handed to the background, not run inline
+            jobs.append(threading.get_ident())
+        return real_job(p, *args)
 
-    monkeypatch.setattr(envelope.concurrent.futures, "ThreadPoolExecutor", counting_executor)
+    monkeypatch.setattr(envelope, "_elementary_then_pair", job)
     callers = 6  # more than the cores of a small host
     start = threading.Barrier(callers)
     results = [None] * callers
@@ -144,10 +168,10 @@ def test_concurrent_callers_share_one_worker_and_get_the_serial_bits(monkeypatch
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        for executor in made:
-            executor.shutdown()
     assert not any(thread.is_alive() for thread in threads)
-    assert len(made) == 1
+    # every large caller's job ran on one thread, none of the callers'
+    assert len(jobs) == callers // 2 and len(set(jobs)) == 1
+    assert jobs[0] not in {thread.ident for thread in threads}
     assert all(r.tobytes() == reference[i % 2].tobytes() for i, r in enumerate(results))
 
 
@@ -334,15 +358,64 @@ def test_a_job_that_asks_for_the_background_runs_inline():
     assert _exit_code_in_fork(_nested_job_in_child) == 0
 
 
-def _scan_in_child():
-    # the fork dropped the parent's worker, whose thread did not come along
-    if envelope._background is not None:
-        sys.exit(3)
-    scan(-0.95, -0.55, 20_000)
-
-
 @_FORK_WITH_THREADS
 def test_a_forked_child_makes_its_own_worker():
     scan(-0.95, -0.55, 20_000)
-    assert envelope._background is not None
-    assert _exit_code_in_fork(_scan_in_child) == 0
+    parents = envelope._background
+
+    def scan_in_child():
+        # the parent's executor stayed behind with its thread, which did not
+        # come along
+        if envelope._background is parents:
+            sys.exit(3)
+        scan(-0.95, -0.55, 20_000)
+
+    assert _exit_code_in_fork(scan_in_child) == 0
+
+
+# Large calls whose columns are printed as hashes: a d2_log_det wide enough to
+# hand its closed-form terms to the background, and a scan wide enough to
+# hand it its order-2 quadrature too.
+_LARGE_CALLS = """
+    import atexit, hashlib, threading, time
+    import numpy as np
+    from envdet.envelope import AngleParam, d2_log_det, scan
+
+    def calls():
+        d2 = d2_log_det(AngleParam(np.linspace(-0.9, -0.6, 600)))
+        table = scan(-0.9, -0.6, 20000)
+        columns = [d2] + [getattr(table, name) for name in {columns}]
+        print(hashlib.sha256(b"".join(c.tobytes() for c in columns)).hexdigest())
+"""
+
+
+def _after_main(how: str, warm: bool) -> str:
+    """The stdout of the large calls made in ``main``, or after it has ended
+    by ``how``: an ``atexit`` handler or a thread that waits for the main one
+    to finish; ``warm`` makes a large call in ``main`` first, so that the
+    background thread has started."""
+    late = {
+        "main": "calls()",
+        "atexit": "atexit.register(calls)",
+        "thread": textwrap.dedent("""
+            def late():
+                while threading.main_thread().is_alive():
+                    time.sleep(0.01)
+                calls()
+            threading.Thread(target=late).start()
+        """),
+    }[how]
+    warm_up = "d2_log_det(AngleParam(np.linspace(-0.9, -0.6, 600)))\n" if warm else ""
+    done = _python(textwrap.dedent(_LARGE_CALLS.format(columns=COLUMNS)) + warm_up + late)
+    assert (done.returncode, done.stderr, len(done.stdout.split())) == (0, "", 1)
+    return done.stdout
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_large_calls_in_an_atexit_handler_give_mains_bytes(warm):
+    assert _after_main("atexit", warm) == _after_main("main", False)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_large_calls_from_a_thread_that_outlives_main_give_mains_bytes(warm):
+    assert _after_main("thread", warm) == _after_main("main", False)

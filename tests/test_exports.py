@@ -10,13 +10,15 @@ route's integrand calls the kernel through the module's name ``f_kernel``
 ``math.expm1`` only (``np.expm1`` differs in the last bit).  ``envelope``
 sets ``AngleParam.exact`` in ``from_fraction`` only, refuses an array beta
 where a float is needed in ``_check_scalar`` only, cubes 2 beta + 1 in
-``AngleParam._x2_cube`` only, and calls ``np.sin`` and ``np.cos`` in
-``AngleParam._sin_cos`` only.  Only ``barnes.f_kernel`` reads ``_TINY``.
-The one background thread has one owner: only ``envelope._in_background``
-makes a ``ThreadPoolExecutor`` or a ``threading.Thread`` and reads
-``_OVERLAP_MIN``, and only ``envelope._unit`` and ``verify._criterion_5``
-call it.  The split of a wide scan's orders over two quadratures has one
-owner too: only ``envelope._unit`` reads ``_SPLIT_MIN``."""
+``AngleParam._x2_cube`` only, and calls ``np.sin``, ``np.cos``,
+``math.sin`` or ``math.cos`` in ``AngleParam._sin_cos`` only.  Only
+``barnes.f_kernel`` reads ``_TINY``.  The one background thread has one
+owner: only ``envelope._new_background`` makes a ``ThreadPoolExecutor`` or a
+``threading.Thread``, only ``envelope._in_background`` reads
+``_OVERLAP_MIN`` and calls ``.submit``, and only ``envelope._unit`` and
+``verify._criterion_5`` call it.  The split of a wide scan's orders over two
+quadratures has one owner too: only ``envelope._unit`` reads
+``_SPLIT_MIN``."""
 
 import ast
 import importlib
@@ -320,10 +322,12 @@ def test_a_second_cube_of_2_beta_plus_1_is_found():
 
 
 def _sines(source: str) -> list:
-    """Where ``source`` calls ``np.sin`` or ``np.cos``: sin(pi a2) and
-    cos(pi a2), which AngleParam's memo computes once."""
+    """Where ``source`` calls ``np.sin``, ``np.cos``, ``math.sin`` or
+    ``math.cos``: sin(pi a2) and cos(pi a2), which AngleParam's memo computes
+    once."""
     return _callers(source, lambda node: isinstance(node.func, ast.Attribute)
-                    and _name(node.func.value) == "np" and node.func.attr in ("sin", "cos"))
+                    and _name(node.func.value) in ("np", "math")
+                    and node.func.attr in ("sin", "cos"))
 
 
 def test_angle_param_owns_the_sine_of_pi_a2():
@@ -334,10 +338,11 @@ def test_angle_param_owns_the_sine_of_pi_a2():
 def test_a_second_sine_of_pi_a2_is_found():
     source = (
         "s = np.sin(np.pi * a2)\n"
-        "def _log_c(p):\n    return np.log(np.sin(np.pi * p.a2)) + math.sin(p.a1)\n"
+        "def _log_c(p):\n    return np.log(np.sin(np.pi * p.a2)) + cmath.sin(p.a1)\n"
         "def bound(p):\n    s, c = p._sin_cos\n    return np.cos(np.pi * p.a2) / s + np.tan(c)\n"
+        "def geometry(p):\n    return math.sqrt(1.0 / math.sin(math.pi * p.a2)), math.cos(0.0)\n"
     )
-    assert _sines(source) == [None, "_log_c", "bound"]
+    assert _sines(source) == [None, "_log_c", "bound", "geometry", "geometry"]
 
 
 def _tiny_readers(source: str) -> list:
@@ -379,20 +384,29 @@ def _overlap_min_readers(source: str) -> list:
                    and isinstance(node.ctx, ast.Load))
 
 
+def _submitters(source: str) -> list:
+    """Where ``source`` calls a ``.submit`` method: hands a job to an executor."""
+    return _callers(source, lambda call: isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "submit")
+
+
 _BACKGROUND_OWNERS = {
-    "envelope.py": (["_in_background"], ["_unit"], ["_in_background"]),
-    "verify.py": ([], ["_criterion_5"], []),
+    "envelope.py": (["_new_background"], ["_unit"], ["_in_background"], ["_in_background"]),
+    "verify.py": ([], ["_criterion_5"], [], []),
 }
 
 
 @pytest.mark.parametrize("filename", MODULE_FILES)
 def test_in_background_owns_the_one_background_thread(filename):
-    # one executor, one size gate, two callers: at most one extra thread, and
-    # never for a scalar beta or a small array
+    # one executor, one size gate, one hand-off, two callers: at most one
+    # extra thread, and never for a scalar beta or a small array
     source = Path(envdet.__file__).with_name(filename).read_text(encoding="utf-8")
-    expected = _BACKGROUND_OWNERS.get(filename, ([], [], []))
+    expected = _BACKGROUND_OWNERS.get(filename, ([], [], [], []))
     assert (
-        _thread_makers(source), _background_callers(source), _overlap_min_readers(source)
+        _thread_makers(source),
+        _background_callers(source),
+        _overlap_min_readers(source),
+        _submitters(source),
     ) == expected
 
 
@@ -400,6 +414,7 @@ def test_a_second_owner_of_the_background_thread_is_found():
     source = (
         "_POOL = concurrent.futures.ThreadPoolExecutor(2)\n"
         "_BIG = 2 * _OVERLAP_MIN\n"
+        "_POOL.submit(_elementary, p)\n"
         "def _in_background(job, p):\n"
         "    if p.beta.size >= _OVERLAP_MIN:\n"
         "        return ThreadPoolExecutor(1).submit(job, p).result\n"
@@ -407,12 +422,15 @@ def test_a_second_owner_of_the_background_thread_is_found():
         "    threading.Thread(target=_elementary, args=(p,)).start()\n"
         "    return envelope._in_background(_area_shifts, p)\n"
         "def scan(b):\n"
+        "    envelope._background.submit(_columns, AngleParam(b))\n"
+        "    submit(b)\n"
         "    if b.size > envelope._OVERLAP_MIN:\n"
         "        return _in_background(_columns, AngleParam(b))()\n"
     )
     assert _thread_makers(source) == [None, "_in_background", "_columns"]
     assert _background_callers(source) == ["_columns", "scan"]
     assert _overlap_min_readers(source) == [None, "_in_background", "scan"]
+    assert _submitters(source) == [None, "_in_background", "scan"]
 
 
 def _split_min_readers(source: str) -> list:
