@@ -8,6 +8,8 @@ import math
 import pkgutil
 import re
 import tempfile
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import envdet
-from envdet import barnes, envelope
-from envdet.cli import SCHEMA_VERSION, main
+from envdet import barnes, cli, envelope
+from envdet.cli import _CSV_ROW, SCHEMA_VERSION, main
 from envdet.specfun import DomainError, QuadratureError
 
 CLOSED_M34 = 0.0829015200310546721
@@ -277,6 +279,146 @@ def test_scan_json_refuses_non_finite_rows(log_det, d2, bad, tmp_path, capsys, m
         json.dumps([bad], indent=2, allow_nan=False)
     assert str(raised.value) == str(expected.value)
     assert not out_path.exists()
+
+
+# The CSV writer renders "%.17g" in numpy and falls back to _CSV_ROW for a row
+# it cannot render exactly; its bytes must be _CSV_ROW's for every row.
+_ORDINARY_ROW = (-0.7, 1.5, -2.25, 312500.0, 0.001, 12345.678)
+
+
+def _csv_mismatch(text: str, values):
+    """None if ``text`` is _CSV_ROW's rendering of the rows ``values``, else
+    the first row that differs: a short message for a file of many rows."""
+    expected = "".join(_CSV_ROW % tuple(row) for row in np.asarray(values).tolist())
+    if text == expected:
+        return None
+    got, want = text.splitlines(keepends=True), expected.splitlines(keepends=True)
+    return next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                (len(got), len(want)))
+
+
+def _csv_written(values, tmp_path, monkeypatch) -> str:
+    """The rows ``envdet scan --format csv`` writes for a scan returning the
+    ``(n, 6)`` array ``values``, with every warning an error."""
+    values = np.asarray(values, dtype=float).reshape(-1, len(COLUMNS))
+
+    def fake_scan(*args, **kwargs):
+        return envelope.ScanTable(*values.T, area=1.0)
+
+    monkeypatch.setattr(envelope, "scan", fake_scan)
+    out_path = tmp_path / "scan.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["scan", "--from", "-0.8", "--to", "-0.7", "--count", "2",
+                     "--out", str(out_path)]) == 0
+    header, _, rows = out_path.read_text(encoding="ascii").partition("\n")
+    assert header == ",".join(COLUMNS)
+    return rows
+
+
+def _each_column(specials):
+    """One row per special value and column, the other columns ordinary."""
+    rows = []
+    for value in specials:
+        for column in range(len(COLUMNS)):
+            row = list(_ORDINARY_ROW)
+            row[column] = value
+            rows.append(row)
+    return np.array(rows)
+
+
+def _neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+_TINIEST = 5e-324
+_POWERS_OF_TEN = [float(f"1e{k}") for k in range(-5, 18)]
+_CSV_EDGES = {
+    "zeros-subnormals-non-finite": [0.0, -0.0, _TINIEST, -_TINIEST, 2.5e-310, math.inf,
+                                    -math.inf, math.nan, 1.7e308, -1.7e308],
+    "fixed-range-ends": _neighbours([1e-4, -1e-4, 1e17, -1e17]),
+    "powers-of-ten": _neighbours(_POWERS_OF_TEN + [-x for x in _POWERS_OF_TEN]),
+    "integers-above-2**53": [2.0**53, 2.0**53 + 2, 1e16 + 2, 99999999999999984.0,
+                             -(2.0**54 + 4), 12345678901234568.0],
+}
+
+
+@pytest.mark.parametrize("specials", list(_CSV_EDGES.values()), ids=list(_CSV_EDGES))
+def test_csv_writer_edges_match_the_row_template(specials, tmp_path, monkeypatch):
+    values = _each_column(specials)
+    assert _csv_mismatch(_csv_written(values, tmp_path, monkeypatch), values) is None
+
+
+def _ties(k: int, count: int, rng) -> np.ndarray:
+    """``count`` doubles ``m 2**-(17 - k)``, odd ``m < 2**53``, in [10**k,
+    10**(k + 1)): x 10**(16 - k) is an odd multiple of 1/2, so the 17th digit
+    is a tie."""
+    lo = math.ceil(10.0**k * 2.0 ** (17 - k))
+    hi = min(math.floor(10.0 ** (k + 1) * 2.0 ** (17 - k)), 2**53)
+    m = rng.integers(lo // 2, hi // 2, count) * 2 + 1
+    return m * 2.0 ** -(17 - k)
+
+
+def test_csv_writer_rounds_ties_to_even(tmp_path, monkeypatch):
+    rng = np.random.default_rng(30)
+    values = np.concatenate([_ties(k, 402, rng) for k in range(-4, 16)])
+    values *= rng.choice([-1.0, 1.0], values.size)
+    for x in values[::97].tolist():
+        k = math.floor(math.log10(abs(x)))
+        assert (Fraction(abs(x)) * 10 ** (16 - k)).denominator == 2, x
+    written = _csv_written(values, tmp_path, monkeypatch)
+    assert _csv_mismatch(written, values.reshape(-1, 6)) is None
+
+
+def _scan_like(count: int, rng) -> np.ndarray:
+    """Rows spread over the fixed range of "%.17g" and either sign."""
+    return rng.choice([-1.0, 1.0], (count, 6)) * 10.0 ** rng.uniform(-4.0, 17.0, (count, 6))
+
+
+@pytest.mark.parametrize("count", [1, cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1])
+def test_csv_writer_blocks(count):
+    values = _scan_like(count, np.random.default_rng(count))
+    pieces = list(cli._csv_rows(values))
+    assert len(pieces) == -(-count // cli._CSV_BLOCK)
+    assert _csv_mismatch("".join(pieces), values) is None
+
+
+@pytest.mark.parametrize("error", [-1.0, 1.0])
+def test_csv_writer_refuses_a_log10_off_by_one(error, monkeypatch):
+    # every exponent one off: the exact product then lies outside [1e16, 1e17)
+    # and _CSV_ROW renders every row
+    values = np.concatenate([_scan_like(500, np.random.default_rng(32)),
+                             _each_column(_neighbours(_POWERS_OF_TEN))])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
+    assert not cli._csv_cells(values)[1].any()
+    assert _csv_mismatch("".join(cli._csv_rows(values)), values) is None
+
+
+def test_csv_writer_python_rows_at_block_edges(tmp_path, monkeypatch):
+    # rows _CSV_ROW renders first and last in a block, first in the next and
+    # inside one, over the 20000 rows of the benchmark's scans
+    values = _scan_like(20000, np.random.default_rng(31))
+    block = cli._CSV_BLOCK
+    for row, value in zip([0, block - 1, block, 2 * block + 7, 19999],
+                          [math.nan, 0.0, _TINIEST, -math.inf, 1e300]):
+        values[row, row % 6] = value
+    assert _csv_mismatch(_csv_written(values, tmp_path, monkeypatch), values) is None
+
+
+# any double, two times in three from the fixed range of "%.17g"
+_CSV_FIELD = st.one_of(st.floats(), st.floats(1e-4, 1e17), st.floats(-1e17, -1e-4))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rows=st.lists(st.tuples(*[_CSV_FIELD] * 6), min_size=1, max_size=8))
+def test_csv_writer_matches_the_row_template_on_any_floats(rows):
+    values = np.array(rows, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = "".join(cli._csv_rows(values))
+    assert _csv_mismatch(text, values) is None
 
 
 def test_scan_io_error(tmp_path, capsys):

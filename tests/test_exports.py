@@ -18,7 +18,9 @@ owner: only ``envelope._new_background`` makes a ``ThreadPoolExecutor`` or a
 ``_OVERLAP_MIN`` and calls ``.submit``, and only ``envelope._unit`` and
 ``verify._criterion_5`` call it.  The split of a wide scan's orders over two
 quadratures has one owner too: only ``envelope._unit`` reads
-``_SPLIT_MIN``."""
+``_SPLIT_MIN``.  So has the 17-digit format of the scan CSV: only
+``cli._CSV_ROW`` spells ".17g", and only the writer ``cli._csv_rows`` reads
+it."""
 
 import ast
 import importlib
@@ -458,3 +460,52 @@ def test_a_second_reader_of_split_min_is_found():
         "    return n < envelope._SPLIT_MIN\n"
     )
     assert _split_min_readers(source) == [None, "_unit", "_columns", "run_criterion"]
+
+
+def _17g_spellers(source: str) -> list:
+    """Who in ``source`` spells the 17-digit format ".17g", in a string or an
+    f-string's format spec: the function around it, or the names a
+    module-level assignment binds."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Assign) and owner is None:
+            owner = ", ".join(ast.unparse(target) for target in node.targets)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value:
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def _csv_row_readers(source: str) -> list:
+    """Where ``source`` reads ``_CSV_ROW``, by name or as an attribute."""
+    return _owners(source, lambda node: _name(node) == "_CSV_ROW"
+                   and isinstance(node.ctx, ast.Load))
+
+
+@pytest.mark.parametrize("filename", MODULE_FILES)
+def test_csv_row_owns_the_17_digit_format(filename):
+    # the numpy writer's digits are proved equal to _CSV_ROW's, which renders
+    # every row the numpy writer cannot: one spelling, one reader
+    source = Path(envdet.__file__).with_name(filename).read_text(encoding="utf-8")
+    expected = (["_CSV_ROW"], ["_csv_rows"]) if filename == "cli.py" else ([], [])
+    assert (_17g_spellers(source), _csv_row_readers(source)) == expected
+
+
+def test_a_second_17_digit_format_or_reader_is_found():
+    source = (
+        '_CSV_ROW = ",".join(["%.17g"] * 6) + "\\n"\n'
+        '_ROW = "%.17g,%.17g\\n"\n'
+        "HEADER = _CSV_ROW.count(',')\n"
+        "def _csv_rows(values):\n    return [_CSV_ROW % tuple(row) for row in values]\n"
+        "def _cmd_scan(args):\n"
+        "    text = ','.join(f'{x:.17g}' for x in args.row) + format(1.0, '.17g')\n"
+        "    return cli._CSV_ROW % args.row\n"
+    )
+    assert _17g_spellers(source) == ["_CSV_ROW", "_ROW", "_cmd_scan", "_cmd_scan"]
+    assert _csv_row_readers(source) == [None, "_csv_rows", "_cmd_scan"]
