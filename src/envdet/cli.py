@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from typing import Any, Dict
 
@@ -90,10 +91,13 @@ _SCAN_COLUMNS = ("beta", "log_det", "d1", "d2", "asym_neg1", "asym_neghalf")
 _CSV_ROW = ",".join(["%.17g"] * len(_SCAN_COLUMNS)) + "\n"
 _JSON_ROW = "    {\n" + ",\n".join(f'      "{c}": %r' for c in _SCAN_COLUMNS) + "\n    }"
 
-# The CSV writer prints "%.17g" itself, in numpy, for every value x whose
-# decimal exponent k = floor(log10|x|) lies in [-4, 16], where "%.17g" writes
-# fixed notation; a row holding any other value (zero, |x| < 1e-4, |x| >= 1e17,
-# inf, NaN) is rendered from _CSV_ROW.
+# The writers print a value x in numpy when its decimal exponent
+# k = floor(log10|x|) lies in [-4, 16], where "%.17g" writes fixed notation,
+# and so does repr below 1e16.  A row holding any other value (zero,
+# |x| < 1e-4, |x| >= 1e17, inf, NaN) is rendered from its template; so, for
+# JSON, is a row holding an integer, to which repr appends ".0".  Every double
+# from 2**53 up is an integer, so that rule also covers repr's exponent
+# notation from 1e16 up.
 #
 # Digits.  With p = 16 - k, from 0 to 20, 10**p is an exact double, and
 # Dekker's product (Veltkamp's split at 2**27 + 1; numpy rounds each operation
@@ -101,22 +105,57 @@ _JSON_ROW = "    {\n" + ",\n".join(f'      "{c}": %r' for c in _SCAN_COLUMNS) + 
 # taken only if that exact sum lies in [1e16, 1e17), which also refuses a
 # log10 off by one, and its rounding D to an integer stays below 1e17.  Then
 # hi >= 1e16 > 2**53 is an even integer, so D = hi + rint(lo) is the
-# half-even rounding: the 17 significant digits "%.17g" prints, its exponent k.
+# half-even rounding: the 17 significant digits "%.17g" prints, its exponent
+# k.  The rest rho = lo - rint(lo), |rho| <= 1/2, keeps D + rho exact.
 #
-# Text.  Each field fills a slot of 32 bytes, held as four words with byte c
+# Shortest digits.  repr prints the fewest significant digits n that read
+# back to x and, of those, the decimal nearest x, ties to even (Gay's
+# shortest mode).  Let D_n be the n-digit integer nearest the exact
+# (D + rho) / 10**(17 - n), ties to even, taken with rho, not from D: of two
+# 16-digit decimals that both read back, a D_16 rounded from D can be the
+# farther one.  Every real strictly inside x's rounding interval, x +- half an
+# ulp, reads back to x.
+# - On its ends lies no decimal of 17 digits or fewer, so the parity rule for
+#   a decimal there never applies.  For |x| = i 2**(e - 52) in
+#   [2**e, 2**(e + 1)) the ends are (2 i +- 1) 5**p 2**(e + p - 53) in units
+#   of the 17th digit: integers only if e + p >= 53, which with
+#   2**e <= |x| < 10**(17 - p) needs p <= 1 and e >= 52, an integer x.
+# - Unless x is a power of two the interval is symmetric about x, so some
+#   n-digit decimal reads back to x if and only if D_n does.  A power of two in
+#   this range is an integer or 2**-j, j <= 13, whose exact decimal, with at
+#   most 10 significant digits, is D_15 itself.
+# - n = 15: D_15 < 2**53 and 10**(p - 2) are exact doubles, so their IEEE
+#   quotient is the correctly rounded read-back of D_15 (Clinger's fast path),
+#   and one comparison with x decides.  The interval, at most 2**-52 |x| wide,
+#   is narrower than the 10**-15 |x| or more between 15-digit decimals, so at
+#   most one decimal of 15 digits or fewer reads back to x: D_15 with its
+#   trailing zeros dropped is the shortest form of any length up to 15.  (For
+#   k >= 14 the divisor is clipped to 1, and an integer quotient is never x.)
+# - n = 16: D_16 reads back to x if and only if |m - rho| < h, where
+#   m = 10 D_16 - D, |m| <= 5, and h is half an ulp of x times 10**p, a power
+#   of two times 10**p.  h is exact, with at most 47 significant bits
+#   (5**20 < 2**47), the lowest at 2**-47 or above, and h < 12, so m - h and
+#   m + h are exact doubles, and comparing rho with each decides exactly.
+# - n = 17: D, which always reads back to x (h > 1/2).
+# The digits printed are those of the first D_n that reads back to x, as the
+# 17-digit integer D_n 10**(17 - n).
+#
+# Text.  Each value fills a slot of 24 bytes, held as three words with byte c
 # of the slot in bits 8 (c % 8) of word c // 8: the sign and, for k < 0, "0."
 # and -k - 1 zeros in bytes 0-5; the digits in bytes 6-23, for k >= 0 with the
-# point after digit k unless every later digit is zero; the separator in byte
-# 24; NUL bytes everywhere else, also in place of trailing zeros.  The text is
-# the slots with their NUL bytes dropped.
-_SLOT = 32
+# point after digit k unless every later digit is zero; NUL bytes everywhere
+# else, also in place of trailing zeros.  A row is the template's text around
+# its values, each piece NUL-padded to whole words, with the slots between
+# them.  The text is the words with their NUL bytes dropped.
+_SLOT = 24
 # Rows rendered at once.  numpy's freed block arrays stay in the C heap, where
-# Python's small objects made later cannot go: over a run of 20000-row scans,
-# each file parsed back into floats, blocks of 1024 to 4096 rows left the peak
-# memory about 1.5 MB above that of formatting each row in Python, and 512
-# rows level with it.  20000 rows take 14.9 ms to render in blocks of 512,
-# 13.2-13.9 ms in blocks of 2048.
-_CSV_BLOCK = 512
+# Python's small objects made later cannot go: over a run of 20000-row CSV
+# scans, each file parsed back into floats, blocks of 1024 to 4096 rows left
+# the peak memory about 1.5 MB above that of formatting each row in Python,
+# and 512 rows level with it.  20000 rows take 20.4 ms to render to CSV in
+# blocks of 512, 18.5-19.3 ms in blocks of 1024 to 4096; to JSON 29.7 ms,
+# against 27.0-29.6 ms.
+_BLOCK = 512
 
 
 def _by_word(rows) -> np.ndarray:
@@ -136,6 +175,7 @@ def _split(x):
 
 _POW10 = np.array([float(10**p) for p in range(21)])
 _POW10_HI, _POW10_LO = _split(_POW10)
+_POW10_LESS2 = _POW10[np.maximum(np.arange(21) - 2, 0)]  # by p: 10**(p - 2), at least 1
 _GROUP = np.arange(10000, dtype=np.uint16)
 # the four digits of each 4-digit group as ASCII, the first in the low byte,
 # and how many of them are trailing zeros (all four for 0000)
@@ -147,7 +187,7 @@ _TRAILING4 = sum((_GROUP % 10**j == 0).astype(np.int8) for j in range(1, 5))
 # moved up 4 bytes (_AFTER[t]); t = 18 takes every digit from X moved up 3
 # bytes, and no point.  Each table is held word by word: _KEEP[i][j] is word
 # i of the mask for j.
-_KEEP = _by_word([(b"\xff" * (4 + j)).ljust(24, b"\0") for j in range(17)])
+_KEEP = _by_word([(b"\xff" * (4 + j)).ljust(_SLOT, b"\0") for j in range(17)])
 _BEFORE = _by_word([(b"\0" * 6 + b"\xff" * t).ljust(_SLOT, b"\0") for t in range(19)])
 _AFTER = _by_word([(b"\0" * (7 + t) + b"\xff" * (17 - t)).ljust(_SLOT, b"\0") for t in range(19)])
 _POINT = _by_word([(b"\0" * (6 + t) + b"." * (t < 18)).ljust(_SLOT, b"\0") for t in range(19)])
@@ -157,21 +197,40 @@ _PREFIX = _by_word([
     ("-" * negative + ("0." + "0" * (-k - 1)) * (k < 0)).encode("ascii").ljust(8, b"\0")
     for k in range(-4, 17) for negative in (0, 1)
 ])[0]
-# the separator in byte 24 of each column's slot
-_SEPARATORS = np.array([ord(",")] * (len(_SCAN_COLUMNS) - 1) + [ord("\n")], np.uint64)
 
 
 def _shifted(x, nbytes: int):
-    """The three words ``x`` moved up ``nbytes`` bytes (1 to 7), in four."""
+    """The three words ``x`` moved up ``nbytes`` bytes (1 to 7); the bytes
+    moved past the third word are NUL."""
     bits = 8 * nbytes
-    x = [0, *x, 0]
-    return [(x[i + 1] << bits) | (x[i] >> (64 - bits)) for i in range(4)]
+    return [x[0] << bits, *((x[i] << bits) | (x[i - 1] >> (64 - bits)) for i in (1, 2))]
 
 
-def _csv_cells(values: np.ndarray):
-    """The slots of a block of rows ``values`` as bytes, one row of
-    ``_SLOT * columns`` per row, and which rows they render exactly."""
-    v = values.ravel()
+def _nearest(d, rho, step: int):
+    """The multiple ``q step`` of ``step`` nearest ``d + rho`` (``|rho| <= 1/2``),
+    ties to even ``q``, as ``q`` and the offset ``q step - d``."""
+    q, r = np.divmod(d, step)
+    # up if r + rho > step / 2, or on a tie if q is odd
+    up = 2 * r + np.sign(rho).astype(np.int64) + (q & 1) > step
+    return q + up, step * up - r
+
+
+def _shortest(a, p, d, rho):
+    """repr's significant digits of the values ``a`` as 17-digit integers
+    D_n 10**(17 - n), from their 17 digits ``d`` and rest ``rho`` at scale
+    10**p (comment above _SLOT)."""
+    d15, m15 = _nearest(d, rho, 100)
+    fits15 = d15.astype(np.float64) / _POW10_LESS2[p] == a
+    m16 = _nearest(d, rho, 10)[1]
+    h = 0.5 * np.spacing(a) * _POW10[p]
+    fits16 = (m16 - h < rho) & (rho < m16 + h)
+    return d + np.where(fits15, m15, fits16 * m16)
+
+
+def _fields(v: np.ndarray, shortest: bool):
+    """The slots of the values ``v`` as ``(len(v), 3)`` words, with
+    _CSV_ROW's digits or, if ``shortest``, repr's, and which values they
+    render exactly."""
     a = np.abs(v)
     exact = (a >= 1e-4) & (a < 1e17)  # NaN fails both: no warning, no arithmetic
     a = np.where(exact, a, 1.0)
@@ -182,7 +241,11 @@ def _csv_cells(values: np.ndarray):
     p_hi, p_lo = _POW10_HI[p], _POW10_LO[p]
     lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
     exact &= (hi > 1e16) | ((hi == 1e16) & (lo >= 0.0))
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    rounded = np.rint(lo)
+    d = hi.astype(np.int64) + rounded.astype(np.int64)
+    if shortest:
+        exact &= np.floor(a) != a
+        d = _shortest(a, p, d, lo - rounded)
     exact &= d < 10**17
     d[~exact] = 10**16  # any D in range, for the tables
     # D = lead g1 g2 g3 g4 in 4-digit groups
@@ -205,43 +268,62 @@ def _csv_cells(values: np.ndarray):
     for i, (before, after) in enumerate(zip(_shifted(x, 3), _shifted(x, 4))):
         slots[:, i] = before & _BEFORE[i][t] | after & _AFTER[i][t] | _POINT[i][t]
     slots[:, 0] |= _PREFIX[2 * k + 8 + (v < 0)]
-    slots[:, 3] |= np.tile(_SEPARATORS, len(values))
-    cells = slots.astype("<u8", copy=False).view(np.uint8)
-    return cells.reshape(len(values), -1), exact.reshape(values.shape).all(axis=1)
+    return slots, exact
 
 
 def _text(cells: np.ndarray) -> str:
-    """The slots ``cells`` with their NUL bytes dropped."""
-    cells = cells.reshape(-1)
-    return np.compress(cells != 0, cells).tobytes().decode("ascii")
+    """The words ``cells`` as text, with their NUL bytes dropped."""
+    return cells.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _csv_rows(values: np.ndarray):
-    """``"".join(_CSV_ROW % row for row in values)`` for the ``(n, columns)``
-    float64 array ``values``, byte for byte, in pieces of _CSV_BLOCK rows."""
-    for start in range(0, len(values), _CSV_BLOCK):
-        block = values[start : start + _CSV_BLOCK]
-        cells, exact = _csv_cells(block)
+def _rows(values: np.ndarray, template: str, shortest: bool):
+    """``"".join(template % tuple(row) for row in values.tolist())`` for the
+    ``(n, columns)`` float64 array ``values``, byte for byte, in pieces of
+    _BLOCK rows: ``template`` converts each value as _CSV_ROW does or, if
+    ``shortest``, as _JSON_ROW does."""
+    # the template's text around the values: filled with NaN, cut at each "nan"
+    texts = [t.encode("ascii") for t in (template % ((math.nan,) * values.shape[1])).split("nan")]
+    sizes = np.array([-(-len(t) // 8) for t in texts])  # in whole words
+    fixed = np.frombuffer(b"".join(t.ljust(8 * n, b"\0") for t, n in zip(texts, sizes)), "<u8")
+    # a row's words: text 0, slot 0, text 1, ..., slot columns - 1, the last
+    # text; text i begins at word starts[i]
+    starts = np.cumsum([0, *sizes[:-1] + _SLOT // 8])
+    at_text = np.concatenate([np.arange(n) + s for s, n in zip(starts, sizes)])
+    at_slot = ((starts[:-1] + sizes[:-1])[:, None] + np.arange(_SLOT // 8)).ravel()
+    for start in range(0, len(values), _BLOCK):
+        block = values[start : start + _BLOCK]
+        slots, exact = _fields(block.ravel(), shortest)
+        cells = np.empty((len(block), starts[-1] + sizes[-1]), np.uint64)
+        cells[:, at_text] = fixed
+        cells[:, at_slot] = slots.reshape(len(block), -1)
         pieces, row = [], 0
-        for i in np.flatnonzero(~exact):
-            pieces += [_text(cells[row:i]), _CSV_ROW % tuple(block[i].tolist())]
+        for i in np.flatnonzero(~exact.reshape(block.shape).all(axis=1)):
+            pieces += [_text(cells[row:i]), template % tuple(block[i].tolist())]
             row = i + 1
         pieces.append(_text(cells[row:]))
         yield "".join(pieces)
 
 
-def _scan_json(inputs: Dict[str, Any], columns, rows):
+def _csv_rows(values: np.ndarray):
+    """``"".join(_CSV_ROW % row for row in values)`` for the ``(n, columns)``
+    float64 array ``values``, byte for byte, in pieces of _BLOCK rows."""
+    return _rows(values, _CSV_ROW, shortest=False)
+
+
+def _scan_json(inputs: Dict[str, Any], values: np.ndarray):
     """The text json.dumps(doc, indent=2, allow_nan=False) gives the scan
-    document, as the pieces to write in order, with the rows rendered from
-    _JSON_ROW: with an indent json runs its pure-Python encoder, several
-    times slower on a large scan."""
+    document with the ``(n, columns)`` rows ``values``, as the pieces to
+    write in order.  The rows are _JSON_ROW's text, each value repr's
+    shortest digits, rendered by _rows in blocks: with an indent json runs
+    its pure-Python encoder, several times slower on a large scan."""
     doc = {"schema_version": SCHEMA_VERSION, "command": "scan", "inputs": inputs, "rows": None}
     head = json.dumps(doc, indent=2, allow_nan=False)[: -len("null\n}")]
-    values = np.column_stack(columns)
     bad = values[~np.isfinite(values)]  # in row order, as json meets them
     if bad.size:
         raise ValueError(f"Out of range float values are not JSON compliant: {float(bad[0])!r}")
-    return head + "[\n", ",\n".join([_JSON_ROW % row for row in rows]), "\n  ]\n}\n"
+    rows = _rows(values, ",\n" + _JSON_ROW, shortest=True)
+    # each row follows ",\n"; the first follows "[\n"
+    return itertools.chain([head + "[", next(rows)[1:]], rows, ["\n  ]\n}\n"])
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -253,16 +335,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         include_exact_points=args.exact_points,
     )
     # _SCAN_COLUMNS order
-    columns = (table.beta, table.log_det, table.d1, table.d2,
-               table.asymptotic_neg1, table.asymptotic_neghalf)
-    # the rows are written apart from the header, never joined to it: a copy
-    # of the whole payload would double the peak
+    values = np.column_stack((table.beta, table.log_det, table.d1, table.d2,
+                              table.asymptotic_neg1, table.asymptotic_neghalf))
+    # the rows are written in pieces, never joined to the header: a copy of
+    # the whole payload would double the peak
     if args.format == "csv":
-        pieces = itertools.chain([",".join(_SCAN_COLUMNS) + "\n"],
-                                 _csv_rows(np.column_stack(columns)))
+        pieces = itertools.chain([",".join(_SCAN_COLUMNS) + "\n"], _csv_rows(values))
     else:
-        # tolist gives floats, so "%r" is float.__repr__
-        rows = zip(*(c.tolist() for c in columns))
         inputs = {
             "beta_from": args.beta_from,
             "beta_to": args.beta_to,
@@ -270,7 +349,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             "area": args.area,
             "exact_points": bool(args.exact_points),
         }
-        pieces = _scan_json(inputs, columns, rows)
+        pieces = _scan_json(inputs, values)
     with open(args.out, "w", encoding="ascii", newline="") as handle:
         for piece in pieces:
             handle.write(piece)

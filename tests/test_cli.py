@@ -286,15 +286,21 @@ def test_scan_json_refuses_non_finite_rows(log_det, d2, bad, tmp_path, capsys, m
 _ORDINARY_ROW = (-0.7, 1.5, -2.25, 312500.0, 0.001, 12345.678)
 
 
-def _csv_mismatch(text: str, values):
-    """None if ``text`` is _CSV_ROW's rendering of the rows ``values``, else
-    the first row that differs: a short message for a file of many rows."""
-    expected = "".join(_CSV_ROW % tuple(row) for row in np.asarray(values).tolist())
+def _first_difference(text: str, expected: str):
+    """None if ``text`` is ``expected``, else the first line that differs: a
+    short message for a file of many rows."""
     if text == expected:
         return None
     got, want = text.splitlines(keepends=True), expected.splitlines(keepends=True)
     return next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w),
                 (len(got), len(want)))
+
+
+def _csv_mismatch(text: str, values):
+    """None if ``text`` is _CSV_ROW's rendering of the rows ``values``, else
+    the first row that differs."""
+    expected = "".join(_CSV_ROW % tuple(row) for row in np.asarray(values).tolist())
+    return _first_difference(text, expected)
 
 
 def _csv_written(values, tmp_path, monkeypatch) -> str:
@@ -350,14 +356,14 @@ def test_csv_writer_edges_match_the_row_template(specials, tmp_path, monkeypatch
     assert _csv_mismatch(_csv_written(values, tmp_path, monkeypatch), values) is None
 
 
-def _ties(k: int, count: int, rng) -> np.ndarray:
-    """``count`` doubles ``m 2**-(17 - k)``, odd ``m < 2**53``, in [10**k,
-    10**(k + 1)): x 10**(16 - k) is an odd multiple of 1/2, so the 17th digit
-    is a tie."""
-    lo = math.ceil(10.0**k * 2.0 ** (17 - k))
-    hi = min(math.floor(10.0 ** (k + 1) * 2.0 ** (17 - k)), 2**53)
+def _ties(k: int, count: int, rng, digits: int = 17) -> np.ndarray:
+    """``count`` doubles ``m 2**-(digits - k)``, odd ``m < 2**53``, in
+    [10**k, 10**(k + 1)): x 10**(digits - 1 - k) is an odd multiple of 1/2, so
+    rounding to ``digits`` significant digits is a tie."""
+    lo = math.ceil(10.0**k * 2.0 ** (digits - k))
+    hi = min(math.floor(10.0 ** (k + 1) * 2.0 ** (digits - k)), 2**53)
     m = rng.integers(lo // 2, hi // 2, count) * 2 + 1
-    return m * 2.0 ** -(17 - k)
+    return m * 2.0 ** -(digits - k)
 
 
 def test_csv_writer_rounds_ties_to_even(tmp_path, monkeypatch):
@@ -376,11 +382,11 @@ def _scan_like(count: int, rng) -> np.ndarray:
     return rng.choice([-1.0, 1.0], (count, 6)) * 10.0 ** rng.uniform(-4.0, 17.0, (count, 6))
 
 
-@pytest.mark.parametrize("count", [1, cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1])
+@pytest.mark.parametrize("count", [1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1])
 def test_csv_writer_blocks(count):
     values = _scan_like(count, np.random.default_rng(count))
     pieces = list(cli._csv_rows(values))
-    assert len(pieces) == -(-count // cli._CSV_BLOCK)
+    assert len(pieces) == -(-count // cli._BLOCK)
     assert _csv_mismatch("".join(pieces), values) is None
 
 
@@ -392,7 +398,7 @@ def test_csv_writer_refuses_a_log10_off_by_one(error, monkeypatch):
                              _each_column(_neighbours(_POWERS_OF_TEN))])
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
-    assert not cli._csv_cells(values)[1].any()
+    assert not cli._fields(values.ravel(), False)[1].reshape(-1, 6).all(axis=1).any()
     assert _csv_mismatch("".join(cli._csv_rows(values)), values) is None
 
 
@@ -400,7 +406,7 @@ def test_csv_writer_python_rows_at_block_edges(tmp_path, monkeypatch):
     # rows _CSV_ROW renders first and last in a block, first in the next and
     # inside one, over the 20000 rows of the benchmark's scans
     values = _scan_like(20000, np.random.default_rng(31))
-    block = cli._CSV_BLOCK
+    block = cli._BLOCK
     for row, value in zip([0, block - 1, block, 2 * block + 7, 19999],
                           [math.nan, 0.0, _TINIEST, -math.inf, 1e300]):
         values[row, row % 6] = value
@@ -419,6 +425,177 @@ def test_csv_writer_matches_the_row_template_on_any_floats(rows):
         warnings.simplefilter("error")
         text = "".join(cli._csv_rows(values))
     assert _csv_mismatch(text, values) is None
+
+
+# The JSON writer renders repr's shortest digits in numpy and falls back to
+# _JSON_ROW for a row it cannot render exactly; its bytes must be _JSON_ROW's
+# for every row.
+_JSON_INPUTS = {"beta_from": -0.8, "beta_to": -0.7, "count": 2, "area": 1.0,
+                "exact_points": False}
+
+
+def _json_text(values) -> str:
+    """The scan file of the rows ``values`` by _JSON_ROW: json's head for
+    _JSON_INPUTS, the rows joined by a comma and a newline, json's tail."""
+    doc = {"schema_version": "1", "command": "scan", "inputs": _JSON_INPUTS, "rows": None}
+    head = json.dumps(doc, indent=2)[: -len("null\n}")]
+    rows = ",\n".join(cli._JSON_ROW % tuple(row) for row in np.asarray(values).tolist())
+    return head + "[\n" + rows + "\n  ]\n}\n"
+
+
+def _json_mismatch(values, tmp_path, monkeypatch):
+    """None if ``envdet scan --format json`` writes _json_text(values) for a
+    scan returning the ``(n, 6)`` array ``values``, with every warning an
+    error; else the first line that differs."""
+    values = np.asarray(values, dtype=float).reshape(-1, len(COLUMNS))
+
+    def fake_scan(*args, **kwargs):
+        return envelope.ScanTable(*values.T, area=1.0)
+
+    monkeypatch.setattr(envelope, "scan", fake_scan)
+    out_path = tmp_path / "scan.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["scan", "--from", "-0.8", "--to", "-0.7", "--count", "2",
+                     "--out", str(out_path), "--format", "json"]) == 0
+    return _first_difference(out_path.read_text(encoding="ascii"), _json_text(values))
+
+
+_POWERS_OF_TWO = [2.0**j for j in range(-15, 56)]
+_JSON_EDGES = {
+    "zeros-subnormals-huge": [0.0, -0.0, _TINIEST, -_TINIEST, 2.5e-310, 1.7e308, -1.7e308],
+    "fixed-range-ends": _neighbours([1e-4, -1e-4, 1e16, -1e16]),
+    "powers-of-ten": _neighbours(_POWERS_OF_TEN + [-x for x in _POWERS_OF_TEN]),
+    "powers-of-two": _neighbours(_POWERS_OF_TWO + [-x for x in _POWERS_OF_TWO]),
+    "integers": [1.0, -3.0, 312500.0, 2.0**52 - 1, 2.0**52 + 1, 2.0**53, 2.0**53 + 2,
+                 1e15 + 1, -9999999999999998.0, 12345678901234568.0],
+}
+
+
+@pytest.mark.parametrize("specials", list(_JSON_EDGES.values()), ids=list(_JSON_EDGES))
+def test_json_writer_edges_match_the_row_template(specials, tmp_path, monkeypatch):
+    assert _json_mismatch(_each_column(specials), tmp_path, monkeypatch) is None
+
+
+def _significant_digits(x: float) -> int:
+    """How many significant digits repr writes for ``x`` in fixed notation."""
+    return len(repr(abs(x)).replace(".", "").strip("0"))
+
+
+def test_json_writer_rounds_ties_to_even(tmp_path, monkeypatch):
+    # ties at 15, 16 and 17 digits; at 16 both neighbours of some ties read
+    # back to x, and repr takes the even one
+    rng = np.random.default_rng(31)
+    ties = {digits: np.concatenate([_ties(k, 60, rng, digits)
+                                    for k in range(-4, min(16, digits))])
+            for digits in (15, 16, 17)}
+    for digits, values in ties.items():
+        for x in values[::37].tolist():
+            k = math.floor(math.log10(x))
+            assert (Fraction(x) * 10 ** (digits - 1 - k)).denominator == 2, (digits, x)
+    assert any(_significant_digits(x) == 16 for x in ties[16].tolist())
+    values = np.concatenate(list(ties.values()))
+    values *= rng.choice([-1.0, 1.0], values.size)
+    assert _json_mismatch(values, tmp_path, monkeypatch) is None
+
+
+def test_json_writer_prints_every_length_of_shortest_digits(tmp_path, monkeypatch):
+    # for each n from 1 to 17, non-integers whose repr has n significant digits
+    rng = np.random.default_rng(33)
+    found = {n: [] for n in range(1, 18)}
+    for n, values in found.items():
+        while len(values) < 42:
+            mantissa = int(rng.integers(10 ** (n - 1), 10**n))
+            x = float(f"{mantissa}e{int(rng.integers(-4, 16)) - n + 1}")
+            if x != math.floor(x) and 1e-4 <= x < 1e16 and _significant_digits(x) == n:
+                values.append(x if rng.integers(2) else -x)
+    values = np.concatenate([found[n] for n in found])
+    assert _json_mismatch(values, tmp_path, monkeypatch) is None
+
+
+def _json_like(count: int, rng) -> np.ndarray:
+    """Rows spread over the fixed range of repr and either sign."""
+    return rng.choice([-1.0, 1.0], (count, 6)) * 10.0 ** rng.uniform(-4.0, 16.0, (count, 6))
+
+
+@pytest.mark.parametrize("count", [1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1])
+def test_json_writer_blocks(count):
+    values = _json_like(count, np.random.default_rng(count))
+    pieces = list(cli._scan_json(_JSON_INPUTS, values))
+    assert len(pieces) == 2 + -(-count // cli._BLOCK)  # the head and the tail
+    assert _first_difference("".join(pieces), _json_text(values)) is None
+
+
+@pytest.mark.parametrize("error", [-1.0, 1.0])
+def test_json_writer_refuses_a_log10_off_by_one(error, monkeypatch):
+    # every exponent one off: the exact product then lies outside [1e16, 1e17)
+    # and _JSON_ROW renders every row
+    values = np.concatenate([_json_like(500, np.random.default_rng(34)),
+                             _each_column(_neighbours(_POWERS_OF_TEN))])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
+    assert not cli._fields(values.ravel(), True)[1].reshape(-1, 6).all(axis=1).any()
+    text = "".join(cli._scan_json(_JSON_INPUTS, values))
+    assert _first_difference(text, _json_text(values)) is None
+
+
+def test_json_writer_python_rows_at_block_edges(tmp_path, monkeypatch):
+    # rows _JSON_ROW renders first and last in a block, first in the next and
+    # inside one, over the 20000 rows of the benchmark's scans
+    values = _json_like(20000, np.random.default_rng(35))
+    block = cli._BLOCK
+    for row, value in zip([0, block - 1, block, 2 * block + 7, 19999],
+                          [0.0, 3.0, 1e-5, -1e16, 2.0**60]):
+        values[row, row % 6] = value
+    assert _json_mismatch(values, tmp_path, monkeypatch) is None
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(-0.8, -0.52, 5000, 0.13, False), (-0.99, -0.51, 2000, 1.1, True)],
+    ids=["json-5000", "json-exact"],
+)
+def test_json_writer_leaves_python_only_exponent_or_integer_rows(args):
+    # on the inputs of the pinned JSON hashes, _JSON_ROW renders exactly the
+    # rows holding a value repr writes in exponent notation or with ".0"; a
+    # value of 15 digits or fewer is not among them
+    table = envelope.scan(*args[:4], include_exact_points=args[4])
+    values = np.array(_table_rows(table))
+    by_python = ~cli._fields(values.ravel(), True)[1].reshape(values.shape).all(axis=1)
+    a = np.abs(values)
+    expected = ((a < 1e-4) | (a >= 1e16) | (values == np.floor(values))).any(axis=1)
+    assert np.array_equal(by_python, expected)
+    assert by_python.sum() == (3 if args[4] else 0)
+
+
+def test_no_rounding_boundary_in_the_numpy_range_is_a_short_decimal():
+    # The writer's test |D_n - D - rho| < h has no rule for a decimal on the
+    # boundary of x's rounding interval, x +- half an ulp, which reads back to
+    # x only if x's significand is even.  None lies there: for a non-integer
+    # double x with 1e-4 <= |x| < 1e16, h = half an ulp of x times 10**p,
+    # p = 16 - k, is not an integer, so x +- half an ulp is no decimal of 17
+    # significant digits or fewer.
+    for k in range(-4, 16):
+        for e in range(-15, 52):  # [2**e, 2**(e + 1)) holds non-integers
+            if Fraction(2) ** (e + 1) <= Fraction(10) ** k or 2**e >= Fraction(10) ** (k + 1):
+                continue
+            assert (Fraction(2) ** (e - 53) * 10 ** (16 - k)).denominator > 1, (k, e)
+
+
+_SHORT = st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(1, 10**17), st.integers(-21, 15))
+# any finite double, a value in the fixed range of repr or a short decimal
+_JSON_FIELD = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.floats(1e-4, 1e16), st.floats(-1e16, -1e-4), _SHORT)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rows=st.lists(st.tuples(*[_JSON_FIELD] * 6), min_size=1, max_size=8))
+def test_json_writer_matches_the_row_template_on_any_floats(rows):
+    values = np.array(rows, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = "".join(cli._scan_json(_JSON_INPUTS, values))
+    assert _first_difference(text, _json_text(values)) is None
 
 
 def test_scan_io_error(tmp_path, capsys):

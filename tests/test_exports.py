@@ -20,17 +20,20 @@ owner: only ``envelope._new_background`` makes a ``ThreadPoolExecutor`` or a
 quadratures has one owner too: only ``envelope._unit`` reads
 ``_SPLIT_MIN``.  So has the 17-digit format of the scan CSV: only
 ``cli._CSV_ROW`` spells ".17g", and only the writer ``cli._csv_rows`` reads
-it."""
+it.  And so has the JSON row of a scan, whose values repr writes: only
+``cli._JSON_ROW`` spells "%r", only the writer ``cli._scan_json`` reads it,
+and no other function of ``cli`` calls ``repr`` or converts with ``!r``."""
 
 import ast
 import importlib
 import pkgutil
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import envdet
-from envdet import barnes, envelope, verify
+from envdet import barnes, cli, envelope, verify
 
 SUBMODULES = sorted(
     m.name for m in pkgutil.iter_modules(envdet.__path__) if m.name != "__main__"
@@ -462,9 +465,9 @@ def test_a_second_reader_of_split_min_is_found():
     assert _split_min_readers(source) == [None, "_unit", "_columns", "run_criterion"]
 
 
-def _17g_spellers(source: str) -> list:
-    """Who in ``source`` spells the 17-digit format ".17g", in a string or an
-    f-string's format spec: the function around it, or the names a
+def _spellers(source: str, text: str) -> list:
+    """Who in ``source`` spells ``text``, in a string or an f-string's
+    constant parts or format spec: the function around it, or the names a
     module-level assignment binds."""
     found = []
 
@@ -473,7 +476,7 @@ def _17g_spellers(source: str) -> list:
             owner = node.name
         elif isinstance(node, ast.Assign) and owner is None:
             owner = ", ".join(ast.unparse(target) for target in node.targets)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value:
             found.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -482,9 +485,9 @@ def _17g_spellers(source: str) -> list:
     return found
 
 
-def _csv_row_readers(source: str) -> list:
-    """Where ``source`` reads ``_CSV_ROW``, by name or as an attribute."""
-    return _owners(source, lambda node: _name(node) == "_CSV_ROW"
+def _readers(source: str, name: str) -> list:
+    """Where ``source`` reads ``name``, by name or as an attribute."""
+    return _owners(source, lambda node: _name(node) == name
                    and isinstance(node.ctx, ast.Load))
 
 
@@ -494,7 +497,7 @@ def test_csv_row_owns_the_17_digit_format(filename):
     # every row the numpy writer cannot: one spelling, one reader
     source = Path(envdet.__file__).with_name(filename).read_text(encoding="utf-8")
     expected = (["_CSV_ROW"], ["_csv_rows"]) if filename == "cli.py" else ([], [])
-    assert (_17g_spellers(source), _csv_row_readers(source)) == expected
+    assert (_spellers(source, ".17g"), _readers(source, "_CSV_ROW")) == expected
 
 
 def test_a_second_17_digit_format_or_reader_is_found():
@@ -507,5 +510,39 @@ def test_a_second_17_digit_format_or_reader_is_found():
         "    text = ','.join(f'{x:.17g}' for x in args.row) + format(1.0, '.17g')\n"
         "    return cli._CSV_ROW % args.row\n"
     )
-    assert _17g_spellers(source) == ["_CSV_ROW", "_ROW", "_cmd_scan", "_cmd_scan"]
-    assert _csv_row_readers(source) == [None, "_csv_rows", "_cmd_scan"]
+    assert _spellers(source, ".17g") == ["_CSV_ROW", "_ROW", "_cmd_scan", "_cmd_scan"]
+    assert _readers(source, "_CSV_ROW") == [None, "_csv_rows", "_cmd_scan"]
+
+
+def _repr_callers(source: str) -> list:
+    """Where ``source`` calls ``repr`` or converts with ``!r`` in an f-string."""
+    return _owners(source, lambda node: isinstance(node, ast.Call) and _name(node.func) == "repr"
+                   or isinstance(node, ast.FormattedValue) and node.conversion == ord("r"))
+
+
+def test_json_row_owns_the_shortest_repr():
+    # the numpy writer's digits are proved equal to repr's, and _JSON_ROW
+    # renders every row the numpy writer cannot: one spelling, one reader,
+    # and no other repr in the module that writes the scan files (the JSON
+    # writer's own is its error message)
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert _spellers(source, "%r") == ["_JSON_ROW"]
+    assert _readers(source, "_JSON_ROW") == ["_scan_json"]
+    assert _repr_callers(source) == ["_scan_json"]
+
+
+def test_a_second_shortest_repr_format_or_reader_is_found():
+    source = textwrap.dedent(r"""
+        _JSON_ROW = "    {\n" + ",\n".join(f'      "{c}": %r' for c in COLUMNS) + "\n    }"
+        _PAIR = "%r, %r"
+        INDENT = _JSON_ROW.index("{")
+        def _scan_json(inputs, values):
+            rows = _rows(values, ",\n" + _JSON_ROW, shortest=True)
+            raise ValueError(f"not JSON compliant: {values[0]!r}")
+        def _cmd_scan(args):
+            text = "%r" % args.row[0] + repr(args.row[1]) + f"{args.area!r}{args.count}"
+            return cli._JSON_ROW % args.row
+    """)
+    assert _spellers(source, "%r") == ["_JSON_ROW", "_PAIR", "_cmd_scan"]
+    assert _readers(source, "_JSON_ROW") == [None, "_scan_json", "_cmd_scan"]
+    assert _repr_callers(source) == ["_scan_json", "_cmd_scan", "_cmd_scan"]
