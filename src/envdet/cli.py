@@ -140,21 +140,21 @@ _JSON_ROW = "    {\n" + ",\n".join(f'      "{c}": %r' for c in _SCAN_COLUMNS) + 
 # The digits printed are those of the first D_n that reads back to x, as the
 # 17-digit integer D_n 10**(17 - n).
 #
-# Text.  Each value fills a slot of 24 bytes, held as three words with byte c
+# Text.  Each value fills a slot of 40 bytes, held as five words with byte c
 # of the slot in bits 8 (c % 8) of word c // 8: the sign and, for k < 0, "0."
-# and -k - 1 zeros in bytes 0-5; the digits in bytes 6-23, for k >= 0 with the
-# point after digit k unless every later digit is zero; NUL bytes everywhere
-# else, also in place of trailing zeros.  A row is the template's text around
-# its values, each piece NUL-padded to whole words, with the slots between
-# them.  The text is the words with their NUL bytes dropped.
-_SLOT = 24
+# and -k - 1 zeros in bytes 0-5; digit j of D in byte 6 + 2 j and, for k >= 0,
+# the point in byte 7 + 2 k unless every later digit is zero; NUL bytes
+# everywhere else, also in place of trailing zeros.  A row is the template's
+# text around its values, each piece NUL-padded to whole words, with the slots
+# between them.  The text is the words with their NUL bytes dropped.
+_SLOT = 40
 # Rows rendered at once.  numpy's freed block arrays stay in the C heap, where
 # Python's small objects made later cannot go: over a run of 20000-row CSV
 # scans, each file parsed back into floats, blocks of 1024 to 4096 rows left
 # the peak memory about 1.5 MB above that of formatting each row in Python,
-# and 512 rows level with it.  20000 rows take 20.4 ms to render to CSV in
-# blocks of 512, 18.5-19.3 ms in blocks of 1024 to 4096; to JSON 29.7 ms,
-# against 27.0-29.6 ms.
+# and 512 rows level with it.  20000 rows take 17.6 ms to render to CSV in
+# blocks of 512, against 19.5 ms in blocks of 256 and 17.8 ms in blocks of
+# 1024; to JSON 26.4 ms, against 28.8 and 24.9 ms (medians of 25, in process).
 _BLOCK = 512
 
 
@@ -177,33 +177,22 @@ _POW10 = np.array([float(10**p) for p in range(21)])
 _POW10_HI, _POW10_LO = _split(_POW10)
 _POW10_LESS2 = _POW10[np.maximum(np.arange(21) - 2, 0)]  # by p: 10**(p - 2), at least 1
 _GROUP = np.arange(10000, dtype=np.uint16)
-# the four digits of each 4-digit group as ASCII, the first in the low byte,
-# and how many of them are trailing zeros (all four for 0000)
-_DIGITS4 = sum((_GROUP // 10 ** (3 - j) % 10 + 48).astype(np.uint64) << 8 * j for j in range(4))
+# the four digits of each 4-digit group as ASCII in bytes 0, 2, 4 and 6, the
+# first in the low byte, and how many of them are trailing zeros (all four
+# for 0000)
+_DIGITS4 = sum((_GROUP // 10 ** (3 - j) % 10 + 48).astype(np.uint64) << 16 * j for j in range(4))
 _TRAILING4 = sum((_GROUP % 10**j == 0).astype(np.int8) for j in range(1, 5))
-# The digit text X of D is three words with digit j in byte 3 + j: _KEEP[j]
-# keeps digits 0..j of it.  The slot takes bytes 6 to 5 + t from X moved up 3
-# bytes (_BEFORE[t]), byte 6 + t from _POINT[t] and bytes 7 + t to 23 from X
-# moved up 4 bytes (_AFTER[t]); t = 18 takes every digit from X moved up 3
-# bytes, and no point.  Each table is held word by word: _KEEP[i][j] is word
-# i of the mask for j.
-_KEEP = _by_word([(b"\xff" * (4 + j)).ljust(_SLOT, b"\0") for j in range(17)])
-_BEFORE = _by_word([(b"\0" * 6 + b"\xff" * t).ljust(_SLOT, b"\0") for t in range(19)])
-_AFTER = _by_word([(b"\0" * (7 + t) + b"\xff" * (17 - t)).ljust(_SLOT, b"\0") for t in range(19)])
-_POINT = _by_word([(b"\0" * (6 + t) + b"." * (t < 18)).ljust(_SLOT, b"\0") for t in range(19)])
-# bytes 0-7 of the slot by 2 (k + 4) + (x < 0): the sign, then "0." and
-# -k - 1 zeros for k < 0
+# Each table is held word by word.  _KEEP[i][j] is word i of the mask that
+# keeps digits 0..j of a slot, and _POINT[i][k] word i of the point after
+# digit k; k = 16 puts none, as no digit follows digit 16.
+_KEEP = _by_word([(b"\xff" * (7 + 2 * j)).ljust(_SLOT, b"\0") for j in range(17)])
+_POINT = _by_word([(b"\0" * (7 + 2 * k) + b"." * (k < 16)).ljust(_SLOT, b"\0") for k in range(17)])
+# word 0 of the slot, but for the lead digit, by 2 (k + 4) + (x < 0): the
+# sign, then "0." and -k - 1 zeros for k < 0
 _PREFIX = _by_word([
     ("-" * negative + ("0." + "0" * (-k - 1)) * (k < 0)).encode("ascii").ljust(8, b"\0")
     for k in range(-4, 17) for negative in (0, 1)
 ])[0]
-
-
-def _shifted(x, nbytes: int):
-    """The three words ``x`` moved up ``nbytes`` bytes (1 to 7); the bytes
-    moved past the third word are NUL."""
-    bits = 8 * nbytes
-    return [x[0] << bits, *((x[i] << bits) | (x[i - 1] >> (64 - bits)) for i in (1, 2))]
 
 
 def _nearest(d, rho, step: int):
@@ -228,7 +217,7 @@ def _shortest(a, p, d, rho):
 
 
 def _fields(v: np.ndarray, shortest: bool):
-    """The slots of the values ``v`` as ``(len(v), 3)`` words, with
+    """The slots of the values ``v`` as ``(len(v), 5)`` words, with
     _CSV_ROW's digits or, if ``shortest``, repr's, and which values they
     render exactly."""
     a = np.abs(v)
@@ -257,17 +246,12 @@ def _fields(v: np.ndarray, shortest: bool):
         _TRAILING4[g3] + (g3 == 0) * (_TRAILING4[g2] + (g2 == 0) * _TRAILING4[g1]))
     last = 16 - trailing  # the last nonzero digit
     keep = np.maximum(last, k)  # and every digit before the point
-    x = [
-        (lead.astype(np.uint64) + 48) << 24 | _DIGITS4[g1] << 32,
-        _DIGITS4[g2] | _DIGITS4[g3] << 32,
-        _DIGITS4[g4],
-    ]
-    x = [word & _KEEP[i][keep] for i, word in enumerate(x)]
-    t = np.where((k >= 0) & (last > k), k + 1, 18)
+    words = [_PREFIX[2 * k + 8 + (v < 0)] | (lead.astype(np.uint64) + 48) << 48,
+             *(_DIGITS4[g] for g in (g1, g2, g3, g4))]
+    point = np.where((k >= 0) & (last > k), k, 16)
     slots = np.empty((v.size, _SLOT // 8), np.uint64)
-    for i, (before, after) in enumerate(zip(_shifted(x, 3), _shifted(x, 4))):
-        slots[:, i] = before & _BEFORE[i][t] | after & _AFTER[i][t] | _POINT[i][t]
-    slots[:, 0] |= _PREFIX[2 * k + 8 + (v < 0)]
+    for i, word in enumerate(words):
+        slots[:, i] = word & _KEEP[i][keep] | _POINT[i][point]
     return slots, exact
 
 

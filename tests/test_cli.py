@@ -551,21 +551,27 @@ def test_json_writer_python_rows_at_block_edges(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "args",
-    [(-0.8, -0.52, 5000, 0.13, False), (-0.99, -0.51, 2000, 1.1, True)],
-    ids=["json-5000", "json-exact"],
+    "args, shortest, count",
+    [((-0.8, -0.52, 5000, 0.13, False), True, 0), ((-0.99, -0.51, 2000, 1.1, True), True, 3),
+     ((-0.9999, -0.5001, 20000, 3.7, False), False, 13),
+     ((-0.99, -0.51, 2000, 1.1, True), False, 3)],
+    ids=["json-5000", "json-exact", "csv-20000", "csv-exact"],
 )
-def test_json_writer_leaves_python_only_exponent_or_integer_rows(args):
-    # on the inputs of the pinned JSON hashes, _JSON_ROW renders exactly the
-    # rows holding a value repr writes in exponent notation or with ".0"; a
-    # value of 15 digits or fewer is not among them
+def test_json_writer_leaves_python_only_exponent_or_integer_rows(args, shortest, count):
+    # on the inputs of the pinned hashes, _JSON_ROW renders exactly the rows
+    # holding a value repr writes in exponent notation or with ".0", and
+    # _CSV_ROW those holding a value outside [1e-4, 1e17) or a non-finite one;
+    # a value of 15 digits or fewer is not among them
     table = envelope.scan(*args[:4], include_exact_points=args[4])
     values = np.array(_table_rows(table))
-    by_python = ~cli._fields(values.ravel(), True)[1].reshape(values.shape).all(axis=1)
+    by_python = ~cli._fields(values.ravel(), shortest)[1].reshape(values.shape).all(axis=1)
     a = np.abs(values)
-    expected = ((a < 1e-4) | (a >= 1e16) | (values == np.floor(values))).any(axis=1)
+    if shortest:
+        expected = ((a < 1e-4) | (a >= 1e16) | (values == np.floor(values))).any(axis=1)
+    else:
+        expected = ~((a >= 1e-4) & (a < 1e17)).all(axis=1)  # NaN fails both
     assert np.array_equal(by_python, expected)
-    assert by_python.sum() == (3 if args[4] else 0)
+    assert by_python.sum() == count
 
 
 def test_no_rounding_boundary_in_the_numpy_range_is_a_short_decimal():

@@ -124,7 +124,16 @@ def _assert_check_beta_matches_reference(beta):
     assert _message(AngleParam, beta) == expected
 
 
-@pytest.mark.parametrize("beta", [*_beta_forms(_SPECIAL_BETAS), [], np.array([])], ids=repr)
+def _beta_id(beta):
+    """repr, but a nonempty list or 1-D array as its type and length: the
+    repr of the whole list is hundreds of characters, numpy's spans lines and
+    changes with its print options."""
+    if np.ndim(beta) == 1 and len(beta):
+        return f"{type(beta).__name__}-of-{len(beta)}"
+    return repr(beta)
+
+
+@pytest.mark.parametrize("beta", [*_beta_forms(_SPECIAL_BETAS), [], np.array([])], ids=_beta_id)
 def test_check_beta_matches_the_elementwise_reference(beta):
     _assert_check_beta_matches_reference(beta)
 
