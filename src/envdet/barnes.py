@@ -37,9 +37,9 @@ from fractions import Fraction
 from typing import Union
 
 import numpy as np
-from scipy import special as _sp
 
 from .specfun import EULER_GAMMA, LOG_2PI, ZETA_PRIME_NEG1, DomainError, integrate_semi_infinite
+from .specfun import gammaln, hurwitz_zeta
 from .specfun import _block_nodes, _choice, _out, _positive, _real, _whole
 
 __all__ = [
@@ -94,7 +94,7 @@ _CROSSOVER = 0.5
 _TINY = 3.6e-8
 # Tail coefficients B_{2k} zeta(2k-1) / (2k(2k-1)) of the series route,
 # k = 2..16; the first omitted one sets its certificate.
-_TAIL = [float(_B[2 * k] / (2 * k * (2 * k - 1))) * float(_sp.zeta(2 * k - 1, 1))
+_TAIL = [float(_B[2 * k] / (2 * k * (2 * k - 1))) * float(hurwitz_zeta(2 * k - 1, 1))
          for k in range(2, _KMAX + 1)]
 # Range of a the integral route takes.  In log-spaced sweeps every order
 # converged without overflow up to _A_MAX (order 1 first failed at
@@ -387,7 +387,7 @@ def zeta_b_prime0_rational(r: Fraction) -> BarnesEval:
     # float() keeps the value a Python float (gammaln gives np.float64).
     for n, m in ((p, q), (q, p)):
         for k in range(1, n):
-            value += (0.5 - k / n) * float(_sp.gammaln(k * m % n / n))
+            value += (0.5 - k / n) * float(gammaln(k * m % n / n))
     return BarnesEval(value=value, error_bound=1e-14 * (p + q), route="rational")
 
 

@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
-from scipy import special as _sp
 
 from . import barnes
 from .specfun import (
@@ -33,6 +32,9 @@ from .specfun import (
     LOG_PI,
     ZETA_PRIME_NEG1,
     DomainError,
+    gammaln,
+    hurwitz_zeta,
+    psi,
 )
 from .specfun import _choice, _out, _positive, _real, _whole
 
@@ -224,8 +226,8 @@ def _log_c(p: AngleParam):
     """log c, c the scaling factor."""
     return (
         _LOG2
-        - _sp.gammaln(p.a2 / 2.0)
-        - _sp.gammaln(p.a1)
+        - gammaln(p.a2 / 2.0)
+        - gammaln(p.a1)
         + 0.5 * (LOG_PI - np.log(p._sin_cos[0]))
     )
 
@@ -242,7 +244,7 @@ def _elementary(p: AngleParam, orders):
     log_c = _log_c(p)
     if max(orders) > 0:
         hp = (-2.0 / a1**2 + 2.0 / x2**2) / 6.0
-        d_log_c = _sp.psi(a2 / 2.0) - _sp.psi(a1) + np.pi * c / s
+        d_log_c = psi(a2 / 2.0) - psi(a1) + np.pi * c / s
     terms = []
     for k in orders:
         if k == 0:
@@ -257,7 +259,7 @@ def _elementary(p: AngleParam, orders):
             a1_3, x2_3 = a1**3, p._x2_cube
             gpp = (8.0 / a1_3 - 8.0 / x2_3) / 6.0
             hpp = (4.0 / a1_3 - 8.0 / x2_3) / 6.0
-            d2_log_c = -_sp.zeta(2.0, a2 / 2.0) - _sp.zeta(2.0, a1) + 2.0 * np.pi**2 / s**2
+            d2_log_c = -hurwitz_zeta(2.0, a2 / 2.0) - hurwitz_zeta(2.0, a1) + 2.0 * np.pi**2 / s**2
             terms.append(
                 gpp * _LOG2
                 - hpp * log_c

@@ -10,6 +10,13 @@ is one integrand call for a narrow integrand.  Each level is summed in node
 order, by one prefix sum over narrow rows.  The first refinement, h = 1/4,
 accepts no group, so its difference and tolerance are not computed.
 
+It also owns envdet's one tie to scipy: the three compiled ufuncs
+``gammaln``, ``psi`` and ``hurwitz_zeta`` (scipy's ``_zeta``, which
+``scipy.special.zeta(s, q)`` calls), loaded from ``scipy.special._ufuncs``
+without running ``scipy.special``'s package import, whose array-API layer
+would import numpy's f2py, testing, random and ma packages.  A later
+``import scipy.special`` runs in full and exports the same ufunc objects.
+
 Everything here is pure; the quadrature's node tables are built once per
 refinement level, on first use.
 """
@@ -17,8 +24,11 @@ refinement level, on first use.
 from __future__ import annotations
 
 import functools
+import importlib
+import importlib.util
 import math
 import numbers
+import sys
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -31,8 +41,47 @@ __all__ = [
     "LOG_PI",
     "DomainError",
     "QuadratureError",
+    "gammaln",
+    "hurwitz_zeta",
     "integrate_semi_infinite",
+    "psi",
 ]
+
+
+def _scipy_ufuncs():
+    """scipy's compiled module ``scipy.special._ufuncs``: that of an imported
+    ``scipy.special``, else imported under a bare stand-in for the package,
+    whose ``__init__`` never runs.  The stand-in and every ``scipy.special.*``
+    module the import added then leave ``sys.modules``, whether it succeeds
+    or fails, so that a later ``import scipy.special`` runs in full and
+    binds its submodules as attributes of the real package."""
+    loaded = sys.modules.get("scipy.special")
+    if loaded is not None:
+        return loaded._ufuncs
+    before = set(sys.modules)
+    sys.modules["scipy.special"] = importlib.util.module_from_spec(
+        importlib.util.find_spec("scipy.special"))
+    try:
+        return importlib.import_module("scipy.special._ufuncs")
+    finally:
+        for name in set(sys.modules) - before:
+            if name == "scipy.special" or name.startswith("scipy.special."):
+                del sys.modules[name]
+
+
+_ufuncs = _scipy_ufuncs()
+gammaln, psi, hurwitz_zeta = _ufuncs.gammaln, _ufuncs.psi, _ufuncs._zeta
+
+# glibc sets its mmap threshold to the largest block freed from mmap so far,
+# and its trim threshold to twice that (mallopt(3)).  scipy.special's package
+# import used to free a block of about 430 KiB; without it the threshold
+# stays near 260 KiB, and the heap top of criterion 5's 20000-wide
+# quadrature is trimmed and faulted back in: 1500-3900 minor faults per
+# verify suite, against about 400 with this 768 KiB block freed (untouched,
+# so none of its pages is ever faulted in).  A block of 1 MiB or more also
+# changes the heap of any other large array work in the process, so keep it
+# at 768 KiB.
+np.empty(3 * 2**15)
 
 
 class DomainError(ValueError):

@@ -22,7 +22,9 @@ quadratures has one owner too: only ``envelope._unit`` reads
 ``cli._CSV_ROW`` spells ".17g", and only the writer ``cli._csv_rows`` reads
 it.  And so has the JSON row of a scan, whose values repr writes: only
 ``cli._JSON_ROW`` spells "%r", only the writer ``cli._scan_json`` reads it,
-and no other function of ``cli`` calls ``repr`` or converts with ``!r``."""
+and no other function of ``cli`` calls ``repr`` or converts with ``!r``.
+envdet's tie to scipy has one owner: only ``specfun._scipy_ufuncs`` imports
+scipy, and only ``specfun`` reads ``_ufuncs``."""
 
 import ast
 import importlib
@@ -546,3 +548,50 @@ def test_a_second_shortest_repr_format_or_reader_is_found():
     assert _spellers(source, "%r") == ["_JSON_ROW", "_PAIR", "_cmd_scan"]
     assert _readers(source, "_JSON_ROW") == [None, "_scan_json", "_cmd_scan"]
     assert _repr_callers(source) == ["_scan_json", "_cmd_scan", "_cmd_scan"]
+
+
+_IMPORTERS = ("import_module", "find_spec", "__import__")
+
+
+def _scipy_importers(source: str) -> list:
+    """Where ``source`` imports scipy or a scipy module: by an ``import``
+    statement, or by a call of ``import_module``, ``find_spec`` or
+    ``__import__`` on its name."""
+    def names_scipy(name):
+        return isinstance(name, str) and (name == "scipy" or name.startswith("scipy."))
+
+    return _owners(source, lambda node: (
+        isinstance(node, ast.Import) and any(names_scipy(a.name) for a in node.names)
+        or isinstance(node, ast.ImportFrom) and names_scipy(node.module)
+        or isinstance(node, ast.Call) and _name(node.func) in _IMPORTERS and node.args
+        and isinstance(node.args[0], ast.Constant) and names_scipy(node.args[0].value)
+    ))
+
+
+@pytest.mark.parametrize("filename", MODULE_FILES)
+def test_specfun_owns_the_scipy_ufuncs(filename):
+    # scipy.special's package import is never run by envdet, and the three
+    # ufuncs reach the other modules as specfun's gammaln, psi and hurwitz_zeta
+    source = Path(envdet.__file__).with_name(filename).read_text(encoding="utf-8")
+    expected = (
+        (["_scipy_ufuncs", "_scipy_ufuncs"], ["_scipy_ufuncs", None, None, None])
+        if filename == "specfun.py" else ([], [])
+    )
+    assert (_scipy_importers(source), _readers(source, "_ufuncs")) == expected
+
+
+def test_a_second_scipy_import_or_ufuncs_reader_is_found():
+    source = textwrap.dedent("""
+        import numpy as np, scipy.special
+        from scipy import special as _sp
+        from .specfun import _ufuncs
+        _GAMMALN = _ufuncs.gammaln
+        def _log_c(p):
+            return _sp.gammaln(p.a1) + specfun._ufuncs.psi(p.a2)
+        def _load():
+            importlib.import_module("scipy.special._ufuncs")
+            importlib.import_module("numpy.linalg")
+            return __import__("scipy").special, importlib.util.find_spec("scipy.special")
+    """)
+    assert _scipy_importers(source) == [None, None, "_load", "_load", "_load"]
+    assert _readers(source, "_ufuncs") == [None, "_log_c"]
