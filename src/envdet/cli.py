@@ -8,6 +8,7 @@ invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -381,6 +382,9 @@ def _cmd_critical(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Built once per process: a build takes about 0.9 ms, a parse 0.06 ms, and
+# parse_args leaves the parser as it found it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="envdet",
@@ -395,7 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--beta", type=float, required=True)
     p_eval.add_argument("--area", type=float, default=1.0)
     p_eval.add_argument("--format", choices=("json", "text"), default="text")
-    p_eval.set_defaults(func=_cmd_eval)
 
     p_scan = sub.add_parser("scan", help="tabulate a uniform beta grid to a file")
     p_scan.add_argument("--from", dest="beta_from", type=float, required=True)
@@ -409,17 +412,14 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="add rows at rational beta evaluated through the exact closed form",
     )
-    p_scan.set_defaults(func=_cmd_scan)
 
     p_verify = sub.add_parser("verify", help="run the self-verification suite")
     p_verify.add_argument("--suite", choices=("fast", "full"), default="fast")
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
-    p_verify.set_defaults(func=_cmd_verify)
 
     p_crit = sub.add_parser("critical", help="report the equilateral critical point")
     p_crit.add_argument("--area", type=float, default=1.0)
     p_crit.add_argument("--format", choices=("json", "text"), default="text")
-    p_crit.set_defaults(func=_cmd_critical)
 
     return parser
 
@@ -427,7 +427,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, never held by the cached parser: a
+        # replaced _cmd_* is the one that runs
+        return globals()[f"_cmd_{args.command}"](args)
     except (DomainError, QuadratureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, DomainError):

@@ -173,10 +173,13 @@ def _criterion_8() -> List[CheckResult]:
         for q in range(1, p + 1):
             if math.gcd(p, q) != 1:
                 continue
-            lhs = barnes.dedekind_sum(q, p) + barnes.dedekind_sum(p, q)
-            # -1/4 + (p/q + q/p + 1/(pq)) / 12 over one denominator
-            rhs = Fraction(p * p + q * q + 1 - 3 * p * q, 12 * p * q)
-            if lhs != rhs:
+            s, t = barnes.dedekind_sum(q, p), barnes.dedekind_sum(p, q)
+            # s + t = -1/4 + (p/q + q/p + 1/(pq)) / 12 = n / 12pq, tested
+            # as (s.num t.den + t.num s.den) 12pq = n s.den t.den in integers:
+            # exact, without the gcds of a Fraction sum
+            n = p * p + q * q + 1 - 3 * p * q
+            lhs = (s.numerator * t.denominator + t.numerator * s.denominator) * (12 * p * q)
+            if lhs != n * s.denominator * t.denominator:
                 failures += 1
     return [_at_most("dedekind_reciprocity", float(failures), 0.0)]
 

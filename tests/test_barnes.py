@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -122,6 +123,45 @@ def test_dedekind_takes_whole_numbers_at_their_exact_value():
     # an integral real is its integer
     assert dedekind_sum(3.0, 7) == dedekind_sum(3, 7)
     assert dedekind_sum(Fraction(6, 2), 7) == dedekind_sum(3, 7)
+
+
+def _dedekind_oracle(q, p):
+    """S(q, p) from the integer sum_{j<p} (2j - p)(2 (jq mod p) - p) = 4 p^2 S(q, p),
+    the definition's terms over their common denominator, with q itself, not
+    q mod p, in every product."""
+    return Fraction(sum((2 * j - p) * (2 * (j * q % p) - p) for j in range(1, p)), 4 * p * p)
+
+
+def _dedekind_samples():
+    """Seeded coprime (q, p), p log-uniform up to the cap: one q drawn from
+    [1, 4p], below or above p, and in turn q = 1, q = kp + 1 and q = kp - 1;
+    and p at the cap itself."""
+    rng = random.Random(20260)
+    cases = [(barnes._PQ_MAX - 1, barnes._PQ_MAX)]
+    for i in range(12):
+        p = int(math.exp(rng.uniform(0.0, math.log(barnes._PQ_MAX))))
+        q = rng.randrange(1, 4 * p + 1)
+        while math.gcd(p, q) != 1:
+            q += 1
+        k = rng.randrange(1, 4)
+        cases += [(q, p), ((1, k * p + 1, k * p - 1)[i % 3], p)]
+    return list(dict.fromkeys(case for case in cases if case[0] >= 1))
+
+
+@pytest.mark.parametrize("q,p", _dedekind_samples())
+def test_dedekind_matches_the_integer_oracle(q, p):
+    assert dedekind_sum(q, p) == _dedekind_oracle(q, p)
+
+
+@pytest.mark.parametrize("q,p", [(3, 7), (10, 7), (999, 1000), (1001, 1000), (123457, 65536)])
+def test_dedekind_matches_the_integer_oracle_on_numpy_and_huge_ints(q, p):
+    expected = _dedekind_oracle(q, p)
+    assert dedekind_sum(np.int64(q), np.int64(p)) == expected
+    assert dedekind_sum(np.int32(q), p) == expected
+    # q beyond the doubles, and beyond int64: only q mod p counts
+    for k in (2**53 + 1, 2**64, 3**50):
+        big = q + k * p
+        assert dedekind_sum(big, p) == _dedekind_oracle(big, p) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +570,24 @@ def test_rational_route_refuses_p_plus_q_beyond_a_million(r):
 def test_rational_route_takes_a_float_or_int_at_its_exact_value():
     assert zeta_b_prime0_rational(0.375) == zeta_b_prime0_rational(Fraction(3, 8))
     assert zeta_b_prime0_rational(np.int64(3)) == zeta_b_prime0_rational(Fraction(3))
+
+
+def _rational_reference(p, q):
+    """zeta_B'(0; p/q, 1, 1) by the closed form, each log-gamma of the
+    sawtooth sums a scalar gammaln call, the terms added one at a time."""
+    value = (ZP1 - math.log(q) / 12.0) / (p * q)
+    value += (float(_dedekind_oracle(q, p)) + 0.25) * math.log(q / p)
+    for n, m in ((p, q), (q, p)):
+        for k in range(1, n):
+            value += (0.5 - k / n) * float(specfun.gammaln(k * m % n / n))
+    return value
+
+
+def test_rational_route_matches_the_scalar_reference_bit_for_bit():
+    pairs = [(p, q) for p in range(1, 61) for q in range(1, 61) if math.gcd(p, q) == 1]
+    for p, q in pairs + [(499999, 500001)]:
+        value = zeta_b_prime0_rational(Fraction(p, q)).value
+        assert value.hex() == _rational_reference(p, q).hex(), (p, q)
 
 
 # Arguments that are not real numbers, or not integers where one is needed.

@@ -1037,3 +1037,64 @@ def test_settings_are_constants(capsys):
     assert code == 0
     assert list(doc) == ["schema_version", "command", "inputs", "results", "diagnostics"]
     assert doc["schema_version"] == SCHEMA_VERSION
+
+
+# eval, scan with and without exact points, verify, critical, an argparse
+# error, a domain error and a help text, in one process; scan paths are
+# relative, so that two working directories get the same stdout
+_PARSER_CALLS = [
+    ["eval", "--beta", "-0.7", "--area", "2", "--format", "json"],
+    ["scan", "--from", "-0.9", "--to", "-0.6", "--count", "7", "--out", "scan.csv"],
+    ["verify", "--suite", "fast"],
+    ["scan", "--from", "-0.9", "--to", "-0.6", "--count", "7", "--out", "scan.json",
+     "--format", "json", "--exact-points"],
+    ["eval", "--beta", "-0.7", "--bogus", "1"],
+    ["critical", "--area", "3"],
+    ["scan", "--from", "-0.9", "--to", "-0.6", "--count", "7", "--out", "scan.csv",
+     "--exact-points"],
+    ["eval", "--beta", "-0.4"],
+    ["verify", "--help"],
+    ["critical", "--area", "1", "--format", "json"],
+    ["eval", "--beta", "-0.75"],
+]
+
+
+def test_the_cached_parser_gives_the_bytes_of_a_fresh_one(tmp_path, capsys, monkeypatch):
+    fresh_parser = cli._build_parser.__wrapped__  # builds a new parser each call
+    runs = {"cached": [], "fresh": []}
+    for argv in _PARSER_CALLS:
+        for mode, runs_of_mode in runs.items():
+            workdir = tmp_path / mode
+            workdir.mkdir(exist_ok=True)
+            with monkeypatch.context() as patch:
+                patch.chdir(workdir)
+                if mode == "fresh":
+                    patch.setattr(cli, "_build_parser", fresh_parser)
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's error and help exits
+                    code = f"SystemExit({exc.code})"
+                captured = capsys.readouterr()
+                files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+            # criterion runtimes vary from run to run
+            out = [line for line in captured.out.splitlines() if "_runtime " not in line]
+            runs_of_mode.append((argv, code, out, captured.err, files))
+    assert runs["cached"] == runs["fresh"]
+    assert [run[1] for run in runs["cached"]] == [
+        0, 0, 0, 0, "SystemExit(2)", 0, 0, 2, "SystemExit(0)", 0, 0]
+    assert sorted(runs["cached"][-1][4]) == ["scan.csv", "scan.json"]
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser.cache_info().currsize == 1
+
+
+def test_the_cached_parser_runs_a_replaced_command(capsys, monkeypatch):
+    assert main(["eval", "--beta", "-0.7"]) == 0  # the parser is built by now
+    calls = []
+    for name in ("_cmd_eval", "_cmd_critical"):
+        monkeypatch.setattr(cli, name, lambda args, name=name: calls.append(name) or 7)
+    assert main(["eval", "--beta", "-0.6"]) == 7
+    assert main(["critical"]) == 7
+    assert calls == ["_cmd_eval", "_cmd_critical"]
+    monkeypatch.undo()
+    assert main(["eval", "--beta", "-0.6"]) == 0
+    assert "log_det" in capsys.readouterr().out

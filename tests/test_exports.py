@@ -24,7 +24,10 @@ it.  And so has the JSON row of a scan, whose values repr writes: only
 ``cli._JSON_ROW`` spells "%r", only the writer ``cli._scan_json`` reads it,
 and no other function of ``cli`` calls ``repr`` or converts with ``!r``.
 envdet's tie to scipy has one owner: only ``specfun._scipy_ufuncs`` imports
-scipy, and only ``specfun`` reads ``_ufuncs``."""
+scipy, and only ``specfun`` reads ``_ufuncs``.  ``barnes.dedekind_sum`` sums
+its definition in one pass: it calls neither itself, nor another function of
+``barnes``, nor a reciprocity helper, so criterion 8's reciprocity law checks
+it against the definition, not against itself."""
 
 import ast
 import importlib
@@ -595,3 +598,48 @@ def test_a_second_scipy_import_or_ufuncs_reader_is_found():
     """)
     assert _scipy_importers(source) == [None, None, "_load", "_load", "_load"]
     assert _readers(source, "_ufuncs") == [None, "_log_c"]
+
+
+def _dedekind_shortcuts(source: str) -> list:
+    """What ``dedekind_sum`` in ``source`` calls of a function ``source``
+    defines at module level, itself included, or of a name that says
+    "dedekind", "reciproc" or "euclid", and each function it defines inside
+    itself, in source order: a sum by reciprocity or a Euclid-like recursion,
+    which would make criterion 8 check the law against itself."""
+    tree = ast.parse(source)
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    function = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "dedekind_sum")
+    found = []
+    for node in ast.walk(function):
+        if node is not function and isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            found.append((node.lineno, node.col_offset, f"def {getattr(node, 'name', 'lambda')}"))
+        elif isinstance(node, ast.Call):
+            name = _name(node.func) or ""
+            if name in defined or any(word in name.lower()
+                                      for word in ("dedekind", "reciproc", "euclid")):
+                found.append((node.lineno, node.col_offset, ast.unparse(node.func)))
+    return [what for _line, _col, what in sorted(found)]
+
+
+def test_dedekind_sum_sums_its_definition_directly():
+    assert _dedekind_shortcuts(Path(barnes.__file__).read_text(encoding="utf-8")) == []
+
+
+def test_a_dedekind_sum_by_reciprocity_is_found():
+    source = textwrap.dedent("""
+        def _reciprocal_part(q, p):
+            return Fraction(p * p + q * q + 1, 12 * p * q) - Fraction(1, 4)
+        def dedekind_sum(q, p):
+            q, p = _whole(q, "q", 1, math.inf), _whole(p, "p", 1, _PQ_MAX)
+            if q > p:
+                return dedekind_sum(q % p, p)
+            step = lambda a, b: euclid_step(b % a, a)
+            def swap(a, b):
+                return _reciprocal_part(a, b) - barnes.dedekind_sum(b, a)
+            return swap(q, p) + step(q, p) + specfun.reciprocity(q, p) + Fraction(math.gcd(p, q))
+    """)
+    assert _dedekind_shortcuts(source) == [
+        "dedekind_sum", "def lambda", "euclid_step", "def swap", "_reciprocal_part",
+        "barnes.dedekind_sum", "specfun.reciprocity",
+    ]
