@@ -21,12 +21,10 @@ product of a block of quadrature nodes with the a values, and divides by
 e^t - 1 (or t (e^t - 1)) at that block's nodes, computed from math.expm1
 once per block and memoised by the block's bytes.  Where a block holds one
 node, the a values are sorted first and put back after, so that each kernel
-input is one sorted row: the kernel splits it at two indices, ``_TINY`` and
-its series/closed-form crossover, and writes each order in place, where any
-other input is split by a mask.  Below ``_TINY`` Horner's rule provably
-returns its leading coefficient bit for bit, so the series there is one
-multiply.  The Dedekind sum is one pass of integer products j (jq mod p) over
-j < p, never reciprocity, so that the reciprocity law checks it.
+input is one sorted row, which the kernel splits at two indices where any
+other input is split by a mask (see ``f_kernel``).  The Dedekind sum is one
+pass of integer products j (jq mod p) over j < p, never reciprocity, so that
+the reciprocity law checks it.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np
 
 from .specfun import EULER_GAMMA, LOG_2PI, ZETA_PRIME_NEG1, DomainError, integrate_semi_infinite
 from .specfun import gammaln, hurwitz_zeta
-from .specfun import _block_nodes, _choice, _out, _positive, _real, _whole
+from .specfun import _TWO, _block_nodes, _choice, _const, _max, _out, _positive, _real, _whole
 
 __all__ = [
     "BarnesEval",
@@ -80,10 +78,11 @@ _F0 = [float(_B[2 * k] / math.factorial(2 * k)) for k in range(2, _KMAX + 1)]
 _F1 = [c * (2 * k - 1) for k, c in zip(range(2, _KMAX + 1), _F0)]
 _F2 = [c * (2 * k - 1) * (2 * k - 2) for k, c in zip(range(2, _KMAX + 1), _F0)]
 _POWER = {0: 3, 1: 2, 2: 1}
-# np.float64, not float: an in-place ufunc takes a numpy scalar about 0.1 us
-# sooner, and Horner makes 14 such calls per order
-_COEFFS = {k: [np.float64(c) for c in f] for k, f in ((0, _F0), (1, _F1), (2, _F2))}
-_CROSSOVER = 0.5
+# 0-d arrays (_const), as are the kernel's other constants: Horner makes 14
+# in-place ufunc calls per order, and the closed forms up to 7
+_COEFFS = {k: [_const(c) for c in f] for k, f in ((0, _F0), (1, _F1), (2, _F2))}
+_ONE, _HALF, _THREE, _TWELVE, _TWELFTH = map(_const, (1.0, 0.5, 3.0, 12.0, 1.0 / 12.0))
+_CROSSOVER = _const(0.5)
 # Below _TINY, Horner's rule returns c[0] bit for bit for each order, so the
 # series is its leading term.  By induction from the top coefficient: with s =
 # fl(r^2) <= s0 = fl(_TINY^2), as rounding is monotone, each step adds to c[j]
@@ -110,6 +109,7 @@ _A_MAX = 1e27
 # of 5 each).
 _PQ_MAX = 10**6
 _ROUTES = ("integral", "series", "rational")  # BarnesEval.route
+_min = np.minimum.reduce  # ndarray.min's Python wrapper costs about 0.4 us a call
 
 
 def _series(r: np.ndarray, orders: tuple, out: np.ndarray) -> np.ndarray:
@@ -123,14 +123,14 @@ def _series(r: np.ndarray, orders: tuple, out: np.ndarray) -> np.ndarray:
     for j, k in enumerate(orders):
         acc = out[j]
         coeffs = _COEFFS[k]
-        np.multiply(s, coeffs[-1], out=acc)
+        np.multiply(s, coeffs[-1], acc)
         acc += coeffs[-2]
         for c in coeffs[-3::-1]:
             acc *= s
             acc += c
         # r ** 1 is r and r ** 2 is s, bit for bit; r ** 3 rounds once, in pow
         power = _POWER[k]
-        acc *= r if power == 1 else s if power == 2 else r**3
+        acc *= r if power == 1 else s if power == 2 else r**_THREE
     return out
 
 
@@ -140,8 +140,14 @@ def _leading(r: np.ndarray, orders: tuple, out: np.ndarray) -> np.ndarray:
     # r * r and r^3 as r**3, the powers _series takes.
     for j, k in enumerate(orders):
         power = _POWER[k]
-        np.multiply(r if power == 1 else r * r if power == 2 else r**3, _COEFFS[k][0], out=out[j])
+        np.multiply(r if power == 1 else r * r if power == 2 else r**_THREE, _COEFFS[k][0], out[j])
     return out
+
+
+@np.errstate(over="ignore")  # r**3, r**2 overflow past 5.6e102, 1.3e154; 1/inf = 0
+def _over_power(c: np.ndarray, r: np.ndarray, power) -> np.ndarray:
+    # c / r**power, the only kernel term that can overflow, in F' and F''
+    return c / r**power
 
 
 def _closed(r: np.ndarray, orders: tuple, out: np.ndarray) -> np.ndarray:
@@ -154,28 +160,27 @@ def _closed(r: np.ndarray, orders: tuple, out: np.ndarray) -> np.ndarray:
     #   F'' = er (1 + er) / den^3 - 2 / r^3,
     # where (1 + er) er is er (1 + er), bit for bit.
     den = -np.expm1(-r)            # 1 - e^{-r}
-    er = 1.0 - den                 # e^{-r}
+    er = _ONE - den                # e^{-r}
     for j, k in enumerate(orders):
         row = out[j]
         if k == 0:
-            np.divide(er, den, out=row)
-            row -= 1.0 / r
-            row += 0.5
-            row -= r / 12.0
+            np.divide(er, den, row)
+            row -= _ONE / r
+            row += _HALF
+            row -= r / _TWELVE
         elif k == 1:
-            np.negative(er, out=row)
+            np.negative(er, row)
             row /= den**2
-            row += 1.0 / r**2
-            row -= 1.0 / 12.0
+            row += _over_power(_ONE, r, 2)
+            row -= _TWELFTH
         else:
-            np.add(1.0, er, out=row)
+            np.add(_ONE, er, row)
             row *= er
-            row /= den**3
-            row -= 2.0 / r**3
+            row /= den**_THREE
+            row -= _over_power(_TWO, r, _THREE)
     return out
 
 
-@np.errstate(over="ignore")  # r**3, r**2 overflow past 5.6e102, 1.3e154; 1/inf = 0
 def f_kernel(r: ArrayLike, derivative: Union[int, tuple] = 0) -> ArrayLike:
     """Regularized Bose kernel F(r) = 1/(e^r - 1) - 1/r + 1/2 - r/12.
 
@@ -189,17 +194,16 @@ def f_kernel(r: ArrayLike, derivative: Union[int, tuple] = 0) -> ArrayLike:
     first value >= 0 is split at two indices, r = ``_TINY`` (3.6e-8) and the
     crossover, and each order is written in place into its three slices of
     the result; any other r is split by a mask.  Below ``_TINY`` the row
-    takes only Horner's final multiply, c[0] r^3, c[0] r^2 or c[0] r: there
-    every Horner step adds to c[j] less than half the gap between c[j] and
-    its neighbouring doubles, so Horner returns c[0] bit for bit (the proof
-    is at ``_TINY``).  Both paths give the same bits.  NaN or a negative r
+    takes only Horner's final multiply, c[0] r^3, c[0] r^2 or c[0] r, as
+    Horner provably returns c[0] there (the proof is at ``_TINY``).  Both
+    paths give the same bits.  NaN or a negative r
     raises ``DomainError``; +inf gives the closed form's limit.  A scalar r
     and one order give a float.
     """
     # an empty tuple is checked as one order, and refused
     orders = derivative if isinstance(derivative, tuple) and derivative else (derivative,)
-    orders = tuple(_choice(k, (0, 1, 2), "derivative") for k in orders)
-    arr = np.atleast_1d(_real(r, "r", ndim=None))
+    orders = tuple([_choice(k, (0, 1, 2), "derivative") for k in orders])
+    arr = np.atleast_1d(x := _real(r, "r", ndim=None))  # x: a float for a scalar r
     out = np.empty((len(orders),) + arr.shape)
     row = arr.reshape(-1) if arr.size == arr.shape[-1] > 0 else None
     # one comparison pass: a non-decreasing row from a first value >= 0
@@ -215,7 +219,7 @@ def f_kernel(r: ArrayLike, derivative: Union[int, tuple] = 0) -> ArrayLike:
         _closed(row[j:], orders, rows[:, j:])
     else:
         # 0.0 stands in for an empty r; NaN carries
-        if not arr.min(initial=0.0) >= 0.0:
+        if not _min(arr, None, None, None, False, 0.0) >= 0.0:
             raise DomainError("f_kernel needs r >= 0")
         small = arr < _CROSSOVER
         big = ~small
@@ -227,8 +231,8 @@ def f_kernel(r: ArrayLike, derivative: Union[int, tuple] = 0) -> ArrayLike:
             out[j][small] = series[j]
             out[j][big] = closed[j]
     if isinstance(derivative, tuple):
-        return out if np.ndim(r) else out[:, 0]
-    return out[0] if np.ndim(r) else float(out[0, 0])
+        return out[:, 0] if isinstance(x, float) else out
+    return float(out[0, 0]) if isinstance(x, float) else out[0]
 
 
 def dedekind_sum(q: int, p: int) -> Fraction:
@@ -276,7 +280,7 @@ def _head(a: ArrayLike, order: int) -> ArrayLike:
         return _LOG_A / a - 0.25 * LOG_2PI + EULER_GAMMA * a / 12.0
     if order == 1:
         return -_LOG_A / a**2 + EULER_GAMMA / 12.0
-    return 2.0 * _LOG_A / a**3
+    return 2.0 * _LOG_A / a**_THREE
 
 
 # The node column t, e^t - 1 and t (e^t - 1) of a block of quadrature nodes,
@@ -304,7 +308,7 @@ def _integral(a: ArrayLike, orders: tuple):
     smooth at t = 0 and decay like e^{-t}.
     """
     arr = np.asarray(a).ravel()
-    if arr.size == 0 or not (arr.min() >= _A_MIN and arr.max() <= _A_MAX):  # NaN fails
+    if arr.size == 0 or not (_min(arr) >= _A_MIN and _max(arr) <= _A_MAX):  # NaN fails
         raise DomainError(f"the integral route needs {_A_MIN:g} <= a <= {_A_MAX:g}, got {a!r}")
 
     # Where the quadrature's blocks hold one node (its width rule), a is

@@ -4,12 +4,6 @@ scalar result, and a double-exponential quadrature rule for groups of
 exponentially decaying integrands on (0, inf), each group accepted at its
 own refinement level and no longer evaluated after that.
 
-The caller states the width of its integrands, so the first node table, the
-whole h = 1/8 grid that holds the three levels before the first acceptance,
-is one integrand call for a narrow integrand.  Each level is summed in node
-order, by one prefix sum over narrow rows.  The first refinement, h = 1/4,
-accepts no group, so its difference and tolerance are not computed.
-
 It also owns envdet's one tie to scipy: the three compiled ufuncs
 ``gammaln``, ``psi`` and ``hurwitz_zeta`` (scipy's ``_zeta``, which
 ``scipy.special.zeta(s, q)`` calls), loaded from ``scipy.special._ufuncs``
@@ -118,9 +112,17 @@ def _whole(value, what: str, lo: int, hi: float) -> int:
     return int(n)
 
 
+def _const(x) -> np.ndarray:
+    """``x`` as a read-only 0-d float64 array: a ufunc takes an array operand
+    about 0.3 us sooner than a float or a numpy scalar, which it converts."""
+    c = np.array(x, dtype=float)
+    c.flags.writeable = False
+    return c
+
+
 def _out(x):
-    """A float for a scalar, the array itself for an array."""
-    return x if np.ndim(x) else float(x)
+    """A float for a scalar, the array itself (np.ndim takes 1.5 us on a float)."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
 _KINDS = {bool: (bool, np.bool_), int: (int, np.integer), str: (str,)}
@@ -172,39 +174,24 @@ def _block_nodes(groups: int, width: int) -> int:
     return max(1, 2**14 // (groups * width))
 
 
-# Refinements (halvings of the step) before the rule gives up.
+# Refinements (halvings of the step) before the rule gives up, and the step
+# of each level, h = 1/2, 1/4, ...
 _MAX_LEVELS = 10
-
-
+_STEPS = [_const(0.5 / 2**level) for level in range(_MAX_LEVELS + 1)]
+_TWO = _const(2.0)
 # A prefix sum along the node axis runs one inner loop per value of a row,
 # about 5 ns per value and row, where an in-place add costs about 0.5 us
 # per row; rows of at most this many values take the prefix sum.
 _PREFIX_SUM_VALUES = 64
-
-
-def _add_rows(total, rows: np.ndarray):
-    """``total + rows[0] + rows[1] + ...``, added in this order: the bits of
-    ``for row in rows: total += row``, signed zeros included (never a
-    pairwise ``sum``, which rounds otherwise).  Narrow rows are added by one
-    prefix sum seeded with ``total``, written into ``rows``; wide ones into
-    an array ``total`` of their own, so that no total keeps its block alive
-    (that raised a wide integrand's page faults 2.5-fold)."""
-    if not len(rows):
-        return total
-    if rows[0].size > _PREFIX_SUM_VALUES:
-        for row in rows:
-            total += row
-        return total
-    rows[0] += total
-    np.add.accumulate(rows, axis=0, out=rows)
-    return rows[-1]
+_SEEDS = 4  # spare rows before a narrow block, for the level totals (steps are <= 4)
+_max = np.maximum.reduce  # ndarray.max's Python wrapper costs about 0.4 us
 
 
 @functools.cache
 def _level_nodes(h: float, odd_only: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes t = exp(u - exp(-u)) and weights t (1 + exp(-u)) at u = k h for
-    every (odd, with ``odd_only``) k with _U_LO <= k h <= _U_HI, in increasing
-    order; both arrays are read-only because the cache shares them."""
+    """Nodes t = exp(u - exp(-u)) and (n, 1, 1) weights t (1 + exp(-u)) at
+    u = k h for every (odd, with ``odd_only``) k with _U_LO <= k h <= _U_HI,
+    in increasing order, read-only because the cache shares them."""
     nodes, weights = [], []
     for k in range(math.ceil(_U_LO / h), math.floor(_U_HI / h) + 1):
         if odd_only and k % 2 == 0:
@@ -214,15 +201,57 @@ def _level_nodes(h: float, odd_only: bool) -> Tuple[np.ndarray, np.ndarray]:
         t = math.exp(u - emu)
         nodes.append(t)
         weights.append(t * (1.0 + emu))
-    tables = np.array(nodes), np.array(weights)
+    tables = np.array(nodes), np.array(weights).reshape(-1, 1, 1)
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-def integrate_semi_infinite(
-    f: Callable, groups: int, width: int
-) -> Tuple[np.ndarray, np.ndarray]:
+# The first table's levels h = 1/2, 1/4, 1/8 as (offset, step): k = 0, k = 2 (mod 4), k odd.
+_K_LO = math.ceil(_U_LO * 8.0)
+_FIRST_LEVELS = ((-_K_LO) % 4, 4), ((2 - _K_LO) % 4, 4), ((1 - _K_LO) % 2, 2)
+
+
+def _level_sums(f: Callable, table: tuple, levels: tuple, open_: tuple, width: int) -> list:
+    """The weighted sum of ``f`` over each level (offset, step) of ``table``,
+    its positions offset, offset + step, ..., from the float 0.0 (zeroed
+    arrays raised a wide integrand's page faults 2.5-fold) in node order: the
+    bits of ``for row in rows: total += row``, signed zeros included (never a
+    pairwise ``sum``).  Narrow rows are weighted after ``_SEEDS`` rows that
+    take the totals, one prefix sum a level; wide ones are added into an
+    array of their own, so that no total keeps its block alive."""
+    nodes, weights = table
+    shape = (len(open_), width)
+    block = _block_nodes(*shape)
+    totals = [0.0] * len(levels)
+    for start in range(0, nodes.size, block):
+        t = nodes[start:start + block]
+        values = f(t, open_)
+        if (got := np.shape(values)) != (t.size,) + shape:
+            raise ValueError(f"integrand returned shape {got}, expected {(t.size,) + shape}")
+        # the whole block weighted by one multiply, and freed before the next
+        if shape[0] * width > _PREFIX_SUM_VALUES:
+            weighted = values * weights[start:start + block]
+            for i, (offset, step) in enumerate(levels):
+                for row in weighted[(offset - start) % step::step]:
+                    totals[i] += row
+            row = None  # a view, which would keep the block alive
+        else:  # of the dtype values * weights would take
+            weights_t, values = weights[start:start + block], np.asarray(values)
+            weighted = np.empty((_SEEDS + t.size,) + shape, np.result_type(values, weights_t))
+            np.multiply(values, weights_t, weighted[_SEEDS:])
+            # a narrow block, of 256 nodes or more, holds the whole first table,
+            # so the totals are all 0.0 unless the table has one level
+            weighted[:_SEEDS] = totals[0]
+            for i, (offset, step) in enumerate(levels):
+                rows = weighted[_SEEDS + (offset - start) % step - step::step]
+                np.add.accumulate(rows, 0, None, rows)
+                totals[i] = rows[-1]
+        del values, weighted
+    return totals
+
+
+def integrate_semi_infinite(f: Callable, groups: int, width: int) -> Tuple[np.ndarray, np.ndarray]:
     """Integrate ``groups`` vectors of ``width`` integrands each over
     (0, inf) with a double-exponential trapezoid rule, each group converging
     on its own.
@@ -248,7 +277,9 @@ def integrate_semi_infinite(
     A refinement is accepted when it moves a group's estimate by at most
     ``max(tol, tol * |estimate|)``, with ``tol`` = 1e-12.  A group is frozen
     at the level that accepts it and no longer evaluated, so its value and
-    level are those of a call on that group alone.  A ``groups`` or
+    level are those of a call on that group alone.  The groups of the Barnes
+    integral route with every a <= 1, so every quadrature of a determinant
+    call, are accepted at h = 1/8, from the first table.  A ``groups`` or
     ``width`` that is not a whole number of at least 1 raises
     ``DomainError``, and an integrand value of another shape ``ValueError``.
 
@@ -257,58 +288,29 @@ def integrate_semi_infinite(
     remaining error.
     """
     groups, width = _whole(groups, "groups", 1, math.inf), _whole(width, "width", 1, math.inf)
-
-    def weighted_sums(nodes, weights, levels, open_) -> list:
-        # one sum per level (offset, step): table positions offset,
-        # offset + step, ...
-        block = _block_nodes(len(open_), width)
-        # the float 0.0, not np.zeros: zeroed totals too raised a wide
-        # integrand's page faults 2.5-fold
-        totals = [0.0] * len(levels)
-        for start in range(0, nodes.size, block):
-            t = nodes[start:start + block]
-            values = f(t, open_)
-            if np.shape(values) != (t.size, len(open_), width):
-                raise ValueError(
-                    f"integrand returned shape {np.shape(values)}, "
-                    f"expected {(t.size, len(open_), width)}"
-                )
-            # the whole block weighted by one multiply
-            weighted = values * weights[start:start + block, None, None]
-            for i, (offset, step) in enumerate(levels):
-                totals[i] = _add_rows(totals[i], weighted[(offset - start) % step::step])
-            del values, weighted  # free this block before the next one is made
-        return totals
-
-    h = 0.5
     open_ = tuple(range(groups))
-    # the three levels before the first acceptance, from the h = 1/8 grid;
-    # u = k h is exact, so its nodes are those of each level's own table
-    k_lo = math.ceil(_U_LO / (h / 4.0))
-    first_levels = ((-k_lo) % 4, 4), ((2 - k_lo) % 4, 4), ((1 - k_lo) % 2, 2)
-    coarse, *finer = weighted_sums(*_level_nodes(h / 4.0, False), first_levels, open_)
+    coarse, *finer = _level_sums(f, _level_nodes(0.125, False), _FIRST_LEVELS, open_, width)
+    # h = 1/2, then h = 1/4, which accepts no group: the new nodes' sum plus
+    # the halved estimate (floating-point addition commutes), in place
+    coarse *= _STEPS[0]
+    coarse /= _TWO
+    estimate = finer[0] * _STEPS[1]
+    estimate += coarse
     # one row per group, rebound and never written to, so a frozen row keeps
     # its accepted value (a (groups, width) array tripled the page faults)
-    estimate = list(coarse * h)
-    errs = [math.inf] * groups
+    estimate, errs = list(estimate), [math.inf] * groups
 
-    for level in range(_MAX_LEVELS):
-        h /= 2.0
-        if level < len(finer):
-            new_sum = finer[level]
-        else:
-            (new_sum,) = weighted_sums(*_level_nodes(h, True), ((0, 1),), open_)
+    for level in range(1, _MAX_LEVELS):
+        h = _STEPS[level + 1]
+        new_sum, = finer[level:level + 1] or _level_sums(
+            f, _level_nodes(float(h), True), ((0, 1),), open_, width)
         still_open = []
-        # the new nodes' sum first, then each open row's halved estimate
-        # added to it in place (floating-point addition commutes)
-        for g, new in zip(open_, new_sum * h):
-            new += estimate[g] / 2.0
-            # level 0 accepts no group, so its difference is never read
-            if level >= 1:
-                errs[g] = float(np.abs(new - estimate[g]).max())
-            if level == 0 or not errs[g] <= max(_TOL, _TOL * float(np.abs(new).max())):
-                still_open.append(g)
+        for g, new in zip(open_, new_sum * h):  # no name keeps a replaced row's level alive
+            new += estimate[g] / _TWO
+            errs[g] = err = float(_max(abs(new - estimate[g])))
             estimate[g] = new
+            if not err <= max(_TOL, _TOL * float(_max(abs(new)))):
+                still_open.append(g)
         open_ = tuple(still_open)
         if not open_:
             return np.array(estimate), np.array(errs)

@@ -778,6 +778,60 @@ def test_blocked_quadrature_matches_node_loop(width, order):
     assert err == expected_err
 
 
+# a > 1 refines past the first table: at a = 1e6 the orders alone take 544,
+# 1088 and 544 nodes, and at 5e26 4352, 4352 and 68
+_REFINING_A = [10.0, 1e6, 1e12, 5e26]
+
+
+def _refining(a, width):
+    """``width`` values of a from ``a`` down, each 1.5 times the next."""
+    return a / 1.5 ** np.arange(width)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("a", _REFINING_A)
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_narrow_refinement_matches_node_loop(width, a, order):
+    # every quadrature a determinant call makes is accepted at the first
+    # table; these narrow ones take the later levels, each one node table
+    # in one integrand call
+    (value,), (err,) = barnes._integral(_refining(a, width), (order,))
+    expected, expected_err = _integral_reference(_refining(a, width), order)
+    assert value.tobytes() == expected.tobytes()
+    assert err == expected_err
+
+
+@pytest.mark.parametrize("a", _REFINING_A)
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_narrow_refinement_of_three_orders_is_three_calls(width, a, monkeypatch):
+    # the groups of one call freeze at their own levels, each passed to the
+    # integrand on the nodes it takes alone, with the bits and errors of one
+    # call per order
+    calls = []
+    quadrature = barnes.integrate_semi_infinite
+
+    def counted(f, groups, size):
+        def g(t, open_):
+            calls.append((t.size, open_))
+            return f(t, open_)
+
+        return quadrature(g, groups, size)
+
+    monkeypatch.setattr(barnes, "integrate_semi_infinite", counted)
+    values, errs = barnes._integral(_refining(a, width), (0, 1, 2))
+    per_group = [sum(n for n, open_ in calls if k in open_) for k in (0, 1, 2)]
+    alone = []
+    for k in (0, 1, 2):
+        calls.clear()
+        (value,), (err,) = barnes._integral(_refining(a, width), (k,))
+        alone.append(sum(n for n, _ in calls))
+        assert values[k].tobytes() == value.tobytes()
+        assert errs[k] == err
+    assert per_group == alone
+    if a == 1e6:
+        assert alone == [544, 1088, 544]
+
+
 @pytest.mark.parametrize("h, odd_only", [(1 / 8, False), (1 / 16, True), (1 / 32, True),
                                          (1 / 64, True)])
 @pytest.mark.parametrize("block", [1, 27, 68])

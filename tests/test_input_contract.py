@@ -255,3 +255,30 @@ def test_the_argument_gate_sees_each_argument_once(monkeypatch):
     seen.clear()
     envelope.scan(-0.9, -0.6, 5)
     assert seen == ["count", "beta_min", "beta_max", "area", "beta", "groups", "width", "r"]
+    # a scalar determinant call checks beta, its area, then the pair a1, a2
+    # of its one quadrature and kernel call
+    seen.clear()
+    envelope.log_det_area(envelope.AngleParam(-0.7), 1.3)
+    assert seen == ["beta", "area", "a", "groups", "width", "r"]
+    for derivative in (envelope.d_log_det, envelope.d2_log_det):
+        seen.clear()
+        derivative(envelope.AngleParam(-0.7))
+        assert seen == ["beta", "a", "groups", "width", "r"]
+
+
+# betas over the domain, the critical one, and within 1e-5 of each end
+_PATH_BETAS = np.concatenate([np.linspace(-1.0 + 2 * _EDGE, -0.5 - 2 * _EDGE, 2390),
+                              [-2.0 / 3.0], -1.0 + _EDGE * np.array([1.0, 1.5, 3.0, 10.0]),
+                              -0.5 - _EDGE * np.array([1.0, 1.5, 3.0, 10.0]), [-0.75]])
+
+
+def test_a_float_beta_takes_the_path_of_a_one_element_array():
+    # one path for every width: each part of the determinant of a float
+    # beta has the bits of the same part of a one-element array
+    for beta in _PATH_BETAS.tolist():
+        scalar = envelope.log_det_area(envelope.AngleParam(beta), 1.3)
+        array = envelope.log_det_area(envelope.AngleParam(np.array([beta])), 1.3)
+        for name in ("log_det", "elementary_part", "barnes_part", "area_term"):
+            got, expected = getattr(scalar, name), getattr(array, name)
+            assert type(got) is float and expected.shape == (1,)
+            assert np.float64(got).tobytes() == expected.tobytes(), (beta, name)

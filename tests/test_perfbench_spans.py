@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from envdet import envelope
+from envdet import barnes, envelope
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -81,6 +81,17 @@ def test_scalar_derivative_is_one_kernel_call(name, monkeypatch):
         "barnes.kernel.calls": 1,
         "barnes.kernel.points": 136,
     }
+
+
+@pytest.mark.parametrize("call, plan", [
+    # accepted at h = 1/16: the first table, then the 68 odd nodes of the
+    # next, one integrand and one kernel call each
+    (lambda: barnes.zeta_b_prime0(10.0), (1, 2, 2, 136)),
+    # accepted at h = 1/128: the first table and four more, 1088 nodes
+    (lambda: barnes.d_zeta_b_prime0(1e6), (1, 5, 5, 1088)),
+], ids=["zeta_b_prime0(10)", "d_zeta_b_prime0(1e6)"])
+def test_a_refining_route_calls_the_kernel_once_per_table(call, plan, monkeypatch):
+    assert tuple(_call_plan(monkeypatch, call).values()) == plan
 
 
 def test_a_wide_scan_is_two_quadratures_on_two_threads(monkeypatch):
