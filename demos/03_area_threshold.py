@@ -4,7 +4,13 @@ At unit area the equilateral envelope minimizes the determinant.  The
 area only shifts the determinant by -zeta0(beta) * log(area), but zeta0
 is itself beta-dependent, so growing the area eventually turns the
 equilateral critical point into a local maximum.  The flip happens at
-area exp(d2/27) ~ 1.92.
+area S* = exp(d2/27) ~ 1.92, the paper's "sufficiently large" area.
+
+Its "not too large" area has two thresholds below S*.  Up to
+S_0 = exp(min d_log_det / d_zeta0) ~ 1.752174 the equilateral point is the
+only critical point; above it a pair of critical points splits off from
+beta ~ -0.5893, and from S_abs ~ 1.772518 the right one (at beta ~ -0.5727
+there) is the absolute minimum, while -2/3 stays a local minimum up to S*.
 """
 
 import math

@@ -39,7 +39,7 @@ import numpy as np
 
 from .specfun import EULER_GAMMA, LOG_2PI, ZETA_PRIME_NEG1, DomainError, integrate_semi_infinite
 from .specfun import gammaln, hurwitz_zeta
-from .specfun import _TWO, _block_nodes, _choice, _const, _max, _out, _positive, _real, _whole
+from .specfun import _TWO, _block_nodes, _choice, _const, _out, _positive, _real, _whole
 
 __all__ = [
     "BarnesEval",
@@ -83,6 +83,10 @@ _POWER = {0: 3, 1: 2, 2: 1}
 _COEFFS = {k: [_const(c) for c in f] for k, f in ((0, _F0), (1, _F1), (2, _F2))}
 _ONE, _HALF, _THREE, _TWELVE, _TWELFTH = map(_const, (1.0, 0.5, 3.0, 12.0, 1.0 / 12.0))
 _CROSSOVER = _const(0.5)
+# The head's constants at an array a: log A, log(2 pi) / 4, gamma, -log A,
+# gamma / 12 and 2 log A, each the double of its Python expression in _head
+_C_LOG_A, _C_LOG_2PI_4, _C_GAMMA, _C_NEG_LOG_A, _C_GAMMA_12, _C_TWO_LOG_A = map(_const, (
+    _LOG_A, 0.25 * LOG_2PI, EULER_GAMMA, -_LOG_A, EULER_GAMMA / 12.0, 2.0 * _LOG_A))
 # Below _TINY, Horner's rule returns c[0] bit for bit for each order, so the
 # series is its leading term.  By induction from the top coefficient: with s =
 # fl(r^2) <= s0 = fl(_TINY^2), as rounding is monotone, each step adds to c[j]
@@ -200,10 +204,14 @@ def f_kernel(r: ArrayLike, derivative: Union[int, tuple] = 0) -> ArrayLike:
     raises ``DomainError``; +inf gives the closed form's limit.  A scalar r
     and one order give a float.
     """
-    # an empty tuple is checked as one order, and refused
+    # an empty tuple is checked as one order, and refused; a tuple of int
+    # orders passes as it is (type() is int is no bool), any other through
+    # the selector gate, which takes numpy's ints too
     orders = derivative if isinstance(derivative, tuple) and derivative else (derivative,)
-    orders = tuple([_choice(k, (0, 1, 2), "derivative") for k in orders])
-    arr = np.atleast_1d(x := _real(r, "r", ndim=None))  # x: a float for a scalar r
+    if not all([type(k) is int and 0 <= k <= 2 for k in orders]):
+        orders = tuple([_choice(k, (0, 1, 2), "derivative") for k in orders])
+    x = _real(r, "r", ndim=None)  # a float for a scalar r, else an array of at least 1-D
+    arr = x if isinstance(x, np.ndarray) else np.array([x])
     out = np.empty((len(orders),) + arr.shape)
     row = arr.reshape(-1) if arr.size == arr.shape[-1] > 0 else None
     # one comparison pass: a non-decreasing row from a first value >= 0
@@ -275,12 +283,26 @@ class BarnesEval:
 
 def _head(a: ArrayLike, order: int) -> ArrayLike:
     """Closed-form part of d^order/da^order of zeta_B'(0; a, 1, 1), which the
-    integral route adds to its quadrature and the series route to its tail."""
-    if order == 0:
+    integral route adds to its quadrature and the series route to its tail.
+
+    The series route's float a takes order 0 in Python floats; an array a
+    takes 0-d constants, with the same roundings in the same order, worked
+    out in place (a ufunc converts a float operand about 0.35 us slower)."""
+    if order == 0 and not isinstance(a, np.ndarray):
         return _LOG_A / a - 0.25 * LOG_2PI + EULER_GAMMA * a / 12.0
-    if order == 1:
-        return -_LOG_A / a**2 + EULER_GAMMA / 12.0
-    return 2.0 * _LOG_A / a**_THREE
+    if order == 0:  # log A / a - log(2 pi) / 4 + gamma a / 12
+        head = np.divide(_C_LOG_A, a)
+        head -= _C_LOG_2PI_4
+        linear = np.multiply(_C_GAMMA, a)
+        linear /= _TWELVE
+        head += linear
+        return head
+    if order == 1:  # -log A / a^2 + gamma / 12
+        head = a**2
+        np.divide(_C_NEG_LOG_A, head, head)
+        head += _C_GAMMA_12
+        return head
+    return np.divide(_C_TWO_LOG_A, a**_THREE)  # 2 log A / a^3
 
 
 # The node column t, e^t - 1 and t (e^t - 1) of a block of quadrature nodes,
@@ -307,8 +329,15 @@ def _integral(a: ArrayLike, orders: tuple):
     The integrands F(at)/(t(e^t-1)), F'(at)/(e^t-1) and t F''(at)/(e^t-1) are
     smooth at t = 0 and decay like e^{-t}.
     """
-    arr = np.asarray(a).ravel()
-    if arr.size == 0 or not (_min(arr) >= _A_MIN and _max(arr) <= _A_MAX):  # NaN fails
+    if not isinstance(a, np.ndarray):
+        arr = np.array([a])
+    else:  # a 1-D array's rows are the result's, any other's are reshaped
+        arr = a if a.ndim == 1 else a.ravel()
+    # argmin and argmax point at a NaN where there is one, so NaN fails; on
+    # a short array they take about a third of what min and max reductions do
+    if arr.size == 0 or not (
+        arr.item(arr.argmin()) >= _A_MIN and arr.item(arr.argmax()) <= _A_MAX
+    ):
         raise DomainError(f"the integral route needs {_A_MIN:g} <= a <= {_A_MAX:g}, got {a!r}")
 
     # Where the quadrature's blocks hold one node (its width rule), a is
@@ -328,7 +357,8 @@ def _integral(a: ArrayLike, orders: tuple):
         ks = orders if len(open_) == len(orders) else tuple(orders[g] for g in open_)
         t, em, tem = _expm1_columns(t.tobytes())
         values = f_kernel(t * arr, ks)
-        for v, k in zip(values, ks):
+        for j, k in enumerate(ks):
+            v = values[j]
             if k == 2:
                 v *= t
             v /= tem if k == 0 else em
@@ -340,7 +370,9 @@ def _integral(a: ArrayLike, orders: tuple):
         row += _head(arr, k)
     if perm is not None:
         integral[:, perm] = integral.copy()
-    return integral.reshape((len(orders),) + np.shape(a)), errs
+    if not isinstance(a, np.ndarray):
+        return integral[:, 0], errs
+    return (integral if a.ndim == 1 else integral.reshape((len(orders),) + a.shape)), errs
 
 
 def zeta_b_prime0(a: float) -> BarnesEval:
@@ -354,7 +386,8 @@ def zeta_b_prime0(a: float) -> BarnesEval:
 
 def zeta_b_prime0_values(a: np.ndarray) -> np.ndarray:
     """Integral-route values on a grid of a, via one vectorized quadrature."""
-    return _integral(np.atleast_1d(_real(a, "a", ndim=None)), (0,))[0][0]
+    x = _real(a, "a", ndim=None)
+    return _integral(x if isinstance(x, np.ndarray) else np.array([x]), (0,))[0][0]
 
 
 def zeta_b_prime0_series(a: float, n: int = 4) -> BarnesEval:

@@ -98,15 +98,15 @@ def _check_beta(b) -> None:
 
 
 def _check_scalar(p: AngleParam, what: str) -> None:
-    if np.ndim(p.beta):
-        raise DomainError(f"{what} takes a float beta, got an array of shape {np.shape(p.beta)}")
+    if isinstance(p.beta, np.ndarray):
+        raise DomainError(f"{what} takes a float beta, got an array of shape {p.beta.shape}")
 
 
 def _log(x):
     # Floats take math.log and arrays numpy's log.  The two can differ in the
     # last bit, and both the scalar expansions and the scan files are pinned
-    # bit for bit.
-    return np.log(x) if np.ndim(x) else math.log(x)
+    # bit for bit.  An array here is a beta array's a1 or a2, never 0-d.
+    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
 
 
 class _memo(functools.cached_property):
@@ -236,7 +236,9 @@ def _elementary(p: AngleParam, orders):
     """k-th beta-derivatives (k = 0, 1, 2) of the elementary terms of the
     unit-area log det, g log 2 - h log c - log a1 - log(a2)/2 - 2.5 log 2
     - log pi with c the scaling factor: a list with one term per order k in
-    the tuple ``orders``, from shared intermediates; trigamma is zeta(2, .)."""
+    the tuple ``orders``, from shared intermediates; trigamma is zeta(2, .).
+    A float beta's terms are Python floats, so that the sums after them
+    take no numpy scalar arithmetic."""
     b, a1, a2 = p.beta, p.a1, p.a2
     x2 = -a2  # 2 beta + 1, bit for bit
     h = (2.0 / a1 - 1.0 / x2 - 1.0) / 6.0
@@ -268,13 +270,14 @@ def _elementary(p: AngleParam, orders):
                 + 1.0 / a1**2
                 + 2.0 / a2**2
             )
-    return terms
+    return [_out(term) for term in terms]
 
 
-def _integral_pair(p: AngleParam, orders: tuple) -> np.ndarray:
+def _integral_pair(p: AngleParam, orders: tuple):
     """Integral-route k-th a-derivatives of zeta_B'(0; ., 1, 1) at a1 and at
     a2 for each order k in ``orders``, from one quadrature over both: shaped
-    (len(orders), 2) + beta's shape."""
+    (len(orders), 2) + beta's shape, as nested lists of Python floats for a
+    float beta."""
     a = np.array((p.a1, p.a2))  # (2,) + beta's shape
     if len(orders) > 1:
         z = barnes._integral(a, orders)[0]
@@ -283,8 +286,8 @@ def _integral_pair(p: AngleParam, orders: tuple) -> np.ndarray:
         # time, so a replaced (or removed) module attribute of another order
         # never matters
         route = ("zeta_b_prime0_values", "d_zeta_b_prime0", "d2_zeta_b_prime0")[orders[0]]
-        z = getattr(barnes, route)(a)
-    return z.reshape((len(orders),) + a.shape)
+        z = getattr(barnes, route)(a)[np.newaxis]
+    return z if isinstance(p.beta, np.ndarray) else z.tolist()
 
 
 def _chain(k: int, elementary, z1, z2):
@@ -358,8 +361,13 @@ def _unit(p: AngleParam, orders: tuple) -> list:
     the quadrature.  An array of at least ``_SPLIT_MIN`` betas and several
     orders takes two quadratures, the last order's on the background thread
     after the pass and the others' here: the same bits, as each order's
-    quadrature converges on its own."""
-    split = len(orders) > 1 and isinstance(p.beta, np.ndarray) and p.beta.size >= _SPLIT_MIN
+    quadrature converges on its own.  A float beta runs the pass and then
+    the quadrature here, in Python floats from the pass on."""
+    if not isinstance(p.beta, np.ndarray):
+        elementary = _elementary(p, orders)
+        pair = _integral_pair(p, orders)
+        return [_chain(k, e, z1, z2) for k, e, (z1, z2) in zip(orders, elementary, pair)]
+    split = len(orders) > 1 and p.beta.size >= _SPLIT_MIN
     here, there = (orders[:-1], orders[-1:]) if split else (orders, ())
     background = _in_background(_elementary_then_pair, p, orders, there)
     try:
@@ -419,7 +427,7 @@ def log_det_area(p: AngleParam, area: float, route: str = "integral") -> DetResu
     area = _positive(area, "area")
     route = _choice(route, ("integral", "rational"), "route")
     if route == "integral":
-        zb1, zb2 = _integral_pair(p, (0,))[0]
+        (zb1, zb2), = _integral_pair(p, (0,))
     else:
         if p.exact is None:
             raise DomainError("route='rational' needs AngleParam.from_fraction")
@@ -606,7 +614,13 @@ def scan(
         raise DomainError(f"count {count} exceeds the doubles in [{beta_min!r}, {beta_max!r}]")
     fracs = _exact_betas(beta_min, beta_max) if include_exact_points else []
     eb = np.asarray([float(f) for f in fracs])
-    cols = _columns(np.union1d(b, eb), area)
+    if fracs:
+        # np.union1d's floats in its order, without np.unique, which imports
+        # numpy.ma on its first call: the sorted points, each equal
+        # neighbour dropped
+        b = np.sort(np.concatenate((b, eb)))
+        b = b[np.concatenate(([True], b[1:] != b[:-1]))]
+    cols = _columns(b, area)
     # an exact point's log det comes from the rational route, also where it
     # ties with a grid point
     cols[1][np.searchsorted(cols[0], eb)] = [

@@ -225,20 +225,22 @@ def _level_sums(f: Callable, table: tuple, levels: tuple, open_: tuple, width: i
     block = _block_nodes(*shape)
     totals = [0.0] * len(levels)
     for start in range(0, nodes.size, block):
-        t = nodes[start:start + block]
+        t, weights_t = nodes[start:start + block], weights[start:start + block]
         values = f(t, open_)
-        if (got := np.shape(values)) != (t.size,) + shape:
-            raise ValueError(f"integrand returned shape {got}, expected {(t.size,) + shape}")
+        if not isinstance(values, np.ndarray):
+            values = np.asarray(values)
+        if values.shape != (t.size,) + shape:
+            raise ValueError(f"integrand returned shape {values.shape}, expected {(t.size,) + shape}")
         # the whole block weighted by one multiply, and freed before the next
         if shape[0] * width > _PREFIX_SUM_VALUES:
-            weighted = values * weights[start:start + block]
+            weighted = values * weights_t
             for i, (offset, step) in enumerate(levels):
                 for row in weighted[(offset - start) % step::step]:
                     totals[i] += row
             row = None  # a view, which would keep the block alive
         else:  # of the dtype values * weights would take
-            weights_t, values = weights[start:start + block], np.asarray(values)
-            weighted = np.empty((_SEEDS + t.size,) + shape, np.result_type(values, weights_t))
+            dtype = np.promote_types(values.dtype, weights_t.dtype)
+            weighted = np.empty((_SEEDS + t.size,) + shape, dtype)
             np.multiply(values, weights_t, weighted[_SEEDS:])
             # a narrow block, of 256 nodes or more, holds the whole first table,
             # so the totals are all 0.0 unless the table has one level
@@ -288,22 +290,36 @@ def integrate_semi_infinite(f: Callable, groups: int, width: int) -> Tuple[np.nd
     remaining error.
     """
     groups, width = _whole(groups, "groups", 1, math.inf), _whole(width, "width", 1, math.inf)
-    open_ = tuple(range(groups))
-    coarse, *finer = _level_sums(f, _level_nodes(0.125, False), _FIRST_LEVELS, open_, width)
+    coarse, quarter, eighth = _level_sums(
+        f, _level_nodes(0.125, False), _FIRST_LEVELS, tuple(range(groups)), width)
     # h = 1/2, then h = 1/4, which accepts no group: the new nodes' sum plus
     # the halved estimate (floating-point addition commutes), in place
     coarse *= _STEPS[0]
     coarse /= _TWO
-    estimate = finer[0] * _STEPS[1]
-    estimate += coarse
+    quarter *= _STEPS[1]
+    quarter += coarse
+    # h = 1/8 for every group at once, with the bits of one group alone
+    new = eighth * _STEPS[2]
+    half = quarter / _TWO
+    new += half
+    np.subtract(new, quarter, half)
+    err = _max(np.absolute(half, half), 1)
+    errs = err.tolist()
+    # err <= max(tol, tol |estimate|) as err <= tol or err <= tol |estimate|,
+    # the same test (NaN fails both), whose second half few groups need
+    open_ = tuple([g for g, e in enumerate(errs) if not e <= _TOL])
+    if open_:
+        scale = _max(np.absolute(new, half), 1).tolist()
+        open_ = tuple([g for g in open_ if not errs[g] <= _TOL * scale[g]])
+    if not open_:
+        return new, err
     # one row per group, rebound and never written to, so a frozen row keeps
     # its accepted value (a (groups, width) array tripled the page faults)
-    estimate, errs = list(estimate), [math.inf] * groups
+    estimate = list(new)
 
-    for level in range(1, _MAX_LEVELS):
+    for level in range(2, _MAX_LEVELS):
         h = _STEPS[level + 1]
-        new_sum, = finer[level:level + 1] or _level_sums(
-            f, _level_nodes(float(h), True), ((0, 1),), open_, width)
+        new_sum, = _level_sums(f, _level_nodes(float(h), True), ((0, 1),), open_, width)
         still_open = []
         for g, new in zip(open_, new_sum * h):  # no name keeps a replaced row's level alive
             new += estimate[g] / _TWO

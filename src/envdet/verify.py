@@ -149,7 +149,10 @@ def _residual_spread(
     beta_at: Callable[[float], float], expansion: Callable[[envelope.AngleParam], float]
 ) -> float:
     """Spread max/min of |log det - expansion| / d over the distances d of
-    beta = ``beta_at(d)`` from an endpoint: about 1 where the residual is O(d)."""
+    beta = ``beta_at(d)`` from an endpoint (d = a1 near -1, d = a2 near -1/2).
+    The residual is of order d log(1/d), not d: the 40-digit reference gives
+    -(d log d)/6 + c1 d near -1 and -(d log d)/3 + c2 d near -1/2, so over the
+    three decades here the spread is about 1.6 and 1.7, not 1."""
     ratios = []
     for d in (1e-2, 1e-3, 1e-4):
         p = envelope.AngleParam(beta_at(d))

@@ -72,6 +72,33 @@ def test_the_caller_sees_the_serial_orders_error(n, raising, expected, monkeypat
         d2_log_det(_grid(n))
 
 
+@pytest.mark.parametrize("call", [d_log_det, d2_log_det], ids=["d_log_det", "d2_log_det"])
+def test_a_float_beta_runs_straight_through_without_the_hand_off(call, monkeypatch):
+    # the terms, then the quadrature, on the calling thread, with the bits
+    # and the error order of the array path
+    expected = call(AngleParam(-0.7))
+    handed_off = []
+
+    def in_background(*args):
+        handed_off.append(args)
+        raise AssertionError("a float beta reached _in_background")
+
+    monkeypatch.setattr(envelope, "_in_background", in_background)
+    assert call(AngleParam(-0.7)).hex() == expected.hex()
+
+    def elementary(p, orders):
+        raise ElementaryError
+
+    def pair(p, orders):
+        raise QuadratureError
+
+    monkeypatch.setattr(envelope, "_elementary", elementary)
+    monkeypatch.setattr(envelope, "_integral_pair", pair)
+    with pytest.raises(ElementaryError):
+        call(AngleParam(-0.7))
+    assert handed_off == []
+
+
 def test_a_quadrature_error_waits_for_the_job(monkeypatch):
     real_elementary = envelope._elementary
     finished = []

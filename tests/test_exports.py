@@ -27,7 +27,9 @@ envdet's tie to scipy has one owner: only ``specfun._scipy_ufuncs`` imports
 scipy, and only ``specfun`` reads ``_ufuncs``.  ``barnes.dedekind_sum`` sums
 its definition in one pass: it calls neither itself, nor another function of
 ``barnes``, nor a reciprocity helper, so criterion 8's reciprocity law checks
-it against the definition, not against itself."""
+it against the definition, not against itself.  And no module under ``src``
+calls numpy's set operations built on ``np.unique``, whose first call imports
+``numpy.ma``."""
 
 import ast
 import importlib
@@ -643,3 +645,46 @@ def test_a_dedekind_sum_by_reciprocity_is_found():
         "dedekind_sum", "def lambda", "euclid_step", "def swap", "_reciprocal_part",
         "barnes.dedekind_sum", "specfun.reciprocity",
     ]
+
+
+# numpy's set operations that run np.unique's plain path, which calls
+# np.ma.is_masked and so imports numpy.ma on first use (in1d is numpy's
+# older isin)
+_MA_SET_OPERATIONS = {
+    "unique", "unique_values", "union1d", "intersect1d", "setdiff1d", "setxor1d", "isin", "in1d",
+}
+
+
+def _ma_set_operations(source: str) -> list:
+    """Where ``source`` names one of ``_MA_SET_OPERATIONS``: as an attribute
+    of ``np`` or ``numpy``, or in a ``from numpy import``."""
+    return _owners(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr in _MA_SET_OPERATIONS
+        and _name(node.value) in ("np", "numpy")
+        or isinstance(node, ast.ImportFrom) and node.module == "numpy"
+        and any(a.name in _MA_SET_OPERATIONS for a in node.names)
+    ))
+
+
+SOURCE_FILES = sorted(path.name for path in Path(envdet.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("filename", SOURCE_FILES)
+def test_no_module_calls_a_set_operation_that_imports_numpy_ma(filename):
+    # numpy.ma costs 8-24 ms and about 0.8 MB on its first import, which
+    # would land on the first scan of every process
+    source = Path(envdet.__file__).with_name(filename).read_text(encoding="utf-8")
+    assert _ma_set_operations(source) == []
+
+
+def test_a_set_operation_that_imports_numpy_ma_is_found():
+    source = textwrap.dedent("""
+        import numpy as np
+        from numpy import isin, sort
+        _UNIQUE = np.unique
+        def scan(b, eb):
+            return np.union1d(b, eb), numpy.setdiff1d(b, eb), np.sort(b), np.unique_counts(b)
+        def _exact(b):
+            return b[np.isin(b, [0.5])], unique(b), b.unique
+    """)
+    assert _ma_set_operations(source) == [None, None, "scan", "scan", "_exact"]

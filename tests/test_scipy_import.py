@@ -6,7 +6,8 @@ the numpy and scipy packages that the package import would pull in, in
 the same ufunc objects; an earlier one lends envdet its ``_ufuncs``.  A
 failed import leaves ``sys.modules`` as it found it.  And with the one
 768 KiB block that ``specfun`` frees at import, a warm ``verify`` suite
-takes a few hundred minor page faults, not thousands."""
+takes a few hundred minor page faults, not thousands.  No command imports
+``numpy.ma``, which ``np.unique`` would on its first call."""
 
 import importlib
 import json
@@ -134,3 +135,36 @@ def test_a_warm_verify_suite_takes_few_minor_faults():
         print(json.dumps(faults))
     """)
     assert len(faults) == 5 and max(faults) < 1000, faults
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma costs 8-24 ms and about 0.8 MB on its first import
+    loaded = _python(f"""
+        import contextlib
+        import io
+        import json
+        import sys
+        from envdet import cli
+        commands = {{
+            "scan": ["scan", "--from", "-0.9", "--to", "-0.6", "--count", "50",
+                     "--out", {str(tmp_path / "grid.csv")!r}],
+            "scan --exact-points": ["scan", "--from", "-0.9", "--to", "-0.6", "--count", "50",
+                                    "--out", {str(tmp_path / "exact.csv")!r}, "--exact-points"],
+            "verify --suite full": ["verify", "--suite", "full"],
+            "eval": ["eval", "--beta", "-0.7", "--area", "1.5"],
+            "critical": ["critical", "--area", "3"],
+        }}
+        loaded = {{}}
+        for name, argv in commands.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            loaded[name] = [code, "numpy.ma" in sys.modules]
+        print(json.dumps(loaded))
+    """)
+    assert loaded == {
+        "scan": [0, False],
+        "scan --exact-points": [0, False],
+        "verify --suite full": [0, False],
+        "eval": [0, False],
+        "critical": [0, False],
+    }

@@ -316,6 +316,26 @@ def test_quadrature_matches_sequential_reference(groups, width):
     assert len(got) == (2 if "singular" in groups else 3)
 
 
+@pytest.mark.parametrize("width", [2, 20], ids=["narrow", "wide"])
+def test_groups_accepted_at_one_eighth_and_groups_that_refine_match_the_reference(width):
+    # h = 1/8 is tested for every group at once; the groups it leaves open
+    # refine on their own.  bose and negative-zero pass the absolute test at
+    # h = 1/8, large (of size 1e8) only the relative one, underflow refines
+    # once and slow five times.  Five groups are 10 values a node (the
+    # narrow level sums) at width 2 and 100 (the wide ones) at width 20.
+    families = _families(width)
+    c = np.linspace(0.5, 2.0, width)
+    families["large"] = lambda t: 1e8 * np.exp(-t[:, None] * c)
+    names = ("bose", "slow", "large", "underflow", "negative-zero")
+    fs = [families[name] for name in names]
+    got = _run(integrate_semi_infinite, fs, width)
+    assert got == _run(reference_quadrature, fs, width)
+    # the nodes each group was passed on give its level: 68 is h = 1/8
+    assert got[-1] == [68, 4352, 68, 136, 68]
+    _, errs = integrate_semi_infinite(_stacked(*fs), len(fs), width)
+    assert errs[2] > specfun._TOL  # accepted by the relative test alone
+
+
 # ---------------------------------------------------------------------------
 # the whole-number gate
 # ---------------------------------------------------------------------------
