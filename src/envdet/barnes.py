@@ -113,7 +113,6 @@ _A_MAX = 1e27
 # of 5 each).
 _PQ_MAX = 10**6
 _ROUTES = ("integral", "series", "rational")  # BarnesEval.route
-_min = np.minimum.reduce  # ndarray.min's Python wrapper costs about 0.4 us a call
 
 
 def _series(r: np.ndarray, orders: tuple, out: np.ndarray) -> np.ndarray:
@@ -226,8 +225,9 @@ def f_kernel(r: ArrayLike, derivative: Union[int, tuple] = 0) -> ArrayLike:
         _series(row[i:j], orders, rows[:, i:j])
         _closed(row[j:], orders, rows[:, j:])
     else:
-        # 0.0 stands in for an empty r; NaN carries
-        if not _min(arr, None, None, None, False, 0.0) >= 0.0:
+        # argmin points at a NaN where there is one, so NaN fails; an empty r
+        # passes
+        if arr.size and not arr.item(arr.argmin()) >= 0.0:
             raise DomainError("f_kernel needs r >= 0")
         small = arr < _CROSSOVER
         big = ~small

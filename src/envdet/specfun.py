@@ -269,9 +269,11 @@ def integrate_semi_infinite(f: Callable, groups: int, width: int) -> Tuple[np.nd
     convergence.  No group can be accepted before h = 1/8, so the first node
     table is the whole h = 1/8 grid, whose nodes k h with k = 0 (mod 4),
     k = 2 (mod 4) and k odd are the levels h = 1/2, 1/4 and 1/8; each later
-    level is the odd nodes of its h.  A table is evaluated in calls of at
-    most ``_block_nodes(len(open), width)`` nodes, so a table of a narrow
-    integrand is one call and a wide one gets one node per call.
+    level is the odd nodes of its h.  h = 1/8 is tested for every group at
+    once, and only the groups it leaves open refine, one row each.  A
+    table is evaluated in calls of at most ``_block_nodes(len(open), width)``
+    nodes, so a table of a narrow integrand is one call and a wide one gets
+    one node per call.
     Each level's weighted values are added one node at a time in node
     order, from 0.0, so the result does not depend on how the nodes were
     split into calls.
@@ -298,7 +300,8 @@ def integrate_semi_infinite(f: Callable, groups: int, width: int) -> Tuple[np.nd
     coarse /= _TWO
     quarter *= _STEPS[1]
     quarter += coarse
-    # h = 1/8 for every group at once, with the bits of one group alone
+    # h = 1/8 for every group at once, with the bits of one group alone:
+    # half holds the halved h = 1/4 estimate, then |new - estimate|
     new = eighth * _STEPS[2]
     half = quarter / _TWO
     new += half
