@@ -203,9 +203,9 @@ def f_kernel(r: ArrayLike, derivative: Union[int, tuple] = 0) -> ArrayLike:
     raises ``DomainError``; +inf gives the closed form's limit.  A scalar r
     and one order give a float.
     """
-    # an empty tuple is checked as one order, and refused; a tuple of int
-    # orders passes as it is (type() is int is no bool), any other through
-    # the selector gate, which takes numpy's ints too
+    # an empty tuple is checked as one order, and refused; plain ints 0, 1
+    # and 2 pass as they are (a bool's type is bool, not int), anything else
+    # goes through the selector gate, which also takes numpy's ints
     orders = derivative if isinstance(derivative, tuple) and derivative else (derivative,)
     if not all([type(k) is int and 0 <= k <= 2 for k in orders]):
         orders = tuple([_choice(k, (0, 1, 2), "derivative") for k in orders])
@@ -329,10 +329,12 @@ def _integral(a: ArrayLike, orders: tuple):
     The integrands F(at)/(t(e^t-1)), F'(at)/(e^t-1) and t F''(at)/(e^t-1) are
     smooth at t = 0 and decay like e^{-t}.
     """
-    if not isinstance(a, np.ndarray):
-        arr = np.array([a])
-    else:  # a 1-D array's rows are the result's, any other's are reshaped
-        arr = a if a.ndim == 1 else a.ravel()
+    # a 1-D array's rows are the result's; a float's and any other array's
+    # are reshaped (np.shape takes 1.5 us on a float)
+    if isinstance(a, np.ndarray):
+        shape, arr = a.shape, a if a.ndim == 1 else a.ravel()
+    else:
+        shape, arr = (), np.array([a])
     # argmin and argmax point at a NaN where there is one, so NaN fails; on
     # a short array they take about a third of what min and max reductions do
     if arr.size == 0 or not (
@@ -370,9 +372,7 @@ def _integral(a: ArrayLike, orders: tuple):
         row += _head(arr, k)
     if perm is not None:
         integral[:, perm] = integral.copy()
-    if not isinstance(a, np.ndarray):
-        return integral[:, 0], errs
-    return (integral if a.ndim == 1 else integral.reshape((len(orders),) + a.shape)), errs
+    return (integral if len(shape) == 1 else integral.reshape((len(orders),) + shape)), errs
 
 
 def zeta_b_prime0(a: float) -> BarnesEval:

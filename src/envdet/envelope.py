@@ -366,19 +366,19 @@ def _unit(p: AngleParam, orders: tuple) -> list:
     if not isinstance(p.beta, np.ndarray):
         elementary = _elementary(p, orders)
         pair = _integral_pair(p, orders)
-        return [_chain(k, e, z1, z2) for k, e, (z1, z2) in zip(orders, elementary, pair)]
-    split = len(orders) > 1 and p.beta.size >= _SPLIT_MIN
-    here, there = (orders[:-1], orders[-1:]) if split else (orders, ())
-    background = _in_background(_elementary_then_pair, p, orders, there)
-    try:
-        pair = _integral_pair(p, here)
-    finally:
-        # an elementary error comes first, as when the terms ran first
-        elementary, last = background()
-    if there:
-        if isinstance(last, Exception):
-            raise last
-        pair = np.concatenate((pair, last))
+    else:
+        split = len(orders) > 1 and p.beta.size >= _SPLIT_MIN
+        here, there = (orders[:-1], orders[-1:]) if split else (orders, ())
+        background = _in_background(_elementary_then_pair, p, orders, there)
+        try:
+            pair = _integral_pair(p, here)
+        finally:
+            # an elementary error comes first, as when the terms ran first
+            elementary, last = background()
+        if there:
+            if isinstance(last, Exception):
+                raise last
+            pair = np.concatenate((pair, last))
     return [_chain(k, e, z1, z2) for k, e, (z1, z2) in zip(orders, elementary, pair)]
 
 
