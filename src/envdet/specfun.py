@@ -226,9 +226,7 @@ def _level_sums(f: Callable, table: tuple, levels: tuple, open_: tuple, width: i
     totals = [0.0] * len(levels)
     for start in range(0, nodes.size, block):
         t, weights_t = nodes[start:start + block], weights[start:start + block]
-        values = f(t, open_)
-        if not isinstance(values, np.ndarray):
-            values = np.asarray(values)
+        values = np.asarray(f(t, open_))
         if values.shape != (t.size,) + shape:
             raise ValueError(f"integrand returned shape {values.shape}, expected {(t.size,) + shape}")
         # the whole block weighted by one multiply, and freed before the next

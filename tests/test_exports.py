@@ -666,10 +666,7 @@ def _ma_set_operations(source: str) -> list:
     ))
 
 
-SOURCE_FILES = sorted(path.name for path in Path(envdet.__file__).parent.glob("*.py"))
-
-
-@pytest.mark.parametrize("filename", SOURCE_FILES)
+@pytest.mark.parametrize("filename", MODULE_FILES)
 def test_no_module_calls_a_set_operation_that_imports_numpy_ma(filename):
     # numpy.ma costs 8-24 ms and about 0.8 MB on its first import, which
     # would land on the first scan of every process
